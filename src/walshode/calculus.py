@@ -112,15 +112,16 @@ def integrate_sampled(
 ) -> SampledFunction:
     """Sampled antiderivative vanishing at the left domain endpoint.
 
-    backend 'classical' uses the fast transform for both directions;
-    'hybrid' routes both through the simulated quantum transform.
+    backend 'classical' uses the fast transform both ways; 'hybrid' uses the
+    simulated quantum transform, seeded by children (0,) and (1,) of the seed.
     """
     matrix = integration_matrix(f.values.size).entries
     if backend == "classical":
         out = fwht(matrix @ fwht(f.values))
     elif backend == "hybrid":
-        spectrum, _ = hybrid_wht(f.values, cfg)
-        out, _ = hybrid_wht(matrix @ spectrum, cfg)
+        cfg = cfg or HybridConfig()
+        spectrum, _ = hybrid_wht(f.values, cfg.child(0))
+        out, _ = hybrid_wht(matrix @ spectrum, cfg.child(1))
     else:
         raise ValueError(f"unknown backend {backend!r}")
     lo, hi = f.domain

@@ -25,7 +25,6 @@ from .calculus import differentiation_matrix, integration_matrix
 from .errors import DivergenceError, ExprError, ExprEvalError, ResourceLimitError
 from .expr import evaluate, parse
 from .hybrid import HybridConfig, classical_side_opcount, hybrid_wht
-from .quantum import DEFAULT_SEED
 from .solver import (
     IVProblem,
     SolverConfig,
@@ -95,6 +94,8 @@ def read_vector(path: str) -> np.ndarray:
                 values.append(float(text))
             except ValueError:
                 raise UsageError(f"{path}:{lineno}: not a number: {text!r}")
+            if not np.isfinite(values[-1]):
+                raise UsageError(f"{path}:{lineno}: not a finite number: {text!r}")
     if not values:
         raise UsageError(f"{path}: no values found")
     return np.array(values)
@@ -113,16 +114,15 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(f"{cell!r}" if isinstance(cell, float) else str(cell) for cell in row) + "\n")
 
 
-def _hybrid_config(args, mode: str) -> HybridConfig:
-    if mode == "sampled":
-        if args.shots is None:
-            raise UsageError("backend hybrid-sampled requires --shots")
-        if args.seed is None:
-            raise UsageError("backend hybrid-sampled requires --seed")
-        return HybridConfig(
-            epsilon=args.epsilon, mode="sampled", shots=args.shots, seed=args.seed
-        )
-    return HybridConfig(epsilon=args.epsilon, mode="exact")
+def _hybrid_config(args) -> HybridConfig:
+    if args.backend != "hybrid-sampled":
+        return HybridConfig(epsilon=args.epsilon, mode="exact")
+    for flag in ("shots", "seed"):
+        if getattr(args, flag) is None:
+            raise UsageError(f"backend hybrid-sampled requires --{flag}")
+    return HybridConfig(
+        epsilon=args.epsilon, mode="sampled", shots=args.shots, seed=args.seed
+    )
 
 
 def cmd_transform(args) -> int:
@@ -134,8 +134,7 @@ def cmd_transform(args) -> int:
     elif args.backend == "fast":
         out = iwht(v, count) if args.inverse else fwht(v, count)
     else:
-        mode = "sampled" if args.backend == "hybrid-sampled" else "exact"
-        out, _ = hybrid_wht(v, _hybrid_config(args, mode), count)
+        out, _ = hybrid_wht(v, _hybrid_config(args), count)
     elapsed = time.perf_counter() - started
     write_vector(args.output, out)
     report = RunReport(
@@ -194,19 +193,15 @@ def _problem_from_args(args) -> tuple[IVProblem, str | None]:
 
 
 def cmd_solve(args) -> int:
-    if args.backend == "hybrid-sampled":
-        if args.shots is None:
-            raise UsageError("backend hybrid-sampled requires --shots")
-        if args.seed is None:
-            raise UsageError("backend hybrid-sampled requires --seed")
+    hybrid = _hybrid_config(args)
     problem, known_name = _problem_from_args(args)
     config = SolverConfig(
         n_max=args.nmax,
         tol=args.tol,
         backend=args.backend,
-        epsilon=args.epsilon,
-        shots=args.shots,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
+        epsilon=hybrid.epsilon,
+        shots=hybrid.shots,
+        seed=hybrid.seed,
     )
     started = time.perf_counter()
     solution, trace = picard_solve(problem, config)

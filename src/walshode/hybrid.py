@@ -23,7 +23,7 @@ vector.  Any epsilon > 0 works, including for the all-zero input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,6 +64,11 @@ class HybridConfig:
             if self.shots < 1:
                 raise ValueError(f"shots must be >= 1, got {self.shots}")
 
+    def child(self, *key: int) -> HybridConfig:
+        """Reseeded by child ``key`` of ``seed``: independent, and replayable."""
+        state = np.random.SeedSequence(self.seed, spawn_key=key).generate_state(1)
+        return replace(self, seed=int(state[0]))
+
 
 @dataclass
 class HybridTrace:
@@ -99,7 +104,8 @@ def hybrid_wht(
     norm/sqrt(shots) per component.
 
     ``count`` tallies the classical pre/post-processing only (the
-    simulated quantum layer stands in for hardware and is not costed).
+    simulated quantum layer stands in for hardware and is not costed):
+    7N ops in exact mode, 8N in sampled mode (N more for counts / shots).
     """
     if cfg is None:
         cfg = HybridConfig()
@@ -162,7 +168,7 @@ def classical_side_opcount(N: int) -> OpCount:
     """Deterministic per-run tally of the classical work for a length-N input.
 
     Counts scale linearly: 3N-1 additions, 3N multiplications and N+1
-    square roots, for a total of exactly 7N.
+    square roots, for a total of exactly 7N in exact mode (8N sampled).
     """
     count = OpCount()
     hybrid_wht(np.zeros(N), HybridConfig(mode="exact"), count)

@@ -4,6 +4,7 @@ Amplitudes are real (the transforms in this package act on real data),
 so no phase tracking is needed.  The Hadamard layer is implemented as n
 single-qubit sweeps, a deliberately different code path from the
 butterfly in ``transform`` so the two can cross-check each other.
+Sampled counts come from one multinomial draw: O(N) whatever the shots.
 """
 
 from __future__ import annotations
@@ -69,14 +70,10 @@ def measure_exact(state: StateVector) -> MeasurementResult:
 def measure_sampled(
     state: StateVector, shots: int, seed: int = DEFAULT_SEED
 ) -> MeasurementResult:
-    """Draw ``shots`` outcomes by inverse-CDF over the cumulative table."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    """Integer outcome counts of ``shots`` shots, summing to ``shots``."""
+    if not 1 <= shots < 2**63:  # the counts are int64
+        raise ValueError(f"shots must be in [1, 2^63), got {shots}")
     p = state.amplitudes**2
-    cum = np.cumsum(p)
-    rng = np.random.default_rng(seed)
-    draws = np.searchsorted(cum, rng.random(shots), side="right")
-    # Float cumsum can fall a hair short of 1.0; clamp stray top draws.
-    np.minimum(draws, p.size - 1, out=draws)
-    counts = np.bincount(draws, minlength=p.size)
+    # Normalised so roundoff cannot trip numpy's sum(pvals[:-1]) <= 1 check.
+    counts = np.random.default_rng(seed).multinomial(shots, p / p.sum())
     return MeasurementResult(mode="sampled", counts=counts, shots=shots, seed=seed)

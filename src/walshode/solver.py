@@ -111,7 +111,7 @@ def picard_solve(
     xs = [np.full(N, q) for q in initial]
     trace = SolutionTrace()
 
-    for _ in range(config.n_max):
+    for sweep in range(config.n_max):
         state = np.vstack(xs)
         derivs = []
         for f_i in problem.rhs:
@@ -129,11 +129,12 @@ def picard_solve(
                 )
             derivs.append(vals)
 
-        # All integrals use the pre-sweep iterates gathered above.
+        # All integrals use the pre-sweep iterates; each draws its own seed.
         new_xs = []
         for i in range(problem.m):
+            cfg = None if hybrid_cfg is None else hybrid_cfg.child(sweep, i)
             integral = integrate_sampled(
-                SampledFunction(derivs[i], problem.domain), backend, hybrid_cfg
+                SampledFunction(derivs[i], problem.domain), backend, cfg
             )
             new_xs.append(initial[i] + integral.values)
 

@@ -46,6 +46,18 @@ def test_malformed_vector_file_is_usage_error(tmp_path, capsys):
     assert "banana" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_vector_file_is_usage_error(tmp_path, capsys, bad):
+    path = tmp_path / "v.txt"
+    path.write_text(f"0.5\n{bad}\n")
+    dst = tmp_path / "o.txt"
+    code, _, err = run(capsys, "transform", str(path), "-o", str(dst))
+    assert code == 2
+    assert f"{path}:2" in err
+    assert "finite" in err
+    assert not dst.exists()
+
+
 # ---------------------------------------------------------------------------
 # transform command
 
@@ -310,6 +322,19 @@ def test_bench_rejects_bad_size(capsys):
 def test_bench_rejects_zero_repeats(capsys):
     code, _, _ = run(capsys, "bench", "--sizes", "16", "--repeats", "0")
     assert code == 2
+
+
+def test_solve_sampled_requires_shots_and_seed(tmp_path, capsys):
+    base = ("solve", "--problem", "riccati", "--nmax", "1",
+            "--output-dir", str(tmp_path), "--backend", "hybrid-sampled")
+    code, _, err = run(capsys, *base, "--shots", "1000")
+    assert code == 2
+    assert "requires --seed" in err
+    code, _, err = run(capsys, *base, "--seed", "3")
+    assert code == 2
+    assert "requires --shots" in err
+    code, _, _ = run(capsys, *base, "--shots", "1000", "--seed", "3")
+    assert code == 0
 
 
 def test_solve_problem_and_rhs_are_exclusive(tmp_path, capsys):

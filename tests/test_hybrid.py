@@ -156,6 +156,16 @@ def test_classical_side_opcount_formulas():
         assert count.total == 7 * N
 
 
+def test_sampled_mode_counts_one_more_multiplication_per_component():
+    # The extra N multiplications turn counts into frequencies.
+    rng = np.random.default_rng(17)
+    for N in (2, 8, 64):
+        count = OpCount()
+        hybrid_wht(rng.standard_normal(N), HybridConfig(mode="sampled", shots=1000), count)
+        assert count.multiplications == 4 * N
+        assert count.total == 8 * N
+
+
 def test_classical_side_opcount_doubling_ratio_exact():
     for N in (4, 64, 1024):
         assert classical_side_opcount(2 * N).total * 1.0 == 2.0 * classical_side_opcount(N).total

@@ -117,9 +117,39 @@ def test_measure_sampled_seed_replay():
     assert np.array_equal(a.counts, b.counts)
 
 
+def test_measure_sampled_counts_sum_exactly_to_shots():
+    rng = np.random.default_rng(41)
+    v = rng.standard_normal(64)
+    s = prepare_state(v / np.linalg.norm(v))
+    for shots in (1, 7, 1000, 10**6 + 3):
+        res = measure_sampled(s, shots, seed=shots)
+        assert res.counts.shape == (64,)
+        assert int(res.counts.sum()) == shots
+
+
+def test_measure_sampled_huge_shot_budget_allocates_nothing_per_shot():
+    # One stored draw per shot would need 16 TB here; counts cost O(N).
+    rng = np.random.default_rng(43)
+    v = rng.standard_normal(16)
+    s = prepare_state(v / np.linalg.norm(v))
+    res = measure_sampled(s, shots=10**12, seed=5)
+    assert res.counts.dtype == np.int64
+    assert int(res.counts.sum()) == 10**12
+    # Frequency noise is at most sqrt(1/4 / 1e12) = 5e-7 per outcome.
+    exact = measure_exact(s).probabilities
+    assert np.max(np.abs(res.counts / 10**12 - exact)) < 1e-5
+
+
 def test_measure_sampled_rejects_zero_shots():
     with pytest.raises(ValueError):
         measure_sampled(prepare_state([1.0, 0.0]), shots=0)
+
+
+def test_measure_sampled_shot_budget_bounded_by_int64_counts():
+    s = prepare_state([1.0, 0.0])
+    assert measure_sampled(s, shots=2**63 - 1).counts[0] == 2**63 - 1
+    with pytest.raises(ValueError):
+        measure_sampled(s, shots=2**63)
 
 
 def test_sampled_frequencies_converge_to_exact():

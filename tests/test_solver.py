@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import walshode.hybrid
 from walshode import (
     DivergenceError,
     IVProblem,
     SolverConfig,
     analytic_reference,
     builtin_problem,
+    measure_sampled,
     picard_solve,
     time_integration_operator,
 )
@@ -171,6 +173,31 @@ def test_hybrid_sampled_backend_runs():
     reference, _ = solve("riccati", 2, 3)
     assert trace.iterations_run == 3
     assert np.max(np.abs(solution[0].values - reference[0].values)) < 0.05
+
+
+def test_hybrid_sampled_same_seed_replays_bit_for_bit():
+    runs = [solve("beer_system", 3, 3, backend="hybrid-sampled", shots=5000, seed=11)
+            for _ in range(2)]
+    (_, trace_a), (_, trace_b) = runs
+    assert len(trace_a.snapshots) == 3
+    for snap_a, snap_b in zip(trace_a.snapshots, trace_b.snapshots):
+        for xa, xb in zip(snap_a, snap_b):
+            assert np.array_equal(xa, xb)
+
+
+def test_hybrid_sampled_transforms_draw_distinct_seeds(monkeypatch):
+    seeds = []
+
+    def recording(state, shots, seed):
+        seeds.append(seed)
+        return measure_sampled(state, shots, seed)
+
+    monkeypatch.setattr(walshode.hybrid, "measure_sampled", recording)
+    solve("beer_system", 2, 2, backend="hybrid-sampled", shots=1000, seed=3)
+    # 2 sweeps x 2 variables x (forward, inverse).
+    assert len(seeds) == 8
+    assert len(set(seeds)) == 8
+    assert all(type(seed) is int for seed in seeds)
 
 
 def test_refinement_reduces_error_riccati():
