@@ -7,16 +7,27 @@ from 0 to the cell midpoints is the lower-triangular operator
             = 1/2N  for j = m      (half of the current cell)
             = 0     otherwise
 
-Conjugating J with the normalized sign table H gives the Walsh-domain
-integration matrix  I_N = H J H, a sparse matrix of dyadic rationals
-(2N-1 nonzeros).  The differentiation matrix is its inverse, obtained
-exactly by conjugating J^-1, which forward substitution yields in
-integer arithmetic: J^-1 = 2N * M^-1 with M = I + 2L (L strictly lower
-all-ones).
+Its Walsh-domain image I_N = H J H (H the normalized sign table) is the
+recursive operational matrix of Chen & Hsiao (Int. J. Systems Sci., 1975)
+written in the natural ordering.  It has 2N-1 nonzeros in closed form:
+with low(m) the lowest set bit of m,
 
-All entries are dyadic rationals, so the float64 matrices are exact; the
-constructions below keep normalization factors out of the butterflies to
-preserve that exactness for odd qubit counts too.
+    I[0, 0] = 1/2
+    I[m - low(m), m] =  low(m) / 2N      for 1 <= m < N
+    I[m, m - low(m)] = -low(m) / 2N
+
+The differentiation matrix D_N = I_N^-1 = H J^-1 H has the mirrored
+pattern on the odd indices, also 2N-1 nonzeros:
+
+    D[1, 1] = 2N^2
+    D[k, k+1] = -2N,  D[k+1, k] = 2N                    for even k
+    D[e - low(e) + 1, e + 1] =  2N low(e)               for even 2 <= e < N
+    D[e + 1, e - low(e) + 1] = -2N low(e)
+
+Every entry is a dyadic rational, so the float64 operators are exact.
+Each is stored as index and value arrays built in O(N) and applied in
+O(N); the dense N x N form is built only on request, for tables and
+tests.
 
 Integration of samples runs entirely through transforms:
 antiderivative = WHT(I_N * WHT(samples)), rescaled by the domain width.
@@ -26,83 +37,108 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .errors import require_bytes
 from .hybrid import HybridConfig, hybrid_wht
-from .transform import _butterfly, _require_power_of_two, fwht
+from .transform import _require_power_of_two, fwht
 from .walsh import SampledFunction
 
 _cache: dict[tuple[str, int], "OperationalMatrix"] = {}
 _cache_lock = threading.Lock()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperationalMatrix:
-    """Immutable N x N Walsh-domain operator (integration or differentiation)."""
+    """Immutable sparse N x N Walsh-domain operator: its 2N-1 nonzeros.
 
-    entries: np.ndarray
+    ``apply`` is the O(N) product; ``entries`` is the dense form, built on
+    first access and refused above the allocation cap.
+    """
+
     kind: str
     n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    def apply(self, c: np.ndarray) -> np.ndarray:
+        """Operator times ``c``: one gather, then a scatter-add in a fixed order."""
+        return np.bincount(
+            self.rows, weights=self.values * c[self.cols], minlength=1 << self.n
+        )
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """Read-only dense N x N array, for tables and tests."""
+        N = 1 << self.n
+        require_bytes(8 * N * N, f"dense {self.kind} matrix at n={self.n}")
+        dense = np.zeros((N, N))
+        dense[self.rows, self.cols] = self.values
+        dense.flags.writeable = False
+        return dense
 
 
 def time_integration_operator(N: int) -> np.ndarray:
     """Midpoint running-integration operator J (time domain, exact)."""
     _require_power_of_two(N)
+    require_bytes(8 * N * N, f"time integration operator at N={N}")
     J = np.tril(np.full((N, N), 1.0 / N), k=-1)
     np.fill_diagonal(J, 1.0 / (2.0 * N))
     return J
 
 
-def _conjugate_with_sign_table(core: np.ndarray) -> np.ndarray:
-    """H_norm @ core @ H_norm, one column at a time via two butterflies.
+def _integration_nonzeros(N: int):
+    m = np.arange(1, N)
+    low = m & -m
+    k = m - low
+    rows = np.concatenate(([0], k, m))
+    cols = np.concatenate(([0], m, k))
+    values = np.concatenate(([0.5], low / (2.0 * N), -low / (2.0 * N)))
+    return rows, cols, values
 
-    The 1/N normalization is applied once at the end so dyadic inputs
-    stay exact through the additions.
-    """
-    N = core.shape[0]
-    out = np.empty_like(core)
-    for j in range(N):
-        e = np.zeros(N)
-        e[j] = 1.0
-        out[:, j] = _butterfly(core @ _butterfly(e))
-    out /= N
-    return out
+
+def _differentiation_nonzeros(N: int):
+    even = np.arange(0, N, 2)
+    e = even[1:]
+    low = e & -e
+    p, q = e - low + 1, e + 1
+    rows = np.concatenate(([1], even, even + 1, p, q))
+    cols = np.concatenate(([1], even + 1, even, q, p))
+    values = np.concatenate((
+        [2.0 * N * N],
+        np.full(even.size, -2.0 * N),
+        np.full(even.size, 2.0 * N),
+        2.0 * N * low,
+        -2.0 * N * low,
+    ))
+    return rows, cols, values
+
+
+def _operator(kind: str, N: int, nonzeros) -> OperationalMatrix:
+    n = _require_power_of_two(N)
+    key = (kind, N)
+    with _cache_lock:
+        if key not in _cache:
+            # Three arrays of 2N-1 eight-byte items.
+            require_bytes(48 * N, f"sparse {kind} matrix at n={n}")
+            arrays = nonzeros(N)
+            for array in arrays:
+                array.flags.writeable = False
+            _cache[key] = OperationalMatrix(kind, n, *arrays)
+        return _cache[key]
 
 
 def integration_matrix(N: int) -> OperationalMatrix:
     """Walsh-domain integration matrix I_N (cached per size)."""
-    n = _require_power_of_two(N)
-    key = ("integration", N)
-    with _cache_lock:
-        if key not in _cache:
-            entries = _conjugate_with_sign_table(time_integration_operator(N))
-            entries.flags.writeable = False
-            _cache[key] = OperationalMatrix(entries, "integration", n)
-        return _cache[key]
+    return _operator("integration", N, _integration_nonzeros)
 
 
 def differentiation_matrix(N: int) -> OperationalMatrix:
     """Walsh-domain differentiation matrix, the exact inverse of I_N."""
-    n = _require_power_of_two(N)
-    key = ("differentiation", N)
-    with _cache_lock:
-        if key not in _cache:
-            # Forward substitution on M = 2N*J = I + 2L, column by column;
-            # each column alternates 1, -2, +2, -2, ... so everything is
-            # integer-exact.
-            m_inv = np.zeros((N, N))
-            for j in range(N):
-                m_inv[j, j] = 1.0
-                running = 1.0
-                for i in range(j + 1, N):
-                    m_inv[i, j] = -2.0 * running
-                    running += m_inv[i, j]
-            j_inv = (2.0 * N) * m_inv
-            entries = _conjugate_with_sign_table(j_inv)
-            entries.flags.writeable = False
-            _cache[key] = OperationalMatrix(entries, "differentiation", n)
-        return _cache[key]
+    return _operator("differentiation", N, _differentiation_nonzeros)
 
 
 def integrate_sampled(
@@ -115,13 +151,13 @@ def integrate_sampled(
     backend 'classical' uses the fast transform both ways; 'hybrid' uses the
     simulated quantum transform, seeded by children (0,) and (1,) of the seed.
     """
-    matrix = integration_matrix(f.values.size).entries
+    matrix = integration_matrix(f.values.size)
     if backend == "classical":
-        out = fwht(matrix @ fwht(f.values))
+        out = fwht(matrix.apply(fwht(f.values)))
     elif backend == "hybrid":
         cfg = cfg or HybridConfig()
         spectrum, _ = hybrid_wht(f.values, cfg.child(0))
-        out, _ = hybrid_wht(matrix @ spectrum, cfg.child(1))
+        out, _ = hybrid_wht(matrix.apply(spectrum), cfg.child(1))
     else:
         raise ValueError(f"unknown backend {backend!r}")
     lo, hi = f.domain

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .calculus import differentiation_matrix, integration_matrix
 from .errors import DivergenceError, ExprError, ExprEvalError, ResourceLimitError
-from .expr import evaluate, parse
+from .expr import evaluate, evaluate_grid, parse
 from .hybrid import HybridConfig, classical_side_opcount, hybrid_wht
 from .solver import (
     IVProblem,
@@ -184,12 +184,21 @@ def _problem_from_args(args) -> tuple[IVProblem, str | None]:
     if args.init is None or len(args.init) != len(args.rhs):
         raise UsageError("--init must supply one value per --rhs expression")
     m = len(args.rhs)
-    exprs = [parse(src, m) for src in args.rhs]
-    rhs = [
-        (lambda x, t, _e=e: evaluate(_e, x, t))
-        for e in exprs
-    ]
-    return IVProblem(m=m, rhs=rhs, initial=list(args.init), domain=domain, n=args.n), None
+    rhs = [_rhs_callable(parse(src, m)) for src in args.rhs]
+    problem = IVProblem(m=m, rhs=rhs, initial=list(args.init), domain=domain,
+                        n=args.n, vectorized=True)
+    return problem, None
+
+
+def _rhs_callable(node):
+    """One rhs for both forms: the whole grid, or one point (scalar t)."""
+
+    def rhs(x, t):
+        if np.ndim(t) == 0:
+            return evaluate(node, x, t)
+        return evaluate_grid(node, x, t)
+
+    return rhs
 
 
 def cmd_solve(args) -> int:

@@ -1,8 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types and the allocation cap shared across the package."""
+
+#: Largest single allocation, in bytes, that a grid, trace or dense
+#: operator may request; larger requests raise ResourceLimitError first.
+MAX_ALLOC_BYTES = 1 << 30
 
 
 class ResourceLimitError(RuntimeError):
     """A request would materialize more state than the configured cap allows."""
+
+
+def require_bytes(nbytes: int, what: str) -> None:
+    """Raise ResourceLimitError, before allocating, if ``what`` needs too many bytes."""
+    if nbytes > MAX_ALLOC_BYTES:
+        raise ResourceLimitError(
+            f"{what} needs {nbytes} bytes, over the cap of {MAX_ALLOC_BYTES}"
+        )
 
 
 class DivergenceError(RuntimeError):

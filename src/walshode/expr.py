@@ -12,12 +12,18 @@ Grammar (recursive descent, no implicit multiplication):
 Precedence, tightest first: ^, unary -, * /, + -.  So ``-x1^2`` is
 -(x1^2) and ``2^3^2`` is 2^(3^2) = 512.  Parse errors carry the byte
 offset of the offending token.
+
+Two evaluators walk the same tree: ``evaluate`` at one point with Python
+floats and ``math`` (the scalar oracle, which names domain errors), and
+``evaluate_grid`` over a whole grid with numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ExprError, ExprEvalError
 
@@ -30,6 +36,11 @@ FUNCTIONS = {
     "sqrt": math.sqrt,
     "abs": abs,
 }
+
+_GRID_FUNCTIONS = {name: getattr(np, name) for name in FUNCTIONS}
+
+_GRID_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+             "^": np.power}
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
@@ -236,6 +247,27 @@ def evaluate(node: Expr, x, t: float) -> float:
         return math.pow(left, right)
     except (ZeroDivisionError, ValueError, OverflowError) as exc:
         raise ExprEvalError(f"{left} {node.op} {right} is undefined") from exc
+
+
+def evaluate_grid(node: Expr, x, t):
+    """Evaluate over a grid: x of shape (m, N), t of shape (N,).
+
+    Returns an array of shape (N,), or a scalar for a constant expression.
+    Domain errors are not named here: they raise FloatingPointError under
+    ``np.errstate(..., "raise")`` or leave non-finite values, and
+    ``evaluate`` at the failing point says which.
+    """
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return t if node.index is None else x[node.index - 1]
+    if isinstance(node, Neg):
+        return -evaluate_grid(node.operand, x, t)
+    if isinstance(node, Call):
+        return _GRID_FUNCTIONS[node.func](evaluate_grid(node.arg, x, t))
+    return _GRID_OPS[node.op](
+        evaluate_grid(node.left, x, t), evaluate_grid(node.right, x, t)
+    )
 
 
 def _prec(node: Expr) -> int:

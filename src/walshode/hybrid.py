@@ -65,7 +65,12 @@ class HybridConfig:
                 raise ValueError(f"shots must be >= 1, got {self.shots}")
 
     def child(self, *key: int) -> HybridConfig:
-        """Reseeded by child ``key`` of ``seed``: independent, and replayable."""
+        """Reseeded by child ``key`` of ``seed``: independent, and replayable.
+
+        Exact mode draws nothing, so it returns this config unchanged.
+        """
+        if self.mode == "exact":
+            return self
         state = np.random.SeedSequence(self.seed, spawn_key=key).generate_state(1)
         return replace(self, seed=int(state[0]))
 

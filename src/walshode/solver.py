@@ -4,10 +4,12 @@ Each sweep rewrites the integral form of the system
 
     x_i = q_i + integral_0^t f_i(x_1, ..., x_m, tau) dtau
 
-with the right-hand sides evaluated pointwise at the grid midpoints
-against the *previous* sweep's iterates for every variable (Jacobi-style
+with the right-hand sides evaluated at the grid midpoints against the
+*previous* sweep's iterates for every variable (Jacobi-style
 simultaneous update), and the integral taken through the Walsh-domain
-integration matrix.  Iteration stops after ``n_max`` sweeps or when the
+integration matrix.  A vectorized right-hand side is one numpy call over
+the whole grid per sweep; a failing or non-finite one is re-run point by
+point, so errors name the first bad sample either way.  Iteration stops after ``n_max`` sweeps or when the
 largest componentwise update drops below ``tol``.
 
 Picard iteration is not guaranteed to converge for stiff problems or
@@ -24,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .calculus import integrate_sampled
-from .errors import DivergenceError
+from .errors import DivergenceError, require_bytes
 from .hybrid import HybridConfig
 from .quantum import DEFAULT_SEED
 from .walsh import SampledFunction
@@ -39,8 +41,13 @@ MAGNITUDE_CAP = 1e12
 class IVProblem:
     """System dx_i/dt = f_i(x_1..x_m, t) with x_i(t_lo) = initial[i].
 
-    Each evaluator receives the m state values at one grid point plus
-    the time, and returns one derivative value.
+    Each rhs takes one of two forms.  By default it is called once per
+    grid point with the m state values (shape (m,)) and the time, and
+    returns one derivative value.  With ``vectorized=True`` it is called
+    once per sweep with the whole grid, x of shape (m, N) and t of shape
+    (N,), and returns N values (a scalar is broadcast); a vectorized rhs
+    must also accept the one-point form, which the solver uses to name the
+    first failing point when a grid call fails or yields non-finite values.
     """
 
     m: int
@@ -48,6 +55,7 @@ class IVProblem:
     initial: Sequence[float]
     domain: tuple[float, float] = (0.0, 1.0)
     n: int = 2
+    vectorized: bool = False
 
     def __post_init__(self):
         if self.m < 1:
@@ -98,55 +106,75 @@ def _integration_backend(config: SolverConfig) -> tuple[str, HybridConfig | None
     )
 
 
+def _rhs_at_each_sample(f_i, state, t, trace) -> np.ndarray:
+    """One call per grid point; names the first point that fails."""
+    vals = np.empty(t.size)
+    for s in range(t.size):
+        try:
+            vals[s] = f_i(state[:, s], t[s])
+        except ArithmeticError as exc:
+            raise DivergenceError(
+                f"right-hand side failed at t={t[s]}: {exc}", trace
+            ) from exc
+    if not np.all(np.isfinite(vals)):
+        raise DivergenceError("right-hand side produced a non-finite value", trace)
+    return vals
+
+
+def _rhs_values(problem: IVProblem, state, t, trace) -> np.ndarray:
+    """Every right-hand side on the whole grid, shape (m, N)."""
+    derivs = np.empty(state.shape)
+    for i, f_i in enumerate(problem.rhs):
+        if problem.vectorized:
+            try:
+                with np.errstate(divide="raise", over="raise", invalid="raise"):
+                    derivs[i] = f_i(state, t)
+            except ArithmeticError:
+                pass
+            else:
+                if np.all(np.isfinite(derivs[i])):
+                    continue
+        derivs[i] = _rhs_at_each_sample(f_i, state, t, trace)
+    return derivs
+
+
 def picard_solve(
     problem: IVProblem, config: SolverConfig
 ) -> tuple[list[SampledFunction], SolutionTrace]:
     """Run Picard sweeps; returns the final iterates and the full trace."""
     N = 1 << problem.n
+    # The trace keeps n_max grids; state, derivatives and update add three.
+    require_bytes(
+        (config.n_max + 3) * problem.m * N * 8,
+        f"picard_solve at n={problem.n}, m={problem.m}, n_max={config.n_max}",
+    )
     lo, hi = problem.domain
     t = lo + (hi - lo) * (2.0 * np.arange(N) + 1.0) / (2.0 * N)
     backend, hybrid_cfg = _integration_backend(config)
 
-    initial = [float(q) for q in problem.initial]
-    xs = [np.full(N, q) for q in initial]
+    initial = np.array(problem.initial, dtype=float)
+    xs = np.repeat(initial[:, None], N, axis=1)
     trace = SolutionTrace()
 
     for sweep in range(config.n_max):
-        state = np.vstack(xs)
-        derivs = []
-        for f_i in problem.rhs:
-            vals = np.empty(N)
-            for s in range(N):
-                try:
-                    vals[s] = f_i(state[:, s], t[s])
-                except ArithmeticError as exc:
-                    raise DivergenceError(
-                        f"right-hand side failed at t={t[s]}: {exc}", trace
-                    ) from exc
-            if not np.all(np.isfinite(vals)):
-                raise DivergenceError(
-                    "right-hand side produced a non-finite value", trace
-                )
-            derivs.append(vals)
+        derivs = _rhs_values(problem, xs, t, trace)
 
         # All integrals use the pre-sweep iterates; each draws its own seed.
-        new_xs = []
+        new_xs = np.empty_like(xs)
         for i in range(problem.m):
             cfg = None if hybrid_cfg is None else hybrid_cfg.child(sweep, i)
             integral = integrate_sampled(
                 SampledFunction(derivs[i], problem.domain), backend, cfg
             )
-            new_xs.append(initial[i] + integral.values)
+            new_xs[i] = initial[i] + integral.values
 
-        residual = max(
-            float(np.max(np.abs(new - old))) for new, old in zip(new_xs, xs)
-        )
+        residual = float(np.max(np.abs(new_xs - xs)))
         xs = new_xs
-        trace.snapshots.append([x.copy() for x in xs])
+        trace.snapshots.append(list(xs))
         trace.iterations_run += 1
         trace.final_residual = residual
 
-        if any(np.max(np.abs(x)) > MAGNITUDE_CAP for x in xs):
+        if np.max(np.abs(xs)) > MAGNITUDE_CAP:
             raise DivergenceError(
                 f"iterate magnitude exceeded {MAGNITUDE_CAP:g}", trace
             )
@@ -172,9 +200,10 @@ def _beer_rhs_2(x: np.ndarray, t: float) -> float:
 def builtin_problem(name: str, n: int = 2) -> IVProblem:
     """Ready-made demonstration problems with known analytic solutions."""
     if name == "riccati":
-        return IVProblem(m=1, rhs=[_riccati_rhs], initial=[-0.5], n=n)
+        return IVProblem(m=1, rhs=[_riccati_rhs], initial=[-0.5], n=n, vectorized=True)
     if name == "beer_system":
-        return IVProblem(m=2, rhs=[_beer_rhs_1, _beer_rhs_2], initial=[0.0, 1.0], n=n)
+        return IVProblem(m=2, rhs=[_beer_rhs_1, _beer_rhs_2], initial=[0.0, 1.0], n=n,
+                         vectorized=True)
     raise ValueError(f"unknown builtin problem {name!r}")
 
 

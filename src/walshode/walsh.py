@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, require_bytes
 
 #: Largest qubit count for which full N x N tables may be materialized.
 MAX_TABLE_QUBITS = 20
@@ -108,6 +108,7 @@ def character_table(n: int, max_qubits: int | None = None) -> np.ndarray:
             f"character table for n={n} exceeds the cap of {cap} qubits"
         )
     N = _require_qubits(n)
+    require_bytes(8 * N * N, f"character table for n={n}")
     idx = np.arange(N, dtype=np.int64)
     par = _parity(idx[:, None] & idx[None, :])
     return (1 - 2 * par).astype(np.int8)

@@ -5,6 +5,7 @@ import pytest
 
 from walshode import (
     HybridConfig,
+    ResourceLimitError,
     SampledFunction,
     character_table,
     differentiation_matrix,
@@ -48,6 +49,28 @@ D4_EXPECTED = np.array(
 )
 
 
+
+
+def dense_integration_oracle(n):
+    """H J H / N with the unnormalized sign table: exact on dyadics."""
+    N = 1 << n
+    H = character_table(n).astype(float)
+    return H @ time_integration_operator(N) @ H / N
+
+
+def dense_differentiation_oracle(n):
+    """H (2N M^-1) H / N, where J = M / 2N and M = I + 2L (L strictly lower ones).
+
+    M^-1 has 1 on the diagonal and 2(-1)^(i-j) below it, so every product
+    stays an integer and the result is exact.
+    """
+    N = 1 << n
+    H = character_table(n).astype(float)
+    i, j = np.indices((N, N))
+    m_inv = np.where(i == j, 1.0, np.where(i > j, 2.0 * (-1.0) ** (i - j), 0.0))
+    return H @ (2.0 * N * m_inv) @ H / N
+
+
 # ---------------------------------------------------------------------------
 # time-domain operator
 
@@ -85,6 +108,43 @@ def test_differentiation_matrix_pinned_exactly():
     assert np.array_equal(
         differentiation_matrix(2).entries, np.array([[0.0, -4.0], [4.0, 8.0]])
     )
+
+
+def test_sparse_operators_equal_dense_oracle_bit_for_bit():
+    for n in range(1, 11):
+        N = 1 << n
+        for matrix, oracle in (
+            (integration_matrix(N), dense_integration_oracle(n)),
+            (differentiation_matrix(N), dense_differentiation_oracle(n)),
+        ):
+            assert matrix.values.size == 2 * N - 1
+            assert np.array_equal(matrix.entries, oracle), (matrix.kind, n)
+
+
+def test_apply_matches_dense_product():
+    rng = np.random.default_rng(2024)
+    for N in (2, 8, 64, 1024):
+        for matrix in (integration_matrix(N), differentiation_matrix(N)):
+            c = rng.standard_normal(N)
+            dense = matrix.entries @ c
+            scale = np.abs(matrix.entries) @ np.abs(c)
+            assert np.all(np.abs(matrix.apply(c) - dense) <= 1e-15 * scale)
+
+
+def test_dense_entries_refused_before_allocation(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense allocation attempted")
+
+    matrix = integration_matrix(1 << 16)
+    monkeypatch.setattr(np, "zeros", forbidden)
+    with pytest.raises(ResourceLimitError):
+        matrix.entries
+    monkeypatch.setattr(np, "arange", forbidden)
+    monkeypatch.setattr(np, "full", forbidden)
+    with pytest.raises(ResourceLimitError):
+        integration_matrix(1 << 40)
+    with pytest.raises(ResourceLimitError):
+        time_integration_operator(1 << 16)
 
 
 def test_differentiation_inverts_integration():

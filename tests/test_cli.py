@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from walshode import OperationalMatrix
 from walshode.cli import main, read_vector, write_vector
 
 
@@ -180,6 +181,24 @@ def test_table_cap_respects_environment(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("kind, allocator", [
+    ("integration", "zeros"),
+    ("differentiation", "zeros"),
+    ("character", "arange"),
+])
+def test_table_dense_matrices_refused_before_allocation(capsys, monkeypatch,
+                                                       kind, allocator):
+    # n=16 passes the qubit cap; the dense table would take 32 GiB.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense allocation attempted")
+
+    monkeypatch.setattr(np, allocator, forbidden)
+    code, out, err = run(capsys, "table", "--kind", kind, "--n", "16")
+    assert code == 2
+    assert out == ""
+    assert "over the cap" in err
+
+
 # ---------------------------------------------------------------------------
 # solve command
 
@@ -271,6 +290,41 @@ def test_solve_expression_domain_error_is_numeric(tmp_path, capsys):
     code, _, _ = run(capsys, "solve", "--rhs", "1/x1", "--init", "0",
                      "--nmax", "5", "--output-dir", str(tmp_path))
     assert code == 3
+
+
+@pytest.mark.parametrize("rhs, message", [
+    ("1/x1", "right-hand side failed at t=0.125: 1.0 / 0.0 is undefined"),
+    ("log(x1)", "right-hand side failed at t=0.125: log(0.0) is undefined"),
+    ("sqrt(x1-1)", "right-hand side failed at t=0.125: sqrt(-1.0) is undefined"),
+])
+def test_solve_expression_domain_error_names_first_point(tmp_path, capsys, rhs, message):
+    code, _, err = run(capsys, "solve", "--rhs", rhs, "--init", "0",
+                       "--output-dir", str(tmp_path))
+    assert code == 3
+    assert err == f"walshode: numeric failure: {message}\n"
+
+
+def test_solve_large_grid_uses_no_dense_operator(tmp_path, capsys, monkeypatch):
+    def forbidden(self):
+        raise AssertionError("dense operator built on the solve path")
+
+    monkeypatch.setattr(OperationalMatrix, "entries", property(forbidden))
+    code, out, _ = run(capsys, "solve", "--problem", "riccati", "--n", "16",
+                       "--nmax", "3", "--output-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["iterations"] == 3
+
+
+def test_solve_oversized_grid_refused_before_allocation(tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("grid allocation attempted")
+
+    monkeypatch.setattr(np, "arange", forbidden)
+    code, out, err = run(capsys, "solve", "--problem", "riccati", "--n", "40",
+                         "--output-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "over the cap" in err
 
 
 def test_solve_shifted_domain_drops_analytic_columns(tmp_path, capsys):

@@ -8,7 +8,9 @@ import pytest
 import walshode.hybrid
 from walshode import (
     DivergenceError,
+    HybridConfig,
     IVProblem,
+    ResourceLimitError,
     SolverConfig,
     analytic_reference,
     builtin_problem,
@@ -16,6 +18,7 @@ from walshode import (
     picard_solve,
     time_integration_operator,
 )
+from walshode.expr import evaluate, evaluate_grid, parse
 
 RICCATI_SWEEP_1 = np.array([-0.40625, -0.21875, -0.03125, 0.15625])
 RICCATI_SWEEP_10 = np.array([-0.40512, -0.20567, 0.02743, 0.33735])
@@ -276,3 +279,124 @@ def test_nonunit_domain_solution():
     assert trace.converged
     # Midpoint discretization error at this resolution is ~2.6e-4.
     assert np.max(np.abs(solution[0].values - np.exp(t))) < 5e-4
+
+
+# ---------------------------------------------------------------------------
+# whole-grid right-hand sides
+
+
+def expression_problem(sources, initial, n, vectorized):
+    """The same expressions, per point or (when vectorized) per grid too."""
+    nodes = [parse(src, len(sources)) for src in sources]
+
+    def both_forms(e):
+        def rhs(x, t):
+            if np.ndim(t) == 0:
+                return evaluate(e, x, t)
+            return evaluate_grid(e, x, t)
+        return rhs
+
+    rhs = [both_forms(e) for e in nodes]
+    return IVProblem(m=len(sources), rhs=rhs, initial=initial, n=n,
+                     vectorized=vectorized)
+
+
+def snapshots_of(sources, initial, n=6, sweeps=18, vectorized=False):
+    problem = expression_problem(sources, initial, n, vectorized)
+    _, trace = picard_solve(problem, SolverConfig(n_max=sweeps, tol=0.0))
+    return np.array(trace.snapshots)
+
+
+def test_grid_rhs_bit_identical_to_scalar_for_field_operations():
+    # + - * / round the same in numpy as in Python floats.
+    sources = ["x2", "-(3*x1*x2 + x1*x1*x1)"]
+    scalar = snapshots_of(sources, [0.0, 1.0])
+    grid = snapshots_of(sources, [0.0, 1.0], vectorized=True)
+    assert scalar.shape == (18, 2, 64)
+    assert np.array_equal(grid, scalar)
+
+
+@pytest.mark.parametrize("sources, initial", [
+    (["x2", "-(3*x1*x2 + x1^3)"], [0.0, 1.0]),
+    (["sin(x1)*exp(-t) + sqrt(abs(x1) + 1)", "cos(x2)^2 - log(1 + t) + tan(x1/4)"],
+     [0.3, -0.2]),
+])
+def test_grid_rhs_within_ulps_of_scalar_for_power_and_functions(sources, initial):
+    # numpy's power and transcendental functions may round differently from
+    # math's in the last bit.
+    scalar = snapshots_of(sources, initial)
+    grid = snapshots_of(sources, initial, vectorized=True)
+    assert np.max(np.abs(grid - scalar)) <= 1e-13
+
+
+def test_grid_rhs_scalar_result_is_broadcast():
+    _, trace = picard_solve(
+        IVProblem(m=1, rhs=[lambda x, t: 0.75], initial=[0.0], n=2, vectorized=True),
+        SolverConfig(n_max=1),
+    )
+    assert np.array_equal(trace.snapshots[0][0], 0.75 * np.array([1, 3, 5, 7]) / 8)
+
+
+@pytest.mark.parametrize("source, message", [
+    ("1/x1", "right-hand side failed at t=0.125: 1.0 / 0.0 is undefined"),
+    ("log(x1)", "right-hand side failed at t=0.125: log(0.0) is undefined"),
+    ("sqrt(x1-1)", "right-hand side failed at t=0.125: sqrt(-1.0) is undefined"),
+    ("x1*x1*x1", "right-hand side produced a non-finite value"),
+])
+def test_grid_rhs_failure_reports_like_scalar_path(source, message):
+    initial = [1e200] if source == "x1*x1*x1" else [0.0]
+    for vectorized in (False, True):
+        problem = expression_problem([source], initial, 2, vectorized)
+        with pytest.raises(DivergenceError) as info:
+            picard_solve(problem, SolverConfig(n_max=3))
+        assert str(info.value) == message
+        assert info.value.trace.iterations_run == 0
+
+
+def test_grid_rhs_failure_reruns_only_that_variable():
+    calls = []
+
+    def x1(x, t):
+        calls.append(np.ndim(t))
+        return x[0]
+
+    def failing(x, t):
+        if np.ndim(t):
+            return np.log(x[0] - x[0])  # -inf: a divide flag on the grid
+        return 1.0
+
+    problem = IVProblem(m=2, rhs=[x1, failing], initial=[1.0, 0.0], n=2,
+                        vectorized=True)
+    _, trace = picard_solve(problem, SolverConfig(n_max=1))
+    assert calls == [1]
+    assert np.array_equal(trace.snapshots[0][1], [0.125, 0.375, 0.625, 0.875])
+
+
+def test_solve_grid_refused_before_allocation():
+    problem = builtin_problem("riccati", n=40)
+    with pytest.raises(ResourceLimitError) as info:
+        picard_solve(problem, SolverConfig(n_max=10))
+    assert "picard_solve" in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# seed derivation
+
+
+def test_exact_mode_child_is_the_same_config():
+    cfg = HybridConfig(epsilon=0.5, seed=9)
+    assert cfg.child(3, 1) is cfg
+    sampled = HybridConfig(mode="sampled", shots=10, seed=9)
+    assert sampled.child(3, 1).seed != sampled.seed
+
+
+def test_hybrid_exact_trace_unchanged_by_seed_derivation(monkeypatch):
+    _, trace = solve("beer_system", 3, 6, backend="hybrid-exact")
+
+    def always_reseed(self, *key):
+        state = np.random.SeedSequence(self.seed, spawn_key=key).generate_state(1)
+        return HybridConfig(self.epsilon, self.mode, self.shots, int(state[0]))
+
+    monkeypatch.setattr(HybridConfig, "child", always_reseed)
+    _, reseeded = solve("beer_system", 3, 6, backend="hybrid-exact")
+    assert np.array_equal(np.array(trace.snapshots), np.array(reseeded.snapshots))
