@@ -102,16 +102,17 @@ def read_vector(path: str) -> np.ndarray:
 
 
 def write_vector(path: str, values: np.ndarray) -> None:
+    text = "".join(map("{!r}\n".format, np.asarray(values, dtype=float).tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        for value in values:
-            fh.write(f"{float(value)!r}\n")
+        fh.write(text)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write equal-length columns: float cells in ``repr`` form, others as ``str``."""
+    row = ",".join("{!r}" if c.dtype.kind == "f" else "{}" for c in columns) + "\n"
+    text = "".join(map(row.format, *(c.tolist() for c in columns)))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{cell!r}" if isinstance(cell, float) else str(cell) for cell in row) + "\n")
+        fh.write(",".join(header) + "\n" + text)
 
 
 def _hybrid_config(args) -> HybridConfig:
@@ -224,27 +225,24 @@ def cmd_solve(args) -> int:
     outputs = []
     for i, sf in enumerate(solution, start=1):
         path = os.path.join(args.output_dir, f"x{i}.csv")
+        header, columns = ["t", f"x{i}"], [t, sf.values]
         if reference is not None:
-            header = ["t", f"x{i}", "analytic", "error"]
-            rows = [
-                (float(t[s]), float(sf.values[s]), float(reference[i - 1][s]),
-                 float(sf.values[s] - reference[i - 1][s]))
-                for s in range(t.size)
-            ]
-        else:
-            header = ["t", f"x{i}"]
-            rows = [(float(t[s]), float(sf.values[s])) for s in range(t.size)]
-        _write_csv(path, header, rows)
+            header += ["analytic", "error"]
+            columns += [reference[i - 1], sf.values - reference[i - 1]]
+        _write_csv(path, header, columns)
         outputs.append(path)
 
     if args.trace:
         path = os.path.join(args.output_dir, "trace.csv")
-        rows = []
-        for sweep, snapshot in enumerate(trace.snapshots, start=1):
-            for i, x in enumerate(snapshot, start=1):
-                for s in range(x.size):
-                    rows.append((sweep, f"x{i}", s, float(t[s]), float(x[s])))
-        _write_csv(path, ["iteration", "variable", "sample", "t", "value"], rows)
+        sweeps, m, N = len(trace.snapshots), len(solution), t.size
+        names = np.repeat([f"x{i}" for i in range(1, m + 1)], N)
+        _write_csv(path, ["iteration", "variable", "sample", "t", "value"], [
+            np.repeat(np.arange(1, sweeps + 1), m * N),
+            np.tile(names, sweeps),
+            np.tile(np.arange(N), sweeps * m),
+            np.tile(t, sweeps * m),
+            np.concatenate([x for snapshot in trace.snapshots for x in snapshot]),
+        ])
         outputs.append(path)
 
     report = RunReport(

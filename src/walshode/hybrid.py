@@ -34,7 +34,7 @@ from .quantum import (
     measure_sampled,
     prepare_state,
 )
-from .transform import OpCount, _require_power_of_two
+from .transform import OpCount, _require_vector
 
 _MODES = ("exact", "sampled")
 
@@ -95,7 +95,7 @@ class HybridTrace:
 def sign_safe(v) -> bool:
     """True iff v[0] strictly exceeds the absolute sum of the remaining entries."""
     a = np.asarray(v, dtype=float)
-    _require_power_of_two(a.size)
+    _require_vector(a)
     return bool(a[0] > np.sum(np.abs(a[1:])))
 
 
@@ -115,7 +115,7 @@ def hybrid_wht(
     if cfg is None:
         cfg = HybridConfig()
     a = np.asarray(v, dtype=float)
-    _require_power_of_two(a.size)
+    _require_vector(a)
     if not np.all(np.isfinite(a)):
         raise ValueError("input vector must be finite")
     N = a.size

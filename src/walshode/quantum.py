@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import _require_power_of_two
+from .transform import _require_vector
 
 #: Seed used when callers do not supply one; fixed so runs are replayable.
 DEFAULT_SEED = 12345
@@ -43,7 +43,7 @@ class MeasurementResult:
 def prepare_state(v) -> StateVector:
     """Load a unit-norm real vector into a register (amplitude encoding)."""
     a = np.array(v, dtype=float)
-    n = _require_power_of_two(a.size)
+    n = _require_vector(a, "state vector")
     norm = float(np.linalg.norm(a))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"state vector must have unit norm, got {norm!r}")

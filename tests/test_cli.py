@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from walshode import OperationalMatrix
+from walshode import OperationalMatrix, analytic_reference, cli, fwht
 from walshode.cli import main, read_vector, write_vector
 
 
@@ -342,6 +342,73 @@ def test_solve_rejects_mismatched_init(tmp_path, capsys):
     code, _, _ = run(capsys, "solve", "--rhs", "x1", "--rhs", "x2",
                      "--init", "0", "--output-dir", str(tmp_path))
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# output files: the column-wise writers against the per-cell writer
+
+
+def _per_cell_csv(header, rows):
+    """The per-cell writer: ``repr`` of each float cell, ``str`` of any other."""
+    lines = [",".join(header)] + [
+        ",".join(f"{cell!r}" if isinstance(cell, float) else str(cell) for cell in row)
+        for row in rows
+    ]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def _spy_on_solve(monkeypatch):
+    """Keep what the CLI's solve returned, so the oracle writes the same data."""
+    seen = {}
+    real = cli.picard_solve
+
+    def spy(problem, config):
+        seen["solution"], seen["trace"] = real(problem, config)
+        return seen["solution"], seen["trace"]
+
+    monkeypatch.setattr(cli, "picard_solve", spy)
+    return seen
+
+
+@pytest.mark.parametrize("spec, reference", [
+    (["--problem", "beer_system"], "beer_system"),
+    (["--rhs", "x2", "--rhs", "sin(t)-x1", "--init", "0.5", "-0.25"], None),
+])
+def test_solve_files_byte_identical_to_per_cell_writer(
+        tmp_path, capsys, monkeypatch, spec, reference):
+    seen = _spy_on_solve(monkeypatch)
+    code, _, _ = run(capsys, "solve", *spec, "--n", "5", "--nmax", "6", "--tol", "0",
+                     "--trace", "--output-dir", str(tmp_path))
+    assert code == 0
+    solution, trace = seen["solution"], seen["trace"]
+    t = solution[0].midpoints
+    exact = analytic_reference(reference, t) if reference else None
+    for i, sf in enumerate(solution, start=1):
+        if exact is None:
+            header = ["t", f"x{i}"]
+            rows = [(float(t[s]), float(sf.values[s])) for s in range(t.size)]
+        else:
+            header = ["t", f"x{i}", "analytic", "error"]
+            rows = [(float(t[s]), float(sf.values[s]), float(exact[i - 1][s]),
+                     float(sf.values[s] - exact[i - 1][s])) for s in range(t.size)]
+        assert (tmp_path / f"x{i}.csv").read_bytes() == _per_cell_csv(header, rows)
+    rows = [(sweep, f"x{i}", s, float(t[s]), float(x[s]))
+            for sweep, snapshot in enumerate(trace.snapshots, start=1)
+            for i, x in enumerate(snapshot, start=1)
+            for s in range(x.size)]
+    assert len(rows) == 6 * len(solution) * 32
+    assert (tmp_path / "trace.csv").read_bytes() == _per_cell_csv(
+        ["iteration", "variable", "sample", "t", "value"], rows)
+
+
+def test_transform_file_byte_identical_to_per_value_writer(tmp_path, capsys):
+    values = np.random.default_rng(8).standard_normal(256) * 10.0 ** np.arange(-128, 128)
+    src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+    write_input(src, values.tolist())
+    code, _, _ = run(capsys, "transform", str(src), "-o", str(dst))
+    assert code == 0
+    expected = "".join(f"{float(value)!r}\n" for value in fwht(values))
+    assert dst.read_bytes() == expected.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

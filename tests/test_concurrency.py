@@ -1,5 +1,6 @@
 """Reentrancy of the pure operations and the synchronized matrix memo."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -43,6 +44,22 @@ def test_transforms_reentrant_under_threads():
         got = list(pool.map(work, vectors))
     for g, e in zip(got, expected):
         assert np.max(np.abs(g - e)) < 1e-12
+
+
+def test_blocked_fwht_shares_no_scratch_across_threads():
+    # n=17 spans two blocks and a tiled top stage, so every call uses its
+    # scratch for several passes while other threads run theirs.
+    rng = np.random.default_rng(1717)
+    vectors = [rng.standard_normal(1 << 17) for _ in range(16)]
+    expected = [fwht(v) for v in vectors]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(fwht, vectors, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
 
 
 def test_distinct_solves_run_concurrently():

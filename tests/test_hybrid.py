@@ -111,6 +111,12 @@ def test_rejects_non_finite_input():
         hybrid_wht([1.0, float("inf"), 0.0, 0.0])
 
 
+def test_rejects_input_that_is_not_one_vector():
+    for fn in (hybrid_wht, sign_safe):
+        with pytest.raises(ValueError, match="must form a 1-D vector"):
+            fn(np.array([[4.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         HybridConfig(epsilon=0.0)

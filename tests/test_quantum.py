@@ -39,6 +39,12 @@ def test_prepare_rejects_bad_norm_and_length():
         prepare_state([1.0, 0.0, 0.0])
 
 
+def test_prepare_rejects_input_that_is_not_one_vector():
+    # Unit norm and a power-of-two size, but a 2x2 block, not a register.
+    with pytest.raises(ValueError, match="state vector must form a 1-D vector"):
+        prepare_state(np.full((2, 2), 0.5))
+
+
 def test_hadamard_on_single_qubit_states():
     plus = apply_hadamard_all(prepare_state([1.0, 0.0]))
     assert np.allclose(plus.amplitudes, [1 / math.sqrt(2)] * 2, rtol=0, atol=1e-15)

@@ -1,4 +1,4 @@
-"""Fast butterfly vs naive oracle, normalization, op counting."""
+"""Fast butterfly vs naive oracle and radix-2 reference, normalization, op counting."""
 
 import math
 
@@ -6,6 +6,26 @@ import numpy as np
 import pytest
 
 from walshode import OpCount, fwht, iwht, wht_naive
+
+
+def _radix2_fwht(v) -> np.ndarray:
+    """Reference: one stride-doubling radix-2 pass over the whole vector per stage.
+
+    fwht reorders this loop (blocks, radix-4 pairs, tiles) but must give
+    every element the same operations in the same order, so it has to
+    agree with this reference bit for bit.
+    """
+    a = np.array(v, dtype=float)
+    h = 1
+    while h < a.size:
+        pairs = a.reshape(-1, 2, h)
+        lo = pairs[:, 0, :] + pairs[:, 1, :]
+        hi = pairs[:, 0, :] - pairs[:, 1, :]
+        pairs[:, 0, :] = lo
+        pairs[:, 1, :] = hi
+        h *= 2
+    a *= 1.0 / math.sqrt(a.size)
+    return a
 
 
 def test_naive_symbolic_n2():
@@ -102,8 +122,22 @@ def test_rejects_bad_lengths():
             wht_naive(bad)
 
 
+# Odd and even stage counts; one block (2^16) and below, at and above it;
+# top strides above one tile (2^14) from n = 16 up, over several blocks.
+@pytest.mark.parametrize("n", [*range(1, 19), 20, 21])
+def test_fwht_bit_identical_to_radix2_reference(n):
+    v = np.random.default_rng(1000 + n).standard_normal(1 << n)
+    assert fwht(v).tobytes() == _radix2_fwht(v).tobytes()
+
+
+def test_fwht_bit_identical_on_signed_zeros_and_ties():
+    # Cancellations produce +-0.0 and equal operands; bytes compare the signs.
+    v = np.tile([1.0, -1.0, 0.5, -0.5, -0.0, 0.0, 3.0, -3.0], 1 << 15)
+    assert fwht(v).tobytes() == _radix2_fwht(v).tobytes()
+
+
 def test_fwht_addition_count_is_exact():
-    for n in range(1, 13):
+    for n in range(1, 19):
         N = 1 << n
         count = OpCount()
         fwht(np.ones(N), count)
@@ -138,3 +172,25 @@ def test_fwht_does_not_mutate_input():
     keep = v.copy()
     fwht(v)
     assert np.array_equal(v, keep)
+
+
+@pytest.mark.parametrize("kind", ["list", "int64", "strided"])
+def test_fwht_leaves_every_input_kind_untouched(kind):
+    base = np.arange(1 << 18) % 7 - 3
+    if kind == "list":
+        v = base[: 1 << 10].tolist()
+    elif kind == "int64":
+        v = base
+    else:
+        v = base.astype(float)[::2]  # a non-contiguous view over 2^17 values
+    keep = np.array(v, copy=True)
+    out = fwht(v)
+    assert np.array_equal(np.asarray(v), keep)
+    assert out.tobytes() == _radix2_fwht(keep).tobytes()
+
+
+@pytest.mark.parametrize("fn", [fwht, iwht, wht_naive])
+@pytest.mark.parametrize("shape", [(2, 4), (1, 8), (8, 1), ()])
+def test_rejects_input_that_is_not_one_vector(fn, shape):
+    with pytest.raises(ValueError, match="must form a 1-D vector"):
+        fn(np.ones(shape))
