@@ -7,18 +7,19 @@ Two code paths compute the same unitary map:
                subtractions plus N final scalings by 1/sqrt(N).
 
 The butterfly is the textbook one: stage h (h = 1, 2, 4, ..., N/2) maps
-each pair (x_j, x_{j+h}) with j & h == 0 to (x_j + x_{j+h}, x_j - x_{j+h}).
-Its schedule is cache-aware, and it allocates no temporaries of size N.  Stages run fused in pairs (radix 4), so one memory pass
-does two of them; a pass with an odd number of stages ends with one
-radix-2 stage.  The stages of stride below _BLOCK only mix elements of
-the same aligned block of _BLOCK elements, so they run block by block
-while the block stays in cache.  Stages of stride above _TILE run tile by
-tile along the stride axis, which keeps the scratch at _BLOCK / 2
-elements (256 KiB, allocated per call) whatever N is.  Every element still sees the same additions and
-subtractions, of the same operands, in the same stride-doubling order;
-only the order in which independent elements are visited changes.  So
-the result is bit-identical to the one-pass-per-stage loop, and
-bit-reproducible.
+each pair (x_j, x_{j+h}) with j & h == 0 to
+(x_j + x_{j+h}, x_j - x_{j+h}).  Its schedule is cache-aware, and it
+allocates no temporaries of size N.  Stages run fused in pairs (radix
+4), so one memory pass does two of them; a pass with an odd number of
+stages ends with one radix-2 stage.  The stages of stride below _BLOCK
+only mix elements of the same aligned block of _BLOCK elements, so they
+run block by block while the block stays in cache.  Stages of stride
+above _TILE run tile by tile along the stride axis, which keeps the
+scratch at _BLOCK / 2 elements (256 KiB, allocated per call) whatever N
+is.  Every element still sees the same additions and subtractions, of
+the same operands, in the same stride-doubling order; only the order in
+which independent elements are visited changes.  So the result is
+bit-identical to the one-pass-per-stage loop, and bit-reproducible.
 
 With the symmetric normalization the transform is an involution, so the
 inverse transform is the same computation (iwht is provided for call-site
