@@ -176,7 +176,7 @@ def test_fwht_does_not_mutate_input():
 
 @pytest.mark.parametrize("kind", ["list", "int64", "strided"])
 def test_fwht_leaves_every_input_kind_untouched(kind):
-    base = np.arange(1 << 18) % 7 - 3
+    base = np.arange(1 << 18, dtype=np.int64) % 7 - 3
     if kind == "list":
         v = base[: 1 << 10].tolist()
     elif kind == "int64":
