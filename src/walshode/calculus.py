@@ -30,7 +30,9 @@ O(N); the dense N x N form is built only on request, for tables and
 tests.
 
 Integration of samples runs entirely through transforms:
-antiderivative = WHT(I_N * WHT(samples)), rescaled by the domain width.
+antiderivative = WHT(I_N * WHT(samples)), rescaled by the domain width,
+with WHT = fwht for integrate_sampled(f) and the simulated quantum route
+hybrid_wht for integrate_sampled(f, cfg), cfg a HybridConfig.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ import numpy as np
 
 from .errors import require_bytes
 from .hybrid import HybridConfig, hybrid_wht
-from .transform import _require_power_of_two, fwht
-from .walsh import SampledFunction
+from .transform import fwht
+from .walsh import SampledFunction, _require_power_of_two
 
 _cache: dict[tuple[str, int], "OperationalMatrix"] = {}
 _cache_lock = threading.Lock()
@@ -142,23 +144,18 @@ def differentiation_matrix(N: int) -> OperationalMatrix:
 
 
 def integrate_sampled(
-    f: SampledFunction,
-    backend: str = "classical",
-    cfg: HybridConfig | None = None,
+    f: SampledFunction, cfg: HybridConfig | None = None
 ) -> SampledFunction:
     """Sampled antiderivative vanishing at the left domain endpoint.
 
-    backend 'classical' uses the fast transform both ways; 'hybrid' uses the
-    simulated quantum transform, seeded by children (0,) and (1,) of the seed.
+    With ``cfg`` None both transforms are the classical fwht; otherwise both
+    are hybrid_wht runs, seeded by children (0,) and (1,) of ``cfg.seed``.
     """
     matrix = integration_matrix(f.values.size)
-    if backend == "classical":
+    if cfg is None:
         out = fwht(matrix.apply(fwht(f.values)))
-    elif backend == "hybrid":
-        cfg = cfg or HybridConfig()
+    else:
         spectrum, _ = hybrid_wht(f.values, cfg.child(0))
         out, _ = hybrid_wht(matrix.apply(spectrum), cfg.child(1))
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
     lo, hi = f.domain
     return SampledFunction(out * (hi - lo), f.domain)

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -177,9 +177,10 @@ def cmd_table(args) -> int:
 def _problem_from_args(args) -> tuple[IVProblem, str | None]:
     domain = (args.domain[0], args.domain[1])
     if args.problem:
-        problem = builtin_problem(args.problem, n=args.n)
-        problem.domain = domain
-        return problem, args.problem
+        if args.init is not None:
+            raise UsageError(f"--init applies to --rhs systems only; "
+                             f"{args.problem} has its own initial values")
+        return replace(builtin_problem(args.problem, n=args.n), domain=domain), args.problem
     if not args.rhs:
         raise UsageError("provide either --problem or at least one --rhs")
     if args.init is None or len(args.init) != len(args.rhs):

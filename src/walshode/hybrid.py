@@ -34,7 +34,8 @@ from .quantum import (
     measure_sampled,
     prepare_state,
 )
-from .transform import OpCount, _require_vector
+from .transform import OpCount
+from .walsh import _require_vector
 
 _MODES = ("exact", "sampled")
 

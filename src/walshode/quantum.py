@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import _require_vector
+from .walsh import _require_vector
 
 #: Seed used when callers do not supply one; fixed so runs are replayable.
 DEFAULT_SEED = 12345

@@ -29,7 +29,7 @@ from .calculus import integrate_sampled
 from .errors import DivergenceError, require_bytes
 from .hybrid import HybridConfig
 from .quantum import DEFAULT_SEED
-from .walsh import SampledFunction
+from .walsh import SampledFunction, _require_domain, midpoints
 
 _BACKENDS = ("classical", "hybrid-exact", "hybrid-sampled")
 
@@ -65,26 +65,40 @@ class IVProblem:
                 f"rhs and initial must both have length m={self.m}, "
                 f"got {len(self.rhs)} and {len(self.initial)}"
             )
+        if not np.all(np.isfinite(self.initial)):
+            raise ValueError(f"initial values must be finite, got {list(self.initial)}")
+        _require_domain(self.domain)
         if self.n < 1:
             raise ValueError(f"resolution exponent must be >= 1, got {self.n}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
+    """Sweep budget, stopping tolerance and backend.
+
+    ``hybrid`` is derived: None for classical, else every integral's
+    HybridConfig.  Frozen, so it always matches the other fields.
+    """
+
     n_max: int
     tol: float = 1e-12
     backend: str = "classical"
     epsilon: float | None = None
     shots: int | None = None
     seed: int = DEFAULT_SEED
+    hybrid: HybridConfig | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if self.tol < 0.0:
+        if not self.tol >= 0.0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
+        mode = self.backend.removeprefix("hybrid-")
+        hybrid = None if mode == "classical" else HybridConfig(
+            epsilon=self.epsilon, mode=mode, shots=self.shots, seed=self.seed)
+        object.__setattr__(self, "hybrid", hybrid)
 
 
 @dataclass
@@ -95,15 +109,6 @@ class SolutionTrace:
     iterations_run: int = 0
     converged: bool = False
     final_residual: float = math.inf
-
-
-def _integration_backend(config: SolverConfig) -> tuple[str, HybridConfig | None]:
-    if config.backend == "classical":
-        return "classical", None
-    mode = "exact" if config.backend == "hybrid-exact" else "sampled"
-    return "hybrid", HybridConfig(
-        epsilon=config.epsilon, mode=mode, shots=config.shots, seed=config.seed
-    )
 
 
 def _rhs_at_each_sample(f_i, state, t, trace) -> np.ndarray:
@@ -148,9 +153,7 @@ def picard_solve(
         (config.n_max + 3) * problem.m * N * 8,
         f"picard_solve at n={problem.n}, m={problem.m}, n_max={config.n_max}",
     )
-    lo, hi = problem.domain
-    t = lo + (hi - lo) * (2.0 * np.arange(N) + 1.0) / (2.0 * N)
-    backend, hybrid_cfg = _integration_backend(config)
+    t = midpoints(N, problem.domain)
 
     initial = np.array(problem.initial, dtype=float)
     xs = np.repeat(initial[:, None], N, axis=1)
@@ -162,10 +165,8 @@ def picard_solve(
         # All integrals use the pre-sweep iterates; each draws its own seed.
         new_xs = np.empty_like(xs)
         for i in range(problem.m):
-            cfg = None if hybrid_cfg is None else hybrid_cfg.child(sweep, i)
-            integral = integrate_sampled(
-                SampledFunction(derivs[i], problem.domain), backend, cfg
-            )
+            cfg = None if config.hybrid is None else config.hybrid.child(sweep, i)
+            integral = integrate_sampled(SampledFunction(derivs[i], problem.domain), cfg)
             new_xs[i] = initial[i] + integral.values
 
         residual = float(np.max(np.abs(new_xs - xs)))

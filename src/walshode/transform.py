@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walsh import character_table
+from .walsh import _require_vector, character_table
 
 
 @dataclass
@@ -55,20 +55,6 @@ class OpCount:
             "square_roots": self.square_roots,
             "total": self.total,
         }
-
-
-def _require_power_of_two(size: int) -> int:
-    """Return n = log2(size) or raise for invalid lengths."""
-    if size < 2 or size & (size - 1):
-        raise ValueError(f"vector length must be a power of two >= 2, got {size}")
-    return size.bit_length() - 1
-
-
-def _require_vector(a: np.ndarray, what: str = "input") -> int:
-    """Return n = log2(a.size) for a 1-D array of power-of-two length, else raise."""
-    if a.ndim != 1:
-        raise ValueError(f"{what} must form a 1-D vector, got shape {a.shape}")
-    return _require_power_of_two(a.size)
 
 
 #: Elements per block of the low-stride stages: 512 KiB, which stays in L2.

@@ -56,6 +56,34 @@ def _require_qubits(n: int) -> int:
     return 1 << n
 
 
+def _require_power_of_two(size: int) -> int:
+    """Return n = log2(size) or raise for invalid lengths."""
+    if size < 2 or size & (size - 1):
+        raise ValueError(f"vector length must be a power of two >= 2, got {size}")
+    return size.bit_length() - 1
+
+
+def _require_vector(a: np.ndarray, what: str = "input") -> int:
+    """Return n = log2(a.size) for a 1-D array of power-of-two length, else raise."""
+    if a.ndim != 1:
+        raise ValueError(f"{what} must form a 1-D vector, got shape {a.shape}")
+    return _require_power_of_two(a.size)
+
+
+def _require_domain(domain: tuple[float, float]) -> tuple[float, float]:
+    """Return the domain as floats, or raise unless finite with t_lo < t_hi."""
+    lo, hi = map(float, domain)
+    if not -np.inf < lo < hi < np.inf:  # also False for nan
+        raise ValueError(f"domain must be finite with t_lo < t_hi, got {domain}")
+    return lo, hi
+
+
+def midpoints(N: int, domain: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
+    """The N cell midpoints t_m = t_lo + (t_hi - t_lo)(2m+1)/(2N) of the domain."""
+    lo, hi = domain
+    return lo + (hi - lo) * (2.0 * np.arange(N) + 1.0) / (2.0 * N)
+
+
 def _parity(v: np.ndarray) -> np.ndarray:
     """Elementwise popcount parity (works for any int width up to 64 bits)."""
     v = v.copy()
@@ -192,24 +220,15 @@ class SampledFunction:
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError("samples must form a 1-D vector")
-        size = vals.size
-        if size < 2 or size & (size - 1):
-            raise ValueError(f"sample count must be a power of two >= 2, got {size}")
-        lo, hi = self.domain
-        if not hi > lo:
-            raise ValueError(f"domain must satisfy t_lo < t_hi, got {self.domain}")
+        n = _require_vector(vals, "samples")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "domain", (float(lo), float(hi)))
-        object.__setattr__(self, "n", size.bit_length() - 1)
+        object.__setattr__(self, "domain", _require_domain(self.domain))
+        object.__setattr__(self, "n", n)
 
     @property
     def midpoints(self) -> np.ndarray:
-        lo, hi = self.domain
-        N = self.values.size
-        return lo + (hi - lo) * (2.0 * np.arange(N) + 1.0) / (2.0 * N)
+        return midpoints(self.values.size, self.domain)
 
 
 @dataclass(frozen=True)
@@ -222,16 +241,10 @@ class SpectralVector:
 
     def __post_init__(self):
         coeffs = np.array(self.coeffs, dtype=float)
-        if coeffs.ndim != 1:
-            raise ValueError("coefficients must form a 1-D vector")
-        size = coeffs.size
-        if size < 2 or size & (size - 1):
-            raise ValueError(
-                f"coefficient count must be a power of two >= 2, got {size}"
-            )
+        n = _require_vector(coeffs, "coefficients")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "n", size.bit_length() - 1)
+        object.__setattr__(self, "n", n)
 
 
 def convert_ordering(sv: SpectralVector, target: WalshOrdering) -> SpectralVector:
@@ -241,9 +254,7 @@ def convert_ordering(sv: SpectralVector, target: WalshOrdering) -> SpectralVecto
 
 def discretize(f, n: int, domain: tuple[float, float] = (0.0, 1.0)) -> SampledFunction:
     """Sample a callable at the N midpoints of the domain."""
-    N = _require_qubits(n)
-    lo, hi = domain
-    mids = lo + (hi - lo) * (2.0 * np.arange(N) + 1.0) / (2.0 * N)
+    mids = midpoints(_require_qubits(n), domain)
     vals = np.array([float(f(t)) for t in mids])
     if not np.all(np.isfinite(vals)):
         bad = mids[~np.isfinite(vals)][0]
@@ -254,13 +265,14 @@ def discretize(f, n: int, domain: tuple[float, float] = (0.0, 1.0)) -> SampledFu
 def reconstruct(sv: SpectralVector, t: float) -> float:
     """Pointwise synthesis (1/sqrt(N)) * sum_k coeffs[k] * W_k(t).
 
-    Piecewise constant on the N cells of [0,1]; 0 outside.
+    Piecewise constant on the N cells of [0,1]; 0 outside.  One signed sum
+    of the natural-ordered coefficients over the character row of t's cell;
+    walsh_value, one term at a time, is its oracle.
     """
+    if t < 0.0 or t > 1.0:
+        return 0.0
     N = sv.coeffs.size
-    scale = 1.0 / np.sqrt(N)
-    total = 0.0
-    for k in range(N):
-        w = walsh_value(k, t, sv.n, sv.ordering)
-        if w:
-            total += sv.coeffs[k] * w
-    return scale * total
+    cell = N - 1 if t >= 1.0 else int(t * N)
+    coeffs = convert_ordering(sv, WalshOrdering.NATURAL).coeffs
+    signs = 1 - 2 * _parity(np.arange(N) & cell)
+    return float(coeffs @ signs) / np.sqrt(N)

@@ -308,11 +308,6 @@ def test_backend_equivalence_classical_vs_hybrid_exact():
     for N in (4, 16, 128):
         vals = rng.standard_normal(N)
         f = SampledFunction(vals)
-        classical = integrate_sampled(f, backend="classical")
-        hybrid = integrate_sampled(f, backend="hybrid", cfg=HybridConfig())
+        classical = integrate_sampled(f)
+        hybrid = integrate_sampled(f, HybridConfig())
         assert np.max(np.abs(classical.values - hybrid.values)) < 1e-10
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        integrate_sampled(SampledFunction(np.ones(4)), backend="quantum")

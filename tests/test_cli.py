@@ -344,6 +344,31 @@ def test_solve_rejects_mismatched_init(tmp_path, capsys):
     assert code == 2
 
 
+def test_solve_rejects_init_for_builtin_problem(tmp_path, capsys):
+    code, out, err = run(capsys, "solve", "--problem", "riccati", "--init", "5",
+                         "--output-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "--init" in err
+    assert not (tmp_path / "x1.csv").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--rhs", "x1", "--init", "inf"), "initial values must be finite"),
+    (("--rhs", "x1", "--init", "nan"), "initial values must be finite"),
+    (("--rhs", "x1", "--init", "1", "--domain", "0", "inf"), "domain must be finite"),
+    (("--problem", "riccati", "--domain", "0", "inf"), "domain must be finite"),
+    (("--problem", "riccati", "--domain", "nan", "1"), "domain must be finite"),
+    (("--problem", "riccati", "--domain", "1", "0"), "t_lo < t_hi"),
+    (("--problem", "riccati", "--tol", "nan"), "tol must be >= 0"),
+])
+def test_solve_rejects_non_finite_values_and_bad_domain(tmp_path, capsys, flags, message):
+    code, out, err = run(capsys, "solve", *flags, "--output-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 # ---------------------------------------------------------------------------
 # output files: the column-wise writers against the per-cell writer
 

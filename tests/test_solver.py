@@ -1,5 +1,6 @@
 """Picard sweeps against published iterates and analytic solutions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -267,6 +268,48 @@ def test_config_validation():
         SolverConfig(n_max=1, backend="adams")
     with pytest.raises(ValueError):
         IVProblem(m=2, rhs=[lambda x, t: 0.0], initial=[0.0, 1.0])
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1e-300])
+def test_config_rejects_nan_and_negative_tol(tol):
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        SolverConfig(n_max=1, tol=tol)
+
+
+@pytest.mark.parametrize("initial", [[math.inf], [-math.inf], [math.nan]])
+def test_problem_rejects_non_finite_initial_value(initial):
+    with pytest.raises(ValueError, match="initial values must be finite"):
+        IVProblem(m=1, rhs=[lambda x, t: 0.0], initial=initial)
+
+
+@pytest.mark.parametrize("domain", [
+    (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan),
+    (1.0, 1.0), (1.0, 0.0),
+])
+def test_problem_rejects_bad_domain(domain):
+    with pytest.raises(ValueError, match="domain must be finite with t_lo < t_hi"):
+        IVProblem(m=1, rhs=[lambda x, t: 0.0], initial=[0.0], domain=domain)
+
+
+def test_sampled_config_without_shots_fails_at_construction():
+    with pytest.raises(ValueError, match="shot count"):
+        SolverConfig(n_max=1, backend="hybrid-sampled")
+
+
+def test_config_derives_the_hybrid_config_once():
+    assert SolverConfig(n_max=1).hybrid is None
+    exact = SolverConfig(n_max=1, backend="hybrid-exact", epsilon=0.25)
+    assert exact.hybrid == HybridConfig(epsilon=0.25, mode="exact")
+    sampled = SolverConfig(n_max=1, backend="hybrid-sampled", shots=100, seed=4)
+    assert sampled.hybrid == HybridConfig(mode="sampled", shots=100, seed=4)
+    # Derived: not a constructor argument, not in repr, not in equality.
+    with pytest.raises(TypeError):
+        SolverConfig(n_max=1, hybrid=None)
+    assert "hybrid=" not in repr(sampled)
+    assert sampled == SolverConfig(n_max=1, backend="hybrid-sampled", shots=100, seed=4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sampled.backend = "classical"
+    assert dataclasses.replace(sampled, backend="classical").hybrid is None
 
 
 def test_nonunit_domain_solution():

@@ -272,6 +272,22 @@ def test_sampled_function_validation():
         SampledFunction(np.ones(3))
     with pytest.raises(ValueError):
         SampledFunction(np.ones(4), domain=(1.0, 1.0))
+    with pytest.raises(ValueError, match="domain must be finite"):
+        SampledFunction(np.ones(4), domain=(0.0, math.inf))
+
+
+@pytest.mark.parametrize("make", [SampledFunction, SpectralVector])
+@pytest.mark.parametrize("shape", [(2, 4), (1, 8), ()])
+def test_sample_and_spectrum_reject_input_that_is_not_one_vector(make, shape):
+    with pytest.raises(ValueError, match="must form a 1-D vector"):
+        make(np.ones(shape))
+
+
+@pytest.mark.parametrize("make", [SampledFunction, SpectralVector])
+@pytest.mark.parametrize("size", [0, 1, 3, 6])
+def test_sample_and_spectrum_reject_non_power_of_two_length(make, size):
+    with pytest.raises(ValueError, match="power of two"):
+        make(np.ones(size))
 
 
 def test_reconstruct_roundtrip_with_transform():
@@ -293,6 +309,24 @@ def test_reconstruct_pinned_combination():
     w2 = walsh_value(2, 0.3, 2)
     expected = 0.25 * (1.08 * w1 + 2.61 * w2)
     assert abs(reconstruct(sv, 0.3) - expected) < 1e-15
+
+
+def walsh_value_sum(sv, t):
+    """The term-by-term synthesis: one walsh_value call per coefficient."""
+    total = 0.0
+    for k in range(sv.coeffs.size):
+        total += sv.coeffs[k] * walsh_value(k, t, sv.n, sv.ordering)
+    return total / math.sqrt(sv.coeffs.size)
+
+
+@pytest.mark.parametrize("ordering", [NAT, SEQ])
+def test_reconstruct_matches_walsh_value_oracle(ordering):
+    rng = np.random.default_rng(2024)
+    for n in range(1, 9):
+        sv = SpectralVector(rng.standard_normal(1 << n), ordering)
+        points = [0.0, 1.0, -0.25, 1.5, *rng.random(8)]
+        for t in points:
+            assert abs(reconstruct(sv, t) - walsh_value_sum(sv, t)) <= 1e-14
 
 
 def test_reconstruct_respects_ordering_tag():
