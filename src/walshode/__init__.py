@@ -35,7 +35,6 @@ from .solver import (
 )
 from .transform import OpCount, fwht, iwht, wht_naive
 from .walsh import (
-    MAX_TABLE_QUBITS,
     SampledFunction,
     SpectralVector,
     WalshOrdering,
@@ -59,7 +58,6 @@ __all__ = [
     "HybridConfig",
     "HybridTrace",
     "IVProblem",
-    "MAX_TABLE_QUBITS",
     "MeasurementResult",
     "OpCount",
     "OperationalMatrix",

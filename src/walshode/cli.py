@@ -1,9 +1,10 @@
 """Command-line front end: transforms, matrix dumps, ODE solves, benchmarks.
 
 Vector files hold one decimal value per line; blank lines and lines
-starting with '#' are ignored.  Every command prints a JSON run report
-to stdout and is deterministic given its flags (the sampled backend
-refuses to run without an explicit --seed).
+starting with '#' are ignored.  `transform` and `solve` print a JSON run
+report to stdout; `table` and `bench` print CSV to stdout unless -o names
+a file.  Every command is deterministic given its flags (the sampled
+backend refuses to run without an explicit --seed).
 
 Exit codes: 0 success, 2 usage error, 3 numeric/divergence error,
 4 I/O error.
@@ -33,10 +34,7 @@ from .solver import (
     picard_solve,
 )
 from .transform import OpCount, fwht, iwht, wht_naive
-from .walsh import MAX_TABLE_QUBITS, character_table
-
-#: Environment override for the table-materialization cap (qubit count).
-MAX_QUBITS_ENV = "WALSHODE_MAX_QUBITS"
+from .walsh import _require_qubits, character_table
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -73,16 +71,6 @@ class RunReport:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _max_qubits() -> int:
-    raw = os.environ.get(MAX_QUBITS_ENV)
-    if raw is None:
-        return MAX_TABLE_QUBITS
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{MAX_QUBITS_ENV} must be an integer, got {raw!r}")
-
-
 def read_vector(path: str) -> np.ndarray:
     values = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -101,22 +89,35 @@ def read_vector(path: str) -> np.ndarray:
     return np.array(values)
 
 
-def write_vector(path: str, values: np.ndarray) -> None:
-    text = "".join(map("{!r}\n".format, np.asarray(values, dtype=float).tolist()))
+def _write_text(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
-def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+def write_vector(path: str, values: np.ndarray) -> None:
+    text = "".join(map("{!r}\n".format, np.asarray(values, dtype=float).tolist()))
+    _write_text(path, text)
+
+
+def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -> None:
     """Write equal-length columns: float cells in ``repr`` form, others as ``str``."""
     row = ",".join("{!r}" if c.dtype.kind == "f" else "{}" for c in columns) + "\n"
     text = "".join(map(row.format, *(c.tolist() for c in columns)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n" + text)
+    _write_text(path, ",".join(header) + "\n" + text)
 
 
 def _hybrid_config(args) -> HybridConfig:
-    if args.backend != "hybrid-sampled":
+    """The hybrid settings of the flags; a flag the backend would ignore is an error."""
+    sampled = args.backend == "hybrid-sampled"
+    hybrid = sampled or args.backend == "hybrid-exact"
+    for flag, applies in (("shots", sampled), ("seed", sampled), ("epsilon", hybrid)):
+        if getattr(args, flag) is not None and not applies:
+            raise UsageError(f"--{flag} does not apply to backend {args.backend}")
+    if not sampled:
         return HybridConfig(epsilon=args.epsilon, mode="exact")
     for flag in ("shots", "seed"):
         if getattr(args, flag) is None:
@@ -127,6 +128,7 @@ def _hybrid_config(args) -> HybridConfig:
 
 
 def cmd_transform(args) -> int:
+    hybrid = _hybrid_config(args)
     v = read_vector(args.input)
     count = OpCount()
     started = time.perf_counter()
@@ -135,7 +137,7 @@ def cmd_transform(args) -> int:
     elif args.backend == "fast":
         out = iwht(v, count) if args.inverse else fwht(v, count)
     else:
-        out, _ = hybrid_wht(v, _hybrid_config(args), count)
+        out, _ = hybrid_wht(v, hybrid, count)
     elapsed = time.perf_counter() - started
     write_vector(args.output, out)
     report = RunReport(
@@ -152,25 +154,16 @@ def cmd_transform(args) -> int:
 
 
 def cmd_table(args) -> int:
-    cap = _max_qubits()
-    if args.n > cap:
-        raise ResourceLimitError(
-            f"n={args.n} exceeds the cap of {cap} (override with {MAX_QUBITS_ENV})"
-        )
-    N = 1 << args.n
+    N = _require_qubits(args.n)
     if args.kind == "character":
-        matrix = character_table(args.n, max_qubits=cap).astype(float)
+        matrix = character_table(args.n).astype(float)
     elif args.kind == "integration":
         matrix = integration_matrix(N).entries
     else:
         matrix = differentiation_matrix(N).entries
-    lines = [",".join(repr(float(x)) for x in row) for row in matrix]
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # One join per row: _write_csv's per-column format string is slower at N columns.
+    _write_text(args.output, "".join(",".join(map(repr, row)) + "\n"
+                                     for row in matrix.tolist()))
     return EXIT_OK
 
 
@@ -292,15 +285,7 @@ def cmd_bench(args) -> int:
             )
     header = ["N", "backend", "additions", "multiplications", "square_roots",
               "wall_time_s"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(cell) for cell in row))
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_csv(args.output, header, [np.array(column) for column in zip(*rows)])
     return EXIT_OK
 
 

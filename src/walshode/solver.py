@@ -29,7 +29,7 @@ from .calculus import integrate_sampled
 from .errors import DivergenceError, require_bytes
 from .hybrid import HybridConfig
 from .quantum import DEFAULT_SEED
-from .walsh import SampledFunction, _require_domain, midpoints
+from .walsh import SampledFunction, _require_domain, _require_qubits, midpoints
 
 _BACKENDS = ("classical", "hybrid-exact", "hybrid-sampled")
 
@@ -68,8 +68,7 @@ class IVProblem:
         if not np.all(np.isfinite(self.initial)):
             raise ValueError(f"initial values must be finite, got {list(self.initial)}")
         _require_domain(self.domain)
-        if self.n < 1:
-            raise ValueError(f"resolution exponent must be >= 1, got {self.n}")
+        _require_qubits(self.n)
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceLimitError, require_bytes
-
-#: Largest qubit count for which full N x N tables may be materialized.
-MAX_TABLE_QUBITS = 20
+from .errors import require_bytes
 
 
 class WalshOrdering(enum.Enum):
@@ -51,9 +48,19 @@ class WalshOrdering(enum.Enum):
 
 
 def _require_qubits(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
+    """Return N = 2^n, or raise before shifting unless 1 <= n <= 62 (int64 indices)."""
+    if not 1 <= n <= 62:
+        raise ValueError(f"qubit count must be in [1, 62], got {n}")
     return 1 << n
+
+
+def _cell(t: float, N: int) -> int | None:
+    """Index of the cell of [0,1] holding t (t = 1 in the last); None outside."""
+    if np.isnan(t):
+        raise ValueError(f"t must be a number, got {t}")
+    if t < 0.0 or t > 1.0:
+        return None
+    return N - 1 if t >= 1.0 else int(t * N)
 
 
 def _require_power_of_two(size: int) -> int:
@@ -124,17 +131,14 @@ def character_eval(k: int, x: int, n: int) -> int:
     return -1 if (k & x).bit_count() & 1 else 1
 
 
-def character_table(n: int, max_qubits: int | None = None) -> np.ndarray:
+def character_table(n: int) -> np.ndarray:
     """Full N x N sign table, row k = chi_k; dtype int8.
 
-    Materialization is refused above ``max_qubits`` (default
-    MAX_TABLE_QUBITS); use character_eval for lazy access beyond that.
+    Building it takes 8 N^2 bytes of int64 parities, so it is refused
+    before allocating, with ResourceLimitError, once that passes
+    errors.MAX_ALLOC_BYTES (from n = 14); character_eval gives lazy
+    access beyond that.
     """
-    cap = MAX_TABLE_QUBITS if max_qubits is None else max_qubits
-    if n > cap:
-        raise ResourceLimitError(
-            f"character table for n={n} exceeds the cap of {cap} qubits"
-        )
     N = _require_qubits(n)
     require_bytes(8 * N * N, f"character table for n={n}")
     idx = np.arange(N, dtype=np.int64)
@@ -184,13 +188,13 @@ def ordering_permutation(
 def walsh_value(
     k: int, t: float, n: int, ordering: WalshOrdering = WalshOrdering.NATURAL
 ) -> int:
-    """Value of the k-th Walsh function at t; 0 outside [0,1]."""
+    """Value of the k-th Walsh function at t; 0 outside [0,1], ValueError for NaN."""
     N = _require_qubits(n)
     if not 0 <= k < N:
         raise IndexError(f"function index k={k} out of range for n={n}")
-    if t < 0.0 or t > 1.0:
+    cell = _cell(t, N)
+    if cell is None:
         return 0
-    cell = N - 1 if t >= 1.0 else int(t * N)
     if ordering == WalshOrdering.SEQUENCY:
         k = int(_bit_reverse(_binary_to_gray(k), n))
     return character_eval(k, cell, n)
@@ -265,14 +269,14 @@ def discretize(f, n: int, domain: tuple[float, float] = (0.0, 1.0)) -> SampledFu
 def reconstruct(sv: SpectralVector, t: float) -> float:
     """Pointwise synthesis (1/sqrt(N)) * sum_k coeffs[k] * W_k(t).
 
-    Piecewise constant on the N cells of [0,1]; 0 outside.  One signed sum
-    of the natural-ordered coefficients over the character row of t's cell;
-    walsh_value, one term at a time, is its oracle.
+    Piecewise constant on the N cells of [0,1]; 0 outside; ValueError for
+    NaN t.  One signed sum of the natural-ordered coefficients over the
+    character row of t's cell; walsh_value, one term at a time, is its oracle.
     """
-    if t < 0.0 or t > 1.0:
-        return 0.0
     N = sv.coeffs.size
-    cell = N - 1 if t >= 1.0 else int(t * N)
+    cell = _cell(t, N)
+    if cell is None:
+        return 0.0
     coeffs = convert_ordering(sv, WalshOrdering.NATURAL).coeffs
     signs = 1 - 2 * _parity(np.arange(N) & cell)
     return float(coeffs @ signs) / np.sqrt(N)

@@ -1,11 +1,21 @@
 """Command-line behavior: file formats, reports, exit codes, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from walshode import OperationalMatrix, analytic_reference, cli, fwht
+from walshode import (
+    OperationalMatrix,
+    analytic_reference,
+    character_table,
+    cli,
+    differentiation_matrix,
+    fwht,
+    integration_matrix,
+)
 from walshode.cli import main, read_vector, write_vector
 
 
@@ -171,14 +181,39 @@ def test_table_differentiation_n2(capsys):
     ]
 
 
-def test_table_cap_respects_environment(capsys, monkeypatch):
-    monkeypatch.setenv("WALSHODE_MAX_QUBITS", "3")
-    code, _, err = run(capsys, "table", "--kind", "character", "--n", "4")
-    assert code == 2
-    assert "cap" in err
-    monkeypatch.setenv("WALSHODE_MAX_QUBITS", "4")
-    code, _, _ = run(capsys, "table", "--kind", "character", "--n", "4")
+@pytest.mark.parametrize("kind", ["character", "integration", "differentiation"])
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_table_byte_identical_to_per_cell_writer(tmp_path, capsys, kind, n):
+    N = 1 << n
+    matrix = {
+        "character": lambda: character_table(n).astype(float),
+        "integration": lambda: integration_matrix(N).entries,
+        "differentiation": lambda: differentiation_matrix(N).entries,
+    }[kind]()
+    expected = "\n".join(",".join(repr(float(x)) for x in row) for row in matrix) + "\n"
+    code, out, _ = run(capsys, "table", "--kind", kind, "--n", str(n))
     assert code == 0
+    assert out == expected
+    dst = tmp_path / "table.csv"
+    code, out, _ = run(capsys, "table", "--kind", kind, "--n", str(n), "-o", str(dst))
+    assert code == 0 and out == ""
+    assert dst.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("n", ["-1", "0", "63", "1000000000"])
+@pytest.mark.parametrize("argv", [
+    ("table", "--kind", "character"),
+    ("table", "--kind", "integration"),
+    ("table", "--kind", "differentiation"),
+    ("solve", "--problem", "riccati"),
+])
+def test_qubit_count_outside_int64_range_is_usage_error(tmp_path, capsys, argv, n):
+    code, out, err = run(capsys, *argv, "--n", n, *(
+        ["--output-dir", str(tmp_path)] if argv[0] == "solve" else []))
+    assert code == 2
+    assert out == ""
+    assert f"qubit count must be in [1, 62], got {n}" in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("kind, allocator", [
@@ -188,7 +223,7 @@ def test_table_cap_respects_environment(capsys, monkeypatch):
 ])
 def test_table_dense_matrices_refused_before_allocation(capsys, monkeypatch,
                                                        kind, allocator):
-    # n=16 passes the qubit cap; the dense table would take 32 GiB.
+    # n=16 is a valid qubit count; the dense table would take 32 GiB.
     def forbidden(*args, **kwargs):
         raise AssertionError("dense allocation attempted")
 
@@ -483,6 +518,54 @@ def test_solve_sampled_requires_shots_and_seed(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("backend, flag", [
+    ("hybrid-exact", "--shots"),
+    ("hybrid-exact", "--seed"),
+    ("classical", "--shots"),
+    ("classical", "--seed"),
+    ("classical", "--epsilon"),
+])
+def test_solve_rejects_flags_the_backend_ignores(tmp_path, capsys, backend, flag):
+    code, out, err = run(capsys, "solve", "--problem", "riccati", "--backend", backend,
+                         flag, "0.5" if flag == "--epsilon" else "5",
+                         "--output-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert f"{flag} does not apply to backend {backend}" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("backend, flag", [
+    ("hybrid-exact", "--shots"),
+    ("hybrid-exact", "--seed"),
+    ("fast", "--shots"),
+    ("naive", "--seed"),
+    ("fast", "--epsilon"),
+    ("naive", "--epsilon"),
+])
+def test_transform_rejects_flags_the_backend_ignores(tmp_path, capsys, backend, flag):
+    src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+    write_input(src, [0.5, 0.25, -1.0, 2.0])
+    code, out, err = run(capsys, "transform", str(src), "-o", str(dst),
+                         "--backend", backend, flag, "0.5" if flag == "--epsilon" else "7")
+    assert code == 2
+    assert out == ""
+    assert f"{flag} does not apply to backend {backend}" in err
+    assert not dst.exists()
+
+
+def test_epsilon_applies_to_both_hybrid_backends(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    write_input(src, [0.5, 0.25, -1.0, 2.0])
+    code, _, _ = run(capsys, "transform", str(src), "-o", str(tmp_path / "o.txt"),
+                     "--backend", "hybrid-exact", "--epsilon", "0.5")
+    assert code == 0
+    code, _, _ = run(capsys, "solve", "--problem", "riccati", "--nmax", "1",
+                     "--backend", "hybrid-sampled", "--shots", "1000", "--seed", "3",
+                     "--epsilon", "0.5", "--output-dir", str(tmp_path))
+    assert code == 0
+
+
 def test_solve_problem_and_rhs_are_exclusive(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["solve", "--problem", "riccati", "--rhs", "x1",
@@ -494,3 +577,25 @@ def test_usage_error_exit_code_from_argparse(capsys):
     with pytest.raises(SystemExit) as info:
         main(["transform"])  # missing required output
     assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# documented examples
+
+
+def readme_examples():
+    """Each ``walshode ...`` command of README's command-line block, as argv."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in commands if line.startswith("walshode ")]
+
+
+def test_readme_examples_run(tmp_path, capsys, monkeypatch):
+    examples = readme_examples()
+    assert {argv[0] for argv in examples} == {"transform", "table", "solve", "bench"}
+    monkeypatch.chdir(tmp_path)
+    write_input(tmp_path / "input.txt", [0.5, -1.25, 2.0, 0.75, 1.0, 0.0, -0.5, 3.0])
+    for argv in examples:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)

@@ -87,8 +87,8 @@ def test_character_table_matches_lazy_eval():
 def test_character_table_resource_cap():
     with pytest.raises(ResourceLimitError):
         character_table(21)
-    with pytest.raises(ResourceLimitError):
-        character_table(5, max_qubits=4)
+    with pytest.raises(ValueError, match=r"qubit count must be in \[1, 62\], got 63"):
+        character_table(63)
 
 
 def test_orthogonality_exact_integer_sums():
@@ -197,6 +197,15 @@ def test_walsh_value_pinned():
 def test_walsh_value_outside_interval_is_zero():
     assert walsh_value(1, -0.1, 2) == 0
     assert walsh_value(1, 1.1, 2) == 0
+    assert walsh_value(1, float("inf"), 2) == 0
+    assert walsh_value(1, float("-inf"), 2) == 0
+
+
+def test_nan_t_is_rejected_by_name():
+    with pytest.raises(ValueError, match="t must be a number, got nan"):
+        walsh_value(1, float("nan"), 2)
+    with pytest.raises(ValueError, match="t must be a number, got nan"):
+        reconstruct(SpectralVector(np.ones(4)), float("nan"))
 
 
 def test_walsh_value_endpoint_uses_last_cell():
@@ -324,7 +333,7 @@ def test_reconstruct_matches_walsh_value_oracle(ordering):
     rng = np.random.default_rng(2024)
     for n in range(1, 9):
         sv = SpectralVector(rng.standard_normal(1 << n), ordering)
-        points = [0.0, 1.0, -0.25, 1.5, *rng.random(8)]
+        points = [0.0, 1.0, -0.25, 1.5, float("inf"), float("-inf"), *rng.random(8)]
         for t in points:
             assert abs(reconstruct(sv, t) - walsh_value_sum(sv, t)) <= 1e-14
 
