@@ -23,7 +23,13 @@ import numpy as np
 
 from . import __version__
 from .calculus import differentiation_matrix, integration_matrix
-from .errors import DivergenceError, ExprError, ExprEvalError, ResourceLimitError
+from .errors import (
+    DivergenceError,
+    ExprError,
+    ExprEvalError,
+    ResourceLimitError,
+    require_bytes,
+)
 from .expr import evaluate, evaluate_grid, parse
 from .hybrid import HybridConfig, classical_side_opcount, hybrid_wht
 from .solver import (
@@ -259,10 +265,12 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
-    rows = []
     for N in args.sizes:
         if N < 2 or N & (N - 1):
             raise UsageError(f"sizes must be powers of two >= 2, got {N}")
+        require_bytes(16 * N, f"bench input and transform output at N={N}")
+    rows = []
+    for N in args.sizes:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(N)
         for backend in args.backends:

@@ -3,23 +3,39 @@
 Two code paths compute the same unitary map:
 
   * wht_naive: dense sign-table matvec, O(N^2); kept as the oracle.
-  * fwht:      in-place butterfly, exactly N*log2(N) additions and
-               subtractions plus N final scalings by 1/sqrt(N).
+  * fwht:      butterfly, exactly N*log2(N) additions and subtractions
+               plus N final scalings by 1/sqrt(N).
 
-The butterfly is the textbook one: stage h (h = 1, 2, 4, ..., N/2) maps
-each pair (x_j, x_{j+h}) with j & h == 0 to
-(x_j + x_{j+h}, x_j - x_{j+h}).  Its schedule is cache-aware, and it
-allocates no temporaries of size N.  Stages run fused in pairs (radix
-4), so one memory pass does two of them; a pass with an odd number of
-stages ends with one radix-2 stage.  The stages of stride below _BLOCK
-only mix elements of the same aligned block of _BLOCK elements, so they
-run block by block while the block stays in cache.  Stages of stride
-above _TILE run tile by tile along the stride axis, which keeps the
-scratch at _BLOCK / 2 elements (256 KiB, allocated per call) whatever N
-is.  Every element still sees the same additions and subtractions, of
-the same operands, in the same stride-doubling order; only the order in
-which independent elements are visited changes.  So the result is
-bit-identical to the one-pass-per-stage loop, and bit-reproducible.
+The textbook butterfly runs stages s = 1..n with stride h = 2^(s-1):
+each pair (x_j, x_{j+h}) with j & h == 0 becomes
+(x_j + x_{j+h}, x_j - x_{j+h}).  fwht runs the same stages in Pease's
+constant geometry (M. C. Pease, J. ACM 15(2), 1968), where every stage
+maps y[k] = x[2k] + x[2k+1] and y[k + N/2] = x[2k] - x[2k+1]: two numpy
+calls, on the same strided views, whatever the stage.
+
+Why the output is bit-identical.  A stage combines the two elements
+whose indices differ only in bit 0, as (even, odd), and moves the bit
+that tells sum from difference to the top of the index, shifting the
+other bits down by one.  So stage s combines bit s-1 of the original
+index, the bit the stride-doubling loop combines at stage s, with the
+operands in the same (x_j, x_{j+h}) order.  After n stages, stage s's
+sign bit sits at bit s-1, where the stride-doubling loop leaves it, so
+the output is in natural order.  Every output comes from the same
+additions on the same operands, so the two agree bit for bit, signed
+zeros included.
+
+Schedule.  Up to _BLOCK elements (512 KiB), the stages ping-pong between
+the output and one scratch array of the same size, the first reading
+the caller's array, and the result is scaled while it is still in
+cache.  Above that, the low log2(_BLOCK) stages only mix elements of one
+aligned block, so they run block by block in the same way, reading the
+caller's array and leaving each block in the output.  The high stages
+are the same schedule along axis 0 of the (N/_BLOCK, _BLOCK) view of
+the output, run one column tile at a time in the two halves of the
+block scratch; the 1/sqrt(N) scaling is fused into each tile's
+write-back.  A call holds only the output and that scratch, allocated
+per call: the input is never copied or written, and concurrent calls
+share nothing.
 
 With the symmetric normalization the transform is an involution, so the
 inverse transform is the same computation (iwht is provided for call-site
@@ -57,81 +73,30 @@ class OpCount:
         }
 
 
-#: Elements per block of the low-stride stages: 512 KiB, which stays in L2.
+#: Elements per block of the low stages: 512 KiB, which stays in L2.
 _BLOCK = 1 << 16
-#: Longest run of one stage's operand handled by one numpy call.
-_TILE = _BLOCK // 4
+#: Elements per column tile of the high stages, or one column if that is
+#: more; the scratch holds two tiles.
+_TILE = _BLOCK // 2
 
 
-def _radix4(x0, x1, x2, x3, scratch):
-    """Stages h and 2h on the quarters x0..x3 of each group of 4h, in place.
+def _stages(x: np.ndarray, dst: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Every constant-geometry stage along axis 0 of x, ending in dst.
 
-    Stage h: (x0, x1, x2, x3) -> (x0+x1, x0-x1, x2+x3, x2-x3) = (y0, y1, y2, y3).
-    Stage 2h: (y0+y2, y1+y3, y0-y2, y1-y3).  The same 8 operations, on the
-    same operands, as the two radix-2 stages.
+    A stage maps y[k] = x[2k] + x[2k+1] and y[k + L/2] = x[2k] - x[2k+1]
+    for the length L of axis 0.  The stages alternate between dst and
+    tmp, starting with the one that puts the last stage in dst; x is
+    only read, so it may be the caller's array.
     """
-    half = scratch.size // 2
-    s = scratch[: x0.size].reshape(x0.shape)
-    t = scratch[half: half + x0.size].reshape(x0.shape)
-    np.add(x0, x1, out=s)  # y0
-    np.subtract(x0, x1, out=t)  # y1
-    np.add(x2, x3, out=x0)  # y2
-    np.subtract(x2, x3, out=x1)  # y3
-    np.subtract(s, x0, out=x2)
-    np.add(s, x0, out=x0)
-    np.subtract(t, x1, out=x3)
-    np.add(t, x1, out=x1)
-
-
-def _radix2(x0, x1, scratch):
-    """Stage h on the halves x0, x1 of each group of 2h, in place."""
-    s = scratch[: x0.size].reshape(x0.shape)
-    np.subtract(x0, x1, out=s)
-    np.add(x0, x1, out=x0)
-    np.copyto(x1, s)
-
-
-def _stages(x: np.ndarray, h: int, scratch: np.ndarray) -> None:
-    """Stages of stride h, 2h, ..., x.size/2 on the contiguous x, in place.
-
-    Stride-h groups of x (h <= _TILE) are handled by one numpy call per
-    operation; groups of a larger stride are cut into slices of _TILE
-    along the stride axis, so the scratch never needs more than
-    _BLOCK / 2 elements.
-    """
-    while h < x.size:
-        radix = 4 if 4 * h <= x.size else 2
-        # Stride 1 as (groups, radix): 1-D operands, which numpy runs faster.
-        groups = x.reshape(-1, radix) if h == 1 else x.reshape(-1, radix, h)
-        if h <= _TILE:
-            tiles = [groups]
-        else:
-            tiles = (groups[g: g + 1, :, c: c + _TILE]
-                     for g in range(groups.shape[0]) for c in range(0, h, _TILE))
-        for tile in tiles:
-            parts = [tile[:, i] for i in range(radix)]
-            (_radix4 if radix == 4 else _radix2)(*parts, scratch)
-        h *= radix
-
-
-def _butterfly(a: np.ndarray, count: OpCount | None = None) -> np.ndarray:
-    """Unnormalized in-place Hadamard butterfly (pure additions/subtractions).
-
-    ``a`` must be C-contiguous.  The stages of stride below _BLOCK run
-    block by block, then the rest run over the whole vector; see the
-    module docstring for why the result equals the one-pass-per-stage
-    loop bit for bit.  The scratch is allocated per call, so concurrent
-    calls share nothing.
-    """
-    N = a.size
-    block = min(N, _BLOCK)
-    scratch = np.empty(block // 2)
-    for part in a.reshape(-1, block):
-        _stages(part, 1, scratch)
-    _stages(a, block, scratch)
-    if count is not None:
-        count.additions += N * (N.bit_length() - 1)
-    return a
+    half = len(x) // 2
+    targets = (dst, tmp) if half.bit_length() % 2 else (tmp, dst)
+    for stage in range(half.bit_length()):
+        y = targets[stage % 2]
+        even, odd = x[0::2], x[1::2]
+        np.add(even, odd, out=y[:half])
+        np.subtract(even, odd, out=y[half:])
+        x = y
+    return dst
 
 
 def wht_naive(v, count: OpCount | None = None) -> np.ndarray:
@@ -150,22 +115,37 @@ def wht_naive(v, count: OpCount | None = None) -> np.ndarray:
 
 
 def fwht(v, count: OpCount | None = None) -> np.ndarray:
-    """Fast transform: butterfly then one 1/sqrt(N) scaling pass.
+    """Fast transform: constant-geometry butterfly with the scaling fused in.
 
-    Works on a fresh contiguous copy, so ``v`` is never modified.  The
-    butterfly is blocked and fused in radix-4 pairs (module docstring);
-    its output is bit-identical to the plain stride-doubling loop, and
-    ``count`` gains exactly N*log2(N) additions, N multiplications and
-    one square root.
+    ``v`` is only read, never modified or aliased: the result is a fresh
+    array.  Its output is bit-identical to the plain stride-doubling
+    loop (module docstring), and ``count`` gains exactly N*log2(N)
+    additions, N multiplications and one square root.
     """
-    a = np.array(v, dtype=float, order="C")
-    _require_vector(a)
-    _butterfly(a, count)
-    a *= 1.0 / math.sqrt(a.size)
+    v = np.asarray(v, dtype=float)
+    n = _require_vector(v)
+    N = v.size
+    scale = 1.0 / math.sqrt(N)
+    out = np.empty(N)
+    if N <= _BLOCK:
+        _stages(v, out, np.empty(N))
+        out *= scale
+    else:
+        rows = N // _BLOCK
+        width = max(1, _TILE // rows)
+        scratch = np.empty(max(_BLOCK, 2 * rows * width))
+        for lo in range(0, N, _BLOCK):
+            _stages(v[lo: lo + _BLOCK], out[lo: lo + _BLOCK], scratch[:_BLOCK])
+        grid = out.reshape(rows, _BLOCK)
+        for col in range(0, _BLOCK, width):
+            tile = grid[:, col: col + width]
+            a, b = scratch[: 2 * tile.size].reshape(2, *tile.shape)
+            np.multiply(_stages(tile, a, b), scale, out=tile)
     if count is not None:
-        count.multiplications += a.size
+        count.additions += N * n
+        count.multiplications += N
         count.square_roots += 1
-    return a
+    return out
 
 
 def iwht(v, count: OpCount | None = None) -> np.ndarray:

@@ -500,6 +500,18 @@ def test_bench_rejects_bad_size(capsys):
     assert code == 2
 
 
+def test_bench_oversized_size_refused_before_any_size_runs(capsys, monkeypatch):
+    # 2^27 points: the input and the transform output take 2 GiB.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("bench input allocated")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    code, out, err = run(capsys, "bench", "--sizes", "16", str(1 << 27))
+    assert code == 2
+    assert out == ""
+    assert "over the cap" in err
+
+
 def test_bench_rejects_zero_repeats(capsys):
     code, _, _ = run(capsys, "bench", "--sizes", "16", "--repeats", "0")
     assert code == 2

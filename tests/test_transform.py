@@ -1,19 +1,21 @@
 """Fast butterfly vs naive oracle and radix-2 reference, normalization, op counting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from walshode import OpCount, fwht, iwht, wht_naive
+from walshode import OpCount, fwht, iwht, transform, wht_naive
 
 
 def _radix2_fwht(v) -> np.ndarray:
     """Reference: one stride-doubling radix-2 pass over the whole vector per stage.
 
-    fwht reorders this loop (blocks, radix-4 pairs, tiles) but must give
-    every element the same operations in the same order, so it has to
-    agree with this reference bit for bit.
+    fwht runs the same stages in constant geometry (sums to the first
+    half, differences to the second; blocks, then column tiles) but must
+    give every element the same operations on the same operands, so it
+    has to agree with this reference bit for bit.
     """
     a = np.array(v, dtype=float)
     h = 1
@@ -122,8 +124,8 @@ def test_rejects_bad_lengths():
             wht_naive(bad)
 
 
-# Odd and even stage counts; one block (2^16) and below, at and above it;
-# top strides above one tile (2^14) from n = 16 up, over several blocks.
+# Odd and even stage counts; up to one block (2^16), transformed and scaled
+# whole; above it, 1, 2, 4 and 5 high stages run over column tiles.
 @pytest.mark.parametrize("n", [*range(1, 19), 20, 21])
 def test_fwht_bit_identical_to_radix2_reference(n):
     v = np.random.default_rng(1000 + n).standard_normal(1 << n)
@@ -134,6 +136,33 @@ def test_fwht_bit_identical_on_signed_zeros_and_ties():
     # Cancellations produce +-0.0 and equal operands; bytes compare the signs.
     v = np.tile([1.0, -1.0, 0.5, -0.5, -0.0, 0.0, 3.0, -3.0], 1 << 15)
     assert fwht(v).tobytes() == _radix2_fwht(v).tobytes()
+
+
+@pytest.mark.parametrize("block", [16, 32])
+def test_fwht_blocked_paths_bit_identical_at_small_block(monkeypatch, block):
+    # Blocks of 16 (4 low stages) and 32 (5).  Above one block: several
+    # blocks and tiles, odd and even high stage counts and, from 2^8 or
+    # 2^10 points, more rows than a tile holds, so tiles are one column.
+    monkeypatch.setattr(transform, "_BLOCK", block)
+    monkeypatch.setattr(transform, "_TILE", block // 2)
+    for n in range(1, 13):
+        v = np.random.default_rng(2000 + n).standard_normal(1 << n)
+        assert fwht(v).tobytes() == _radix2_fwht(v).tobytes(), n
+    v = np.tile([1.0, -1.0, 0.5, -0.5, -0.0, 0.0, 3.0, -3.0], 1 << 9)
+    assert fwht(v).tobytes() == _radix2_fwht(v).tobytes()
+
+
+def test_fwht_scratch_is_bounded():
+    # The output plus one block of scratch: no N-sized temporary or input copy.
+    N = 1 << 20
+    v = np.random.default_rng(20).standard_normal(N)
+    tracemalloc.start()
+    try:
+        fwht(v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * N + (1 << 20)
 
 
 def test_fwht_addition_count_is_exact():
@@ -174,18 +203,24 @@ def test_fwht_does_not_mutate_input():
     assert np.array_equal(v, keep)
 
 
-@pytest.mark.parametrize("kind", ["list", "int64", "strided"])
+@pytest.mark.parametrize("kind", ["list", "int64", "float64", "strided", "read-only"])
 def test_fwht_leaves_every_input_kind_untouched(kind):
+    # fwht reads float64 input in place, so it must neither write to it
+    # nor hand back a view of it.
     base = np.arange(1 << 18, dtype=np.int64) % 7 - 3
     if kind == "list":
         v = base[: 1 << 10].tolist()
     elif kind == "int64":
         v = base
-    else:
+    elif kind == "strided":
         v = base.astype(float)[::2]  # a non-contiguous view over 2^17 values
+    else:
+        v = base.astype(float)
+        v.flags.writeable = kind != "read-only"
     keep = np.array(v, copy=True)
     out = fwht(v)
     assert np.array_equal(np.asarray(v), keep)
+    assert not np.shares_memory(out, v)
     assert out.tobytes() == _radix2_fwht(keep).tobytes()
 
 
