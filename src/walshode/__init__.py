@@ -18,7 +18,6 @@ from .errors import DivergenceError, ExprError, ExprEvalError, ResourceLimitErro
 from .hybrid import HybridConfig, HybridTrace, classical_side_opcount, hybrid_wht, sign_safe
 from .quantum import (
     DEFAULT_SEED,
-    MeasurementResult,
     StateVector,
     apply_hadamard_all,
     measure_exact,
@@ -58,7 +57,6 @@ __all__ = [
     "HybridConfig",
     "HybridTrace",
     "IVProblem",
-    "MeasurementResult",
     "OpCount",
     "OperationalMatrix",
     "ResourceLimitError",

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import (
     require_bytes,
 )
 from .expr import evaluate, evaluate_grid, parse
-from .hybrid import HybridConfig, classical_side_opcount, hybrid_wht
+from .hybrid import HybridConfig, hybrid_wht
 from .solver import (
     IVProblem,
     SolverConfig,
@@ -52,29 +52,9 @@ class UsageError(ValueError):
     """Bad flags or malformed input content."""
 
 
-@dataclass
-class RunReport:
-    command: list[str]
-    backend: str | None = None
-    n: int | None = None
-    iterations: int | None = None
-    elapsed_s: float = 0.0
-    op_counts: dict | None = None
-    outputs: list[str] = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        doc = {
-            "command": self.command,
-            "backend": self.backend,
-            "n": self.n,
-            "iterations": self.iterations,
-            "elapsed_s": self.elapsed_s,
-            "op_counts": self.op_counts,
-            "outputs": self.outputs,
-        }
-        doc.update(self.extra)
-        return json.dumps(doc, indent=2, sort_keys=True)
+def _print_report(**doc) -> None:
+    """Print the JSON run report; each command passes its full key set."""
+    print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def read_vector(path: str) -> np.ndarray:
@@ -146,16 +126,17 @@ def cmd_transform(args) -> int:
         out, _ = hybrid_wht(v, hybrid, count)
     elapsed = time.perf_counter() - started
     write_vector(args.output, out)
-    report = RunReport(
+    _print_report(
         command=args._echo,
         backend=args.backend,
         n=v.size.bit_length() - 1,
+        iterations=None,
         elapsed_s=elapsed,
         op_counts=count.as_dict(),
         outputs=[args.output],
-        extra={"inverse": bool(args.inverse), "length": int(v.size)},
+        inverse=bool(args.inverse),
+        length=int(v.size),
     )
-    print(report.to_json())
     return EXIT_OK
 
 
@@ -245,20 +226,18 @@ def cmd_solve(args) -> int:
         ])
         outputs.append(path)
 
-    report = RunReport(
+    _print_report(
         command=args._echo,
         backend=args.backend,
         n=problem.n,
         iterations=trace.iterations_run,
         elapsed_s=elapsed,
+        op_counts=None,
         outputs=outputs,
-        extra={
-            "converged": trace.converged,
-            "final_residual": trace.final_residual,
-            "problem": known_name or "custom",
-        },
+        converged=trace.converged,
+        final_residual=trace.final_residual,
+        problem=known_name or "custom",
     )
-    print(report.to_json())
     return EXIT_OK
 
 
@@ -269,22 +248,21 @@ def cmd_bench(args) -> int:
         if N < 2 or N & (N - 1):
             raise UsageError(f"sizes must be powers of two >= 2, got {N}")
         require_bytes(16 * N, f"bench input and transform output at N={N}")
+    transforms = {
+        "fast": fwht,
+        "naive": wht_naive,
+        "hybrid": lambda v, count: hybrid_wht(v, None, count),
+    }
     rows = []
     for N in args.sizes:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(N)
         for backend in args.backends:
             best = None
-            count = OpCount()
             for _ in range(args.repeats):
                 count = OpCount()
                 started = time.perf_counter()
-                if backend == "fast":
-                    fwht(v, count)
-                elif backend == "naive":
-                    wht_naive(v, count)
-                else:
-                    count = classical_side_opcount(N)
+                transforms[backend](v, count)
                 elapsed = time.perf_counter() - started
                 best = elapsed if best is None else min(best, elapsed)
             rows.append(

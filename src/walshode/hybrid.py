@@ -46,7 +46,8 @@ class HybridConfig:
 
     ``epsilon`` is the strictly positive shift margin; None selects
     1e-3 * (1 + sum|a_k|), large enough for strict positivity without
-    concentrating amplitude on the shifted slot.
+    concentrating amplitude on the shifted slot.  ``shots`` is required
+    in sampled mode and refused in exact mode, which draws nothing.
     """
 
     epsilon: float | None = None
@@ -59,11 +60,13 @@ class HybridConfig:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.epsilon is not None and not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be strictly positive, got {self.epsilon}")
-        if self.mode == "sampled":
-            if self.shots is None:
-                raise ValueError("sampled mode requires a shot count")
-            if self.shots < 1:
-                raise ValueError(f"shots must be >= 1, got {self.shots}")
+        if self.mode == "exact":
+            if self.shots is not None:
+                raise ValueError(f"exact mode draws no shots, got shots={self.shots}")
+        elif self.shots is None:
+            raise ValueError("sampled mode requires a shot count")
+        elif self.shots < 1:
+            raise ValueError(f"shots must be >= 1, got {self.shots}")
 
     def child(self, *key: int) -> HybridConfig:
         """Reseeded by child ``key`` of ``seed``: independent, and replayable.
@@ -81,8 +84,11 @@ class HybridTrace:
     """Intermediate quantities of one run, kept for inspection and tests.
 
     ``sub_resolution`` flags components whose magnitude fell below the
-    one-shot noise scale norm/sqrt(shots) (sampled mode only): their
-    values are reported as-is but cannot be trusted at that shot budget.
+    noise scale norm/sqrt(shots) (sampled mode only): their values are
+    reported as-is but cannot be trusted at that shot budget.  The
+    threshold is at least 2 sigma_k, where sigma_k =
+    norm*sqrt(1 - p_k)/(2*sqrt(shots)) is the standard deviation of
+    component k (delta method on the multinomial counts).
     """
 
     shift: float
@@ -111,7 +117,15 @@ def hybrid_wht(
 
     ``count`` tallies the classical pre/post-processing only (the
     simulated quantum layer stands in for hardware and is not costed):
-    7N ops in exact mode, 8N in sampled mode (N more for counts / shots).
+
+        shift = epsilon + sum|a_k|          N additions
+        norm  = sqrt(shift^2 + sum a_k^2)   N mult., N-1 additions, 1 sqrt
+        shifted / norm                      N multiplications
+        p = counts / shots (sampled only)   N multiplications
+        norm * sqrt(p_k) - offset           N sqrt, N mult., N additions
+
+    That is 3N-1 additions, 3N multiplications (4N sampled) and N+1
+    square roots: exactly 7N in exact mode and 8N in sampled mode.
     """
     if cfg is None:
         cfg = HybridConfig()
@@ -124,41 +138,25 @@ def hybrid_wht(
     abs_sum = float(np.sum(np.abs(a)))
     epsilon = cfg.epsilon if cfg.epsilon is not None else 1e-3 * (1.0 + abs_sum)
     shift = epsilon + abs_sum
-    if count is not None:
-        count.additions += N
-
-    tail_sq = float(np.sum(a[1:] ** 2))
-    norm = math.sqrt(shift * shift + tail_sq)
-    if count is not None:
-        count.multiplications += N
-        count.additions += N - 1
-        count.square_roots += 1
+    norm = math.sqrt(shift * shift + float(np.sum(a[1:] ** 2)))
 
     shifted = a.copy()
     shifted[0] = shift
-    state = prepare_state(shifted / norm)
-    if count is not None:
-        count.multiplications += N
-
-    state = apply_hadamard_all(state)
-    if cfg.mode == "exact":
-        p = measure_exact(state).probabilities
+    state = apply_hadamard_all(prepare_state(shifted / norm))
+    sampled = cfg.mode == "sampled"
+    if sampled:
+        p = measure_sampled(state, cfg.shots, cfg.seed) / cfg.shots
     else:
-        result = measure_sampled(state, cfg.shots, cfg.seed)
-        p = result.counts / result.shots
-        if count is not None:
-            count.multiplications += N
+        p = measure_exact(state)
 
     offset = (shift - a[0]) / math.sqrt(N)
     out = norm * np.sqrt(p) - offset
     if count is not None:
-        count.square_roots += N
-        count.multiplications += N
-        count.additions += N
+        count.additions += 3 * N - 1
+        count.multiplications += (4 if sampled else 3) * N
+        count.square_roots += N + 1
 
-    flags = None
-    if cfg.mode == "sampled":
-        flags = np.abs(out) < norm / math.sqrt(cfg.shots)
+    flags = np.abs(out) < norm / math.sqrt(cfg.shots) if sampled else None
     trace = HybridTrace(
         shift=shift,
         norm=norm,
@@ -171,10 +169,9 @@ def hybrid_wht(
 
 
 def classical_side_opcount(N: int) -> OpCount:
-    """Deterministic per-run tally of the classical work for a length-N input.
+    """The classical work of one exact-mode ``hybrid_wht`` on a length-N input.
 
-    Counts scale linearly: 3N-1 additions, 3N multiplications and N+1
-    square roots, for a total of exactly 7N in exact mode (8N sampled).
+    The tally is data-independent: exactly 7N (see ``hybrid_wht``).
     """
     count = OpCount()
     hybrid_wht(np.zeros(N), HybridConfig(mode="exact"), count)

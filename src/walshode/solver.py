@@ -105,9 +105,13 @@ class SolutionTrace:
     """Per-sweep snapshots of every variable's sample vector."""
 
     snapshots: list[list[np.ndarray]] = field(default_factory=list)
-    iterations_run: int = 0
     converged: bool = False
     final_residual: float = math.inf
+
+    @property
+    def iterations_run(self) -> int:
+        """Sweeps completed: one snapshot each."""
+        return len(self.snapshots)
 
 
 def _rhs_at_each_sample(f_i, state, t, trace) -> np.ndarray:
@@ -171,7 +175,6 @@ def picard_solve(
         residual = float(np.max(np.abs(new_xs - xs)))
         xs = new_xs
         trace.snapshots.append(list(xs))
-        trace.iterations_run += 1
         trace.final_residual = residual
 
         if np.max(np.abs(xs)) > MAGNITUDE_CAP:

@@ -3,12 +3,18 @@
 perfbench/layers.py wraps (module, attribute) pairs of the walshode
 modules; a pair that no longer exists is recorded as an absent layer whose
 metrics read 0, so a rename would blind the trace without failing any run.
-The file is parsed, not imported, and never written.
+Its hooks also read attributes of what the wrapped calls take and return
+(``cfg.mode``, ``trace.output``, ``trace.sub_resolution``,
+``iterations_run``).  The file is parsed, or loaded without writing
+bytecode, and never written.
 """
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,3 +41,40 @@ def test_every_traced_name_exists(name):
         if not hasattr(importlib.import_module(f"walshode.{module}"), attr)
     ]
     assert missing == []
+
+
+def _load_layers(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# A 2-sweep Riccati solve at N=16: each sweep runs one forward and one
+# inverse transform, N*log2(N) = 64 additions each, or 8N = 128 sampled ops.
+@pytest.mark.parametrize("backend, settings, classical_ops, fwht_calls, shots", [
+    ("classical", {}, 0, 4, 0),
+    ("hybrid-sampled", {"shots": 1000, "seed": 3}, 4 * 128, 0, 4 * 1000),
+])
+def test_tracer_reads_every_traced_value(monkeypatch, backend, settings,
+                                         classical_ops, fwht_calls, shots):
+    modules = ("cli", "expr", "solver", "calculus", "transform", "hybrid", "quantum")
+    prog = SimpleNamespace(**{m: importlib.import_module(f"walshode.{m}") for m in modules})
+    problem = prog.solver.builtin_problem("riccati", n=4)
+    config = prog.solver.SolverConfig(n_max=2, tol=0.0, backend=backend, **settings)
+    tracer = _load_layers(monkeypatch).Tracer()
+    tracer.install(prog, problem)
+    try:
+        tracer.run_op(lambda: prog.solver.picard_solve(problem, config))
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == set()
+    assert tracer.mismatches == []
+    metrics = tracer.layer_metrics(1, 0.0)
+    assert metrics["solver.sweeps"] == 2
+    assert metrics["hybrid.classical_ops"] == classical_ops
+    assert metrics["transform.fwht_calls"] == fwht_calls
+    assert metrics["transform.additions"] == fwht_calls * 64
+    assert metrics["quantum.shots"] == shots
+    assert prog.solver.picard_solve is importlib.import_module("walshode").picard_solve

@@ -611,3 +611,12 @@ def test_readme_examples_run(tmp_path, capsys, monkeypatch):
     for argv in examples:
         code, _, err = run(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+def test_readme_library_quick_start_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    source = block.split("```", 1)[0]
+    assert "picard_solve" in source
+    monkeypatch.chdir(tmp_path)
+    exec(compile(source, "README.md", "exec"), {})

@@ -128,6 +128,12 @@ def test_config_validation():
         HybridConfig(mode="fuzzy")
 
 
+def test_exact_mode_refuses_shots():
+    # A forgotten mode="sampled" would otherwise run exact and never sample.
+    with pytest.raises(ValueError, match="exact mode draws no shots"):
+        HybridConfig(shots=1000, seed=7)
+
+
 def test_sampled_mode_accuracy_and_monotonicity():
     v = np.array([1 / 8, 3 / 8, 5 / 8, 7 / 8])
     reference = fwht(v)

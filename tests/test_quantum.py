@@ -7,6 +7,7 @@ import pytest
 
 from walshode import (
     DEFAULT_SEED,
+    StateVector,
     apply_hadamard_all,
     fwht,
     measure_exact,
@@ -43,6 +44,17 @@ def test_prepare_rejects_input_that_is_not_one_vector():
     # Unit norm and a power-of-two size, but a 2x2 block, not a register.
     with pytest.raises(ValueError, match="state vector must form a 1-D vector"):
         prepare_state(np.full((2, 2), 0.5))
+
+
+def test_state_qubit_count_is_derived_from_the_amplitudes():
+    for n in (1, 3, 10):
+        a = np.full(1 << n, 2.0 ** (-n / 2))
+        assert StateVector(a).n == n == math.log2(a.size)
+        assert apply_hadamard_all(StateVector(a)).n == n
+    # No second count to disagree with the amplitudes: with n=2 stored
+    # beside 8 amplitudes, the H layer would skip the third qubit.
+    with pytest.raises(TypeError):
+        StateVector(np.full(8, 8**-0.5), 2)
 
 
 def test_hadamard_on_single_qubit_states():
@@ -83,34 +95,34 @@ def test_hadamard_layer_matches_fast_transform():
 
 def test_measure_exact_probabilities():
     uniform = measure_exact(prepare_state([0.5, 0.5, 0.5, 0.5]))
-    assert np.allclose(uniform.probabilities, 0.25, rtol=0, atol=1e-15)
-    assert abs(uniform.probabilities.sum() - 1.0) < 1e-12
+    assert np.allclose(uniform, 0.25, rtol=0, atol=1e-15)
+    assert abs(uniform.sum() - 1.0) < 1e-12
 
     signed = measure_exact(prepare_state([1 / math.sqrt(2), -1 / math.sqrt(2)]))
-    assert np.allclose(signed.probabilities, [0.5, 0.5], rtol=0, atol=1e-15)
+    assert np.allclose(signed, [0.5, 0.5], rtol=0, atol=1e-15)
 
     basis = np.zeros(8)
     basis[3] = 1.0
     res = measure_exact(prepare_state(basis))
-    assert res.probabilities[3] == 1.0
-    assert res.probabilities.sum() == 1.0
+    assert res[3] == 1.0
+    assert res.sum() == 1.0
 
 
 def test_measure_sampled_deterministic_state():
     basis = np.zeros(4)
     basis[2] = 1.0
     res = measure_sampled(prepare_state(basis), shots=1000, seed=1)
-    assert res.counts[2] == 1000
-    assert res.counts.sum() == 1000
+    assert res[2] == 1000
+    assert res.sum() == 1000
 
 
 def test_measure_sampled_uniform_five_sigma():
     # Binomial(1e6, 1/2): 5 sigma = 2500, bound stated at 5000.
     s = prepare_state([1 / math.sqrt(2), 1 / math.sqrt(2)])
     res = measure_sampled(s, shots=10**6)
-    assert res.seed == DEFAULT_SEED
-    assert abs(res.counts[0] - 5 * 10**5) < 5 * 10**3
-    assert abs(res.counts[1] - 5 * 10**5) < 5 * 10**3
+    assert np.array_equal(res, measure_sampled(s, shots=10**6, seed=DEFAULT_SEED))
+    assert abs(res[0] - 5 * 10**5) < 5 * 10**3
+    assert abs(res[1] - 5 * 10**5) < 5 * 10**3
 
 
 def test_measure_sampled_seed_replay():
@@ -120,7 +132,7 @@ def test_measure_sampled_seed_replay():
     s = prepare_state(v)
     a = measure_sampled(s, shots=5000, seed=77)
     b = measure_sampled(s, shots=5000, seed=77)
-    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(a, b)
 
 
 def test_measure_sampled_counts_sum_exactly_to_shots():
@@ -129,8 +141,8 @@ def test_measure_sampled_counts_sum_exactly_to_shots():
     s = prepare_state(v / np.linalg.norm(v))
     for shots in (1, 7, 1000, 10**6 + 3):
         res = measure_sampled(s, shots, seed=shots)
-        assert res.counts.shape == (64,)
-        assert int(res.counts.sum()) == shots
+        assert res.shape == (64,)
+        assert int(res.sum()) == shots
 
 
 def test_measure_sampled_huge_shot_budget_allocates_nothing_per_shot():
@@ -139,11 +151,11 @@ def test_measure_sampled_huge_shot_budget_allocates_nothing_per_shot():
     v = rng.standard_normal(16)
     s = prepare_state(v / np.linalg.norm(v))
     res = measure_sampled(s, shots=10**12, seed=5)
-    assert res.counts.dtype == np.int64
-    assert int(res.counts.sum()) == 10**12
+    assert res.dtype == np.int64
+    assert int(res.sum()) == 10**12
     # Frequency noise is at most sqrt(1/4 / 1e12) = 5e-7 per outcome.
-    exact = measure_exact(s).probabilities
-    assert np.max(np.abs(res.counts / 10**12 - exact)) < 1e-5
+    exact = measure_exact(s)
+    assert np.max(np.abs(res / 10**12 - exact)) < 1e-5
 
 
 def test_measure_sampled_rejects_zero_shots():
@@ -153,7 +165,7 @@ def test_measure_sampled_rejects_zero_shots():
 
 def test_measure_sampled_shot_budget_bounded_by_int64_counts():
     s = prepare_state([1.0, 0.0])
-    assert measure_sampled(s, shots=2**63 - 1).counts[0] == 2**63 - 1
+    assert measure_sampled(s, shots=2**63 - 1)[0] == 2**63 - 1
     with pytest.raises(ValueError):
         measure_sampled(s, shots=2**63)
 
@@ -163,12 +175,12 @@ def test_sampled_frequencies_converge_to_exact():
     v = rng.standard_normal(4)
     v /= np.linalg.norm(v)
     s = prepare_state(v)
-    exact = measure_exact(s).probabilities
+    exact = measure_exact(s)
     batch = range(DEFAULT_SEED, DEFAULT_SEED + 8)
     means = []
     for shots in (10**2, 10**4, 10**6):
         errs = [
-            np.max(np.abs(measure_sampled(s, shots, seed).counts / shots - exact))
+            np.max(np.abs(measure_sampled(s, shots, seed) / shots - exact))
             for seed in batch
         ]
         means.append(np.mean(errs))

@@ -296,6 +296,11 @@ def test_sampled_config_without_shots_fails_at_construction():
         SolverConfig(n_max=1, backend="hybrid-sampled")
 
 
+def test_exact_backend_config_refuses_shots():
+    with pytest.raises(ValueError, match="exact mode draws no shots"):
+        SolverConfig(n_max=1, backend="hybrid-exact", shots=5)
+
+
 def test_config_derives_the_hybrid_config_once():
     assert SolverConfig(n_max=1).hybrid is None
     exact = SolverConfig(n_max=1, backend="hybrid-exact", epsilon=0.25)
