@@ -16,13 +16,12 @@ with low(m) the lowest set bit of m,
     I[m - low(m), m] =  low(m) / 2N      for 1 <= m < N
     I[m, m - low(m)] = -low(m) / 2N
 
-The differentiation matrix D_N = I_N^-1 = H J^-1 H has the mirrored
-pattern on the odd indices, also 2N-1 nonzeros:
+The differentiation matrix D_N = I_N^-1 = H J^-1 H is built from I_{N/2}
+(I_1 = [1/2]), a copy of which also fills the even indices of I_N:
 
-    D[1, 1] = 2N^2
-    D[k, k+1] = -2N,  D[k+1, k] = 2N                    for even k
-    D[e - low(e) + 1, e + 1] =  2N low(e)               for even 2 <= e < N
-    D[e + 1, e - low(e) + 1] = -2N low(e)
+    I_N[0::2, 0::2] = I_{N/2}
+    D_N[1::2, 1::2] = 4N^2 I_{N/2}
+    D[k, k+1] = -2N,  D[k+1, k] = 2N        for even k; no other nonzeros
 
 Every entry is a dyadic rational, so the float64 operators are exact.
 Each is stored as index and value arrays built in O(N) and applied in
@@ -103,20 +102,12 @@ def _integration_nonzeros(N: int):
 
 
 def _differentiation_nonzeros(N: int):
+    rows, cols, values = _integration_nonzeros(N // 2)
     even = np.arange(0, N, 2)
-    e = even[1:]
-    low = e & -e
-    p, q = e - low + 1, e + 1
-    rows = np.concatenate(([1], even, even + 1, p, q))
-    cols = np.concatenate(([1], even + 1, even, q, p))
-    values = np.concatenate((
-        [2.0 * N * N],
-        np.full(even.size, -2.0 * N),
-        np.full(even.size, 2.0 * N),
-        2.0 * N * low,
-        -2.0 * N * low,
-    ))
-    return rows, cols, values
+    pair = np.full(even.size, 2.0 * N)
+    return (np.concatenate((2 * rows + 1, even, even + 1)),
+            np.concatenate((2 * cols + 1, even + 1, even)),
+            np.concatenate((4.0 * N * N * values, -pair, pair)))
 
 
 def _operator(kind: str, N: int, nonzeros) -> OperationalMatrix:

@@ -148,9 +148,9 @@ def cmd_table(args) -> int:
         matrix = integration_matrix(N).entries
     else:
         matrix = differentiation_matrix(N).entries
-    # One join per row: _write_csv's per-column format string is slower at N columns.
-    _write_text(args.output, "".join(",".join(map(repr, row)) + "\n"
-                                     for row in matrix.tolist()))
+    # Row by row: a per-column format is slower, and matrix.tolist() boxes all N^2 cells.
+    _write_text(args.output, "".join(",".join(map(repr, row.tolist())) + "\n"
+                                     for row in matrix))
     return EXIT_OK
 
 

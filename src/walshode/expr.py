@@ -8,6 +8,10 @@ Grammar (recursive descent, no implicit multiplication):
     power   := atom ('^' unary)?            # right-associative
     atom    := NUMBER | 't' | 'x'<digits> | FUNC '(' expr ')' | '(' expr ')'
     FUNC    := sin | cos | tan | exp | log | sqrt | abs
+    NUMBER  := (digits ('.' digits?)? | '.' digits) ([eE] [+-]? digits)?
+
+Digits, letters and whitespace are ASCII; any other character is a parse
+error at its offset.
 
 Precedence, tightest first: ^, unary -, * /, + -.  So ``-x1^2`` is
 -(x1^2) and ``2^3^2`` is 2^(3^2) = 512.  Parse errors carry the byte
@@ -21,6 +25,8 @@ floats and ``math`` (the scalar oracle, which names domain errors), and
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +44,9 @@ FUNCTIONS = {
 }
 
 _GRID_FUNCTIONS = {name: getattr(np, name) for name in FUNCTIONS}
+
+_SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "^": math.pow}
 
 _GRID_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
              "^": np.power}
@@ -85,46 +94,26 @@ class _Token:
     pos: int
 
 
+# Optional whitespace, then a token or the offending character; \s \d \w are ASCII.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*/^()])|(?P<end>\Z)|(?P<bad>.))",
+    re.ASCII | re.DOTALL,
+)
+
+
 def _tokenize(src: str) -> list[_Token]:
     tokens = []
-    i = 0
-    length = len(src)
-    while i < length:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < length and src[i + 1].isdigit()):
-            start = i
-            while i < length and src[i].isdigit():
-                i += 1
-            if i < length and src[i] == ".":
-                i += 1
-                while i < length and src[i].isdigit():
-                    i += 1
-            if i < length and src[i] in "eE":
-                j = i + 1
-                if j < length and src[j] in "+-":
-                    j += 1
-                if j < length and src[j].isdigit():
-                    i = j
-                    while i < length and src[i].isdigit():
-                        i += 1
-            tokens.append(_Token("num", src[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < length and (src[i].isalnum() or src[i] == "_"):
-                i += 1
-            tokens.append(_Token("ident", src[start:i], start))
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise ExprError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", length))
-    return tokens
+    pos = 0
+    while True:
+        match = _TOKEN.match(src, pos)
+        kind = match.lastgroup
+        if kind == "bad":
+            raise ExprError(f"unexpected character {match[kind]!r}", match.start(kind))
+        tokens.append(_Token(kind, match[kind], match.start(kind)))
+        if kind == "end":
+            return tokens
+        pos = match.end()
 
 
 class _Parser:
@@ -236,15 +225,7 @@ def evaluate(node: Expr, x, t: float) -> float:
     left = evaluate(node.left, x, t)
     right = evaluate(node.right, x, t)
     try:
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            return left / right
-        return math.pow(left, right)
+        return _SCALAR_OPS[node.op](left, right)
     except (ZeroDivisionError, ValueError, OverflowError) as exc:
         raise ExprEvalError(f"{left} {node.op} {right} is undefined") from exc
 

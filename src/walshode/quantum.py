@@ -39,7 +39,7 @@ def prepare_state(v) -> StateVector:
     a = np.array(v, dtype=float)
     _require_vector(a, "state vector")
     norm = float(np.linalg.norm(a))
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:  # also True for nan
         raise ValueError(f"state vector must have unit norm, got {norm!r}")
     return StateVector(a)
 

@@ -76,7 +76,9 @@ class SolverConfig:
     """Sweep budget, stopping tolerance and backend.
 
     ``hybrid`` is derived: None for classical, else every integral's
-    HybridConfig.  Frozen, so it always matches the other fields.
+    HybridConfig.  Frozen, so it always matches the other fields.  The
+    classical backend refuses ``epsilon`` and ``shots``; it cannot refuse
+    ``seed``, because a given seed cannot be told apart from the default.
     """
 
     n_max: int
@@ -95,6 +97,9 @@ class SolverConfig:
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
         mode = self.backend.removeprefix("hybrid-")
+        for name in ("epsilon", "shots"):
+            if mode == "classical" and getattr(self, name) is not None:
+                raise ValueError(f"{name} does not apply to backend classical")
         hybrid = None if mode == "classical" else HybridConfig(
             epsilon=self.epsilon, mode=mode, shots=self.shots, seed=self.seed)
         object.__setattr__(self, "hybrid", hybrid)

@@ -113,14 +113,6 @@ def _binary_to_gray(v):
     return v ^ (v >> 1)
 
 
-def _gray_to_binary(g):
-    # Prefix XOR from the top bit down; fixed shifts cover 64-bit values.
-    b = g
-    for shift in (1, 2, 4, 8, 16, 32):
-        b = b ^ (b >> shift)
-    return b
-
-
 def character_eval(k: int, x: int, n: int) -> int:
     """chi_k(x) = (-1)^popcount(k AND x) for the group {0,1}^n."""
     N = _require_qubits(n)
@@ -172,16 +164,20 @@ def ordering_permutation(
     """Gather permutation p with converted[i] = original[p[i]].
 
     natural -> sequency:  p[s] = bit_reverse(s XOR (s >> 1), n), so the
-    permuted character table has exactly s sign changes in row s.
+    permuted character table has exactly s sign changes in row s;
+    sequency -> natural is its inverse.
     """
     N = _require_qubits(n)
     idx = np.arange(N, dtype=np.int64)
     if source == target:
         return idx
+    forward = _bit_reverse(_binary_to_gray(idx), n)
     if source == WalshOrdering.NATURAL and target == WalshOrdering.SEQUENCY:
-        return _bit_reverse(_binary_to_gray(idx), n)
+        return forward
     if source == WalshOrdering.SEQUENCY and target == WalshOrdering.NATURAL:
-        return _gray_to_binary(_bit_reverse(idx, n))
+        inverse = np.empty_like(forward)
+        inverse[forward] = idx
+        return inverse
     raise ValueError(f"unsupported ordering pair {source} -> {target}")
 
 

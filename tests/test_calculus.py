@@ -121,6 +121,24 @@ def test_sparse_operators_equal_dense_oracle_bit_for_bit():
             assert np.array_equal(matrix.entries, oracle), (matrix.kind, n)
 
 
+def test_operators_hold_half_size_integration_blocks():
+    # I_N[0::2, 0::2] = I_{N/2} and D_N[1::2, 1::2] = 4N^2 I_{N/2}, with the
+    # pairs (k, k+1), k even, coupled by -+1/(2N) in I_N and +-2N in D_N.
+    for n in range(2, 11):
+        N = 1 << n
+        half = integration_matrix(N // 2).entries
+        I, D = integration_matrix(N).entries, differentiation_matrix(N).entries
+        assert np.array_equal(I[0::2, 0::2], half), n
+        assert np.array_equal(D[1::2, 1::2], 4.0 * N * N * half), n
+        k = np.arange(0, N, 2)
+        assert np.all(I[k, k + 1] == 1 / (2 * N)) and np.all(I[k + 1, k] == -1 / (2 * N))
+        assert np.all(D[k, k + 1] == -2.0 * N) and np.all(D[k + 1, k] == 2.0 * N)
+        assert not D[0::2, 0::2].any(), n
+        # The couplings and the two blocks hold every nonzero.
+        assert np.count_nonzero(I) == np.count_nonzero(half) + N, n
+        assert np.count_nonzero(D) == np.count_nonzero(half) + N, n
+
+
 def test_apply_matches_dense_product():
     rng = np.random.default_rng(2024)
     for N in (2, 8, 64, 1024):

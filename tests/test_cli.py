@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from walshode import (
     OperationalMatrix,
     analytic_reference,
+    calculus,
     character_table,
     cli,
     differentiation_matrix,
@@ -198,6 +200,22 @@ def test_table_byte_identical_to_per_cell_writer(tmp_path, capsys, kind, n):
     code, out, _ = run(capsys, "table", "--kind", kind, "--n", str(n), "-o", str(dst))
     assert code == 0 and out == ""
     assert dst.read_bytes() == expected.encode("utf-8")
+
+
+def test_table_converts_one_row_at_a_time(tmp_path, capsys, monkeypatch):
+    # A fresh operator cache, so the dense array is built inside the traced
+    # run; matrix.tolist() over all N^2 cells peaked near 44 MiB here.
+    monkeypatch.setattr(calculus, "_cache", {})
+    dense_bytes = 8 * 1024 * 1024
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "table", "--kind", "integration", "--n", "10",
+                           "-o", str(tmp_path / "table.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out == ""
+    assert peak < 3 * dense_bytes
 
 
 @pytest.mark.parametrize("n", ["-1", "0", "63", "1000000000"])

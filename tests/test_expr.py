@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from walshode import ExprError, ExprEvalError, builtin_problem
-from walshode.expr import BinOp, Neg, Num, Var, evaluate, parse, to_source
+from walshode.expr import BinOp, Neg, Num, Var, _tokenize, evaluate, parse, to_source
 
 
 def ev(src, x=(), t=0.0, m=None):
@@ -53,6 +53,37 @@ def test_unbalanced_parentheses():
         parse("(x1 + 1", 1)
     with pytest.raises(ExprError):
         parse("x1 + 1)", 1)
+
+
+@pytest.mark.parametrize("src, m, offset", [
+    ("x1\u00b2", 1, 2),        # superscript two after a variable
+    ("\u00b2", 0, 0),          # superscript two alone
+    ("\u0663 + x1", 1, 0),     # Arabic-Indic three
+    ("x1\u00a0+ 1", 1, 2),     # no-break space
+    ("\u00e9 + 1", 0, 0),      # accented letter
+    ("1 + .", 0, 4),           # a point with no digit after it
+    ("x1 @ 2", 1, 3),
+])
+def test_characters_outside_the_grammar_are_parse_errors(src, m, offset):
+    with pytest.raises(ExprError, match="unexpected character") as info:
+        parse(src, m)
+    assert info.value.offset == offset
+
+
+@pytest.mark.parametrize("src, tokens", [
+    ("5.", [("num", "5.", 0), ("end", "", 2)]),
+    (".5", [("num", ".5", 0), ("end", "", 2)]),
+    ("1e", [("num", "1", 0), ("ident", "e", 1), ("end", "", 2)]),
+    ("1e+5", [("num", "1e+5", 0), ("end", "", 4)]),
+    ("1.5.3", [("num", "1.5", 0), ("num", ".3", 3), ("end", "", 5)]),
+    ("1e5e3", [("num", "1e5", 0), ("ident", "e3", 3), ("end", "", 5)]),
+    ("\tx1\n*\t2\n", [("ident", "x1", 1), ("op", "*", 4), ("num", "2", 6),
+                      ("end", "", 8)]),
+    ("x1 + 1  ", [("ident", "x1", 0), ("op", "+", 3), ("num", "1", 5),
+                  ("end", "", 8)]),
+])
+def test_ascii_edge_case_tokens(src, tokens):
+    assert [(tok.kind, tok.text, tok.pos) for tok in _tokenize(src)] == tokens
 
 
 def test_function_requires_parentheses():

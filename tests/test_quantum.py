@@ -40,6 +40,12 @@ def test_prepare_rejects_bad_norm_and_length():
         prepare_state([1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_prepare_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="unit norm"):
+        prepare_state([bad, 0.0, 0.0, 0.0])
+
+
 def test_prepare_rejects_input_that_is_not_one_vector():
     # Unit norm and a power-of-two size, but a 2x2 block, not a register.
     with pytest.raises(ValueError, match="state vector must form a 1-D vector"):

@@ -301,6 +301,13 @@ def test_exact_backend_config_refuses_shots():
         SolverConfig(n_max=1, backend="hybrid-exact", shots=5)
 
 
+@pytest.mark.parametrize("setting", [{"epsilon": 0.5}, {"shots": 5}])
+def test_classical_backend_config_refuses_hybrid_settings(setting):
+    (name,) = setting
+    with pytest.raises(ValueError, match=f"{name} does not apply to backend classical"):
+        SolverConfig(n_max=1, **setting)
+
+
 def test_config_derives_the_hybrid_config_once():
     assert SolverConfig(n_max=1).hybrid is None
     exact = SolverConfig(n_max=1, backend="hybrid-exact", epsilon=0.25)
@@ -314,7 +321,7 @@ def test_config_derives_the_hybrid_config_once():
     assert sampled == SolverConfig(n_max=1, backend="hybrid-sampled", shots=100, seed=4)
     with pytest.raises(dataclasses.FrozenInstanceError):
         sampled.backend = "classical"
-    assert dataclasses.replace(sampled, backend="classical").hybrid is None
+    assert dataclasses.replace(sampled, backend="classical", shots=None).hybrid is None
 
 
 def test_nonunit_domain_solution():
