@@ -40,7 +40,7 @@ from .solver import (
     picard_solve,
 )
 from .transform import OpCount, fwht, iwht, wht_naive
-from .walsh import _require_qubits, character_table
+from .walsh import _require_power_of_two, _require_qubits, character_table
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -143,13 +143,13 @@ def cmd_transform(args) -> int:
 def cmd_table(args) -> int:
     N = _require_qubits(args.n)
     if args.kind == "character":
-        matrix = character_table(args.n).astype(float)
+        matrix = character_table(args.n)
     elif args.kind == "integration":
         matrix = integration_matrix(N).entries
     else:
         matrix = differentiation_matrix(N).entries
-    # Row by row: a per-column format is slower, and matrix.tolist() boxes all N^2 cells.
-    _write_text(args.output, "".join(",".join(map(repr, row.tolist())) + "\n"
+    # Row by row, each made float: a per-column format is slower, matrix.tolist() boxes N^2 cells.
+    _write_text(args.output, "".join(",".join(map(repr, row.astype(float).tolist())) + "\n"
                                      for row in matrix))
     return EXIT_OK
 
@@ -245,8 +245,7 @@ def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     for N in args.sizes:
-        if N < 2 or N & (N - 1):
-            raise UsageError(f"sizes must be powers of two >= 2, got {N}")
+        _require_power_of_two(N)
         require_bytes(16 * N, f"bench input and transform output at N={N}")
     transforms = {
         "fast": fwht,

@@ -139,6 +139,8 @@ def hybrid_wht(
     epsilon = cfg.epsilon if cfg.epsilon is not None else 1e-3 * (1.0 + abs_sum)
     shift = epsilon + abs_sum
     norm = math.sqrt(shift * shift + float(np.sum(a[1:] ** 2)))
+    if not math.isfinite(norm):
+        raise ValueError(f"the shifted vector's norm overflows float64 (shift {shift!r})")
 
     shifted = a.copy()
     shifted[0] = shift

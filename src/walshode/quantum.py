@@ -1,9 +1,10 @@
 """Desk-scale statevector simulator for one circuit: H on every qubit.
 
 Amplitudes are real (the transforms in this package act on real data),
-so no phase tracking is needed.  The Hadamard layer is implemented as n
-single-qubit sweeps, a deliberately different code path from the
-butterfly in ``transform`` so the two can cross-check each other.
+so no phase tracking is needed.  The Hadamard layer fuses the H gates of
+k <= _GROUP adjacent qubits into one 2^k x 2^k gate, one matrix product
+per group (gate fusion, as in qsim), a deliberately different code path
+from the butterfly in ``transform`` so the two can cross-check each other.
 The measurements return plain arrays: ``measure_exact`` the Born-rule
 probabilities, ``measure_sampled`` the int64 outcome counts, which come
 from one multinomial draw: O(N) whatever the shots.
@@ -12,6 +13,7 @@ from one multinomial draw: O(N) whatever the shots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -20,7 +22,19 @@ from .walsh import _require_vector
 #: Seed used when callers do not supply one; fixed so runs are replayable.
 DEFAULT_SEED = 12345
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+#: Qubits per fused gate; a group costs 2^k multiply-adds per amplitude.
+_GROUP = 5
+
+
+def _fused_gate(k: int) -> np.ndarray:
+    """Read-only H^{(x)k}: k Kronecker factors [[1, 1], [1, -1]] times 2^(-k/2)."""
+    gate = reduce(np.kron, [[[1.0, 1.0], [1.0, -1.0]]] * k, np.array([[2.0 ** (-k / 2)]]))
+    gate.flags.writeable = False
+    return gate
+
+
+#: _GATES[k] acts on k adjacent qubits; shared by every call, never written.
+_GATES = tuple(_fused_gate(k) for k in range(_GROUP + 1))
 
 
 @dataclass
@@ -45,14 +59,17 @@ def prepare_state(v) -> StateVector:
 
 
 def apply_hadamard_all(state: StateVector) -> StateVector:
-    """Apply one H gate per qubit; returns a new state, norm preserved."""
-    a = state.amplitudes.copy()
-    for q in range(state.n):
-        pairs = a.reshape(-1, 2, 1 << q)
-        lo = (pairs[:, 0, :] + pairs[:, 1, :]) * _INV_SQRT2
-        hi = (pairs[:, 0, :] - pairs[:, 1, :]) * _INV_SQRT2
-        pairs[:, 0, :] = lo
-        pairs[:, 1, :] = hi
+    """Apply one H gate per qubit; returns a new float64 state, norm preserved.
+
+    Qubits [q, q+k) are the gate times the (N/2^(q+k), 2^k, 2^q) view, the lowest
+    the (N/2^k, 2^k) view times the symmetric gate; no product aliases the input.
+    """
+    n = state.n
+    k = min(n, _GROUP)
+    a = np.asarray(state.amplitudes, dtype=float).reshape(-1, 1 << k) @ _GATES[k]
+    for q in range(k, n, _GROUP):
+        k = min(_GROUP, n - q)
+        a = _GATES[k] @ a.reshape(-1, 1 << k, 1 << q)
     return StateVector(a.reshape(-1))
 
 

@@ -92,11 +92,11 @@ def midpoints(N: int, domain: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
 
 
 def _parity(v: np.ndarray) -> np.ndarray:
-    """Elementwise popcount parity (works for any int width up to 64 bits)."""
-    v = v.copy()
+    """Elementwise popcount parity (int width up to 64 bits), in place: overwrites v."""
     for shift in (32, 16, 8, 4, 2, 1):
         v ^= v >> shift
-    return v & 1
+    v &= 1
+    return v
 
 
 def _bit_reverse(v, n: int):
@@ -134,8 +134,8 @@ def character_table(n: int) -> np.ndarray:
     N = _require_qubits(n)
     require_bytes(8 * N * N, f"character table for n={n}")
     idx = np.arange(N, dtype=np.int64)
-    par = _parity(idx[:, None] & idx[None, :])
-    return (1 - 2 * par).astype(np.int8)
+    par = _parity(idx[:, None] & idx[None, :]).astype(np.int8)
+    return 1 - 2 * par
 
 
 def sequency_walsh_recursive(j: int, x: float) -> int:

@@ -143,6 +143,16 @@ def test_transform_non_power_of_two_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_transform_hybrid_norm_overflow_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    write_input(src, [1e160, 1.0, 0.0, 0.0])
+    code, out, err = run(capsys, "transform", str(src), "-o", str(tmp_path / "o.txt"),
+                         "--backend", "hybrid-exact")
+    assert code == 2 and out == ""
+    assert "shifted vector's norm overflows" in err
+    assert not (tmp_path / "o.txt").exists()
+
+
 def test_transform_missing_file_is_io_error(tmp_path, capsys):
     code, _, _ = run(capsys, "transform", str(tmp_path / "nope.txt"),
                      "-o", str(tmp_path / "o.txt"))
@@ -216,6 +226,21 @@ def test_table_converts_one_row_at_a_time(tmp_path, capsys, monkeypatch):
         tracemalloc.stop()
     assert code == 0 and out == ""
     assert peak < 3 * dense_bytes
+
+
+def test_character_table_dump_peaks_at_two_int64_tables(tmp_path, capsys):
+    # The int64 pairwise ANDs and one shift temporary take 16 MiB at n=10; a
+    # copy of the ANDs inside the parity and int64 sign arithmetic reached 24 MiB.
+    dense_bytes = 8 * 1024 * 1024
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "table", "--kind", "character", "--n", "10",
+                           "-o", str(tmp_path / "table.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out == ""
+    assert peak < 2.5 * dense_bytes
 
 
 @pytest.mark.parametrize("n", ["-1", "0", "63", "1000000000"])
@@ -513,9 +538,14 @@ def test_bench_counts(tmp_path, capsys):
     assert hybrid_2048 == 2 * hybrid_1024
 
 
-def test_bench_rejects_bad_size(capsys):
-    code, _, _ = run(capsys, "bench", "--sizes", "12")
-    assert code == 2
+def test_bench_rejects_bad_size(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("bench input allocated")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    code, out, err = run(capsys, "bench", "--sizes", "16", "12")
+    assert code == 2 and out == ""
+    assert "power of two" in err
 
 
 def test_bench_oversized_size_refused_before_any_size_runs(capsys, monkeypatch):

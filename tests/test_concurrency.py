@@ -7,6 +7,8 @@ import numpy as np
 
 from walshode import (
     HybridConfig,
+    StateVector,
+    apply_hadamard_all,
     builtin_problem,
     fwht,
     hybrid_wht,
@@ -15,6 +17,7 @@ from walshode import (
     SolverConfig,
 )
 from walshode.calculus import _cache
+from walshode.quantum import _GATES
 
 
 def test_matrix_memo_is_shared_and_consistent_across_threads():
@@ -60,6 +63,23 @@ def test_blocked_fwht_shares_no_scratch_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
+
+
+def test_hadamard_layer_shares_only_read_only_gates_across_threads():
+    # n = 1..13 use every gate size; each call writes only its own products.
+    rng = np.random.default_rng(1313)
+    states = [StateVector(rng.standard_normal(1 << n)) for n in range(1, 14)] * 4
+    expected = [apply_hadamard_all(s).amplitudes for s in states]
+    gates = [g.copy() for g in _GATES]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(apply_hadamard_all, states, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(g.amplitudes.tobytes() == e.tobytes() for g, e in zip(got, expected))
+    assert all(not g.flags.writeable and np.array_equal(g, c) for g, c in zip(_GATES, gates))
 
 
 def test_distinct_solves_run_concurrently():

@@ -111,6 +111,15 @@ def test_rejects_non_finite_input():
         hybrid_wht([1.0, float("inf"), 0.0, 0.0])
 
 
+def test_overflowing_shifted_norm_is_named():
+    # shift * shift overflows; shifted / norm used to be all zeros and the
+    # error blamed the state vector's norm.
+    count = OpCount()
+    with pytest.raises(ValueError, match="shifted vector's norm overflows"):
+        hybrid_wht([1e160, 1.0, 0.0, 0.0], count=count)
+    assert count.additions == count.multiplications == count.square_roots == 0
+
+
 def test_rejects_input_that_is_not_one_vector():
     for fn in (hybrid_wht, sign_safe):
         with pytest.raises(ValueError, match="must form a 1-D vector"):

@@ -9,11 +9,28 @@ from walshode import (
     DEFAULT_SEED,
     StateVector,
     apply_hadamard_all,
+    character_table,
     fwht,
     measure_exact,
     measure_sampled,
     prepare_state,
 )
+from walshode.quantum import _GATES, _GROUP
+
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def _per_qubit_hadamard(a):
+    """Reference H layer: one sweep of 2x2 gates per qubit, in place on a float copy."""
+    a = np.array(a, dtype=float)
+    for q in range(a.size.bit_length() - 1):
+        pairs = a.reshape(-1, 2, 1 << q)
+        lo = (pairs[:, 0, :] + pairs[:, 1, :]) * _INV_SQRT2
+        hi = (pairs[:, 0, :] - pairs[:, 1, :]) * _INV_SQRT2
+        pairs[:, 0, :] = lo
+        pairs[:, 1, :] = hi
+    return a
 
 
 def test_prepare_basis_state():
@@ -66,6 +83,9 @@ def test_state_qubit_count_is_derived_from_the_amplitudes():
 def test_hadamard_on_single_qubit_states():
     plus = apply_hadamard_all(prepare_state([1.0, 0.0]))
     assert np.allclose(plus.amplitudes, [1 / math.sqrt(2)] * 2, rtol=0, atol=1e-15)
+    # Integer amplitudes: float results written into an int copy gave [0, 0].
+    plus = apply_hadamard_all(StateVector(np.array([1, 0])))
+    assert np.allclose(plus.amplitudes, [1 / math.sqrt(2)] * 2, rtol=0, atol=1e-15)
     minus = apply_hadamard_all(prepare_state([0.0, 1.0]))
     assert np.allclose(
         minus.amplitudes, [1 / math.sqrt(2), -1 / math.sqrt(2)], rtol=0, atol=1e-15
@@ -89,8 +109,47 @@ def test_hadamard_preserves_norm():
         assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
 
 
+def test_fused_layer_matches_per_qubit_sweeps():
+    # Groups of 5 from qubit 0: n = 5 and 10 end on a full group, 6 and 11 on one qubit.
+    rng = np.random.default_rng(37)
+    for n in range(1, 17):
+        v = rng.standard_normal(1 << n)
+        v /= np.linalg.norm(v)
+        s = apply_hadamard_all(StateVector(v))
+        assert np.max(np.abs(s.amplitudes - _per_qubit_hadamard(v))) < 1e-15, n
+
+
+def test_fused_gates_are_read_only_kronecker_powers():
+    assert _GROUP == len(_GATES) - 1 == 5
+    assert np.array_equal(_GATES[0], [[1.0]])
+    for k in range(1, _GROUP + 1):
+        gate = _GATES[k]
+        assert gate.shape == (1 << k, 1 << k) and not gate.flags.writeable
+        assert np.array_equal(np.sign(gate), character_table(k))
+        magnitude = np.abs(gate)
+        assert np.all(magnitude == magnitude[0, 0])
+        if k % 2 == 0:  # 2^(-k/2) is a power of two: every entry exact
+            assert magnitude[0, 0] == math.ldexp(1.0, -k // 2)
+        else:  # sqrt(2)/2^((k+1)/2), rounded once
+            scaled = math.ldexp(magnitude[0, 0], (k + 1) // 2)
+            assert math.isclose(scaled, math.sqrt(2.0), rel_tol=2**-52)
+
+
+@pytest.mark.parametrize("dtype", [float, np.int64, np.int8])
+def test_hadamard_layer_computes_in_float_and_never_aliases(dtype):
+    for n in range(0, 8):
+        a = np.zeros(1 << n, dtype=dtype)
+        a[-1] = 1
+        before = a.copy()
+        out = apply_hadamard_all(StateVector(a)).amplitudes
+        assert out.dtype == np.float64 and out.shape == a.shape
+        assert not np.shares_memory(out, a)
+        assert np.array_equal(a, before)
+        assert np.max(np.abs(out - _per_qubit_hadamard(a))) < 1e-15
+
+
 def test_hadamard_layer_matches_fast_transform():
-    # Independent code paths: per-qubit sweeps vs stride-doubling butterfly.
+    # Independent code paths: fused gate products vs constant-geometry butterfly.
     rng = np.random.default_rng(29)
     for n in range(1, 13):
         v = rng.standard_normal(1 << n)

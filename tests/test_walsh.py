@@ -50,6 +50,7 @@ def test_character_eval_range_checks():
 
 
 def test_character_table_n1_n2():
+    assert character_table(1).dtype == np.int8
     assert np.array_equal(character_table(1), [[1, 1], [1, -1]])
     expected = np.array(
         [
