@@ -31,7 +31,7 @@ from .errors import (
     require_bytes,
 )
 from .expr import evaluate, evaluate_grid, parse
-from .hybrid import HybridConfig, hybrid_wht
+from .hybrid import backend_config, hybrid_wht
 from .solver import (
     IVProblem,
     SolverConfig,
@@ -96,25 +96,15 @@ def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -
     _write_text(path, ",".join(header) + "\n" + text)
 
 
-def _hybrid_config(args) -> HybridConfig:
-    """The hybrid settings of the flags; a flag the backend would ignore is an error."""
-    sampled = args.backend == "hybrid-sampled"
-    hybrid = sampled or args.backend == "hybrid-exact"
-    for flag, applies in (("shots", sampled), ("seed", sampled), ("epsilon", hybrid)):
-        if getattr(args, flag) is not None and not applies:
-            raise UsageError(f"--{flag} does not apply to backend {args.backend}")
-    if not sampled:
-        return HybridConfig(epsilon=args.epsilon, mode="exact")
-    for flag in ("shots", "seed"):
-        if getattr(args, flag) is None:
-            raise UsageError(f"backend hybrid-sampled requires --{flag}")
-    return HybridConfig(
-        epsilon=args.epsilon, mode="sampled", shots=args.shots, seed=args.seed
-    )
+def _require_seed(args) -> None:
+    """The CLI's own rule: a sampled run needs an explicit --seed to replay from."""
+    if args.backend == "hybrid-sampled" and args.seed is None:
+        raise UsageError("backend hybrid-sampled requires --seed")
 
 
 def cmd_transform(args) -> int:
-    hybrid = _hybrid_config(args)
+    hybrid = backend_config(args.backend, args.epsilon, args.shots, args.seed)
+    _require_seed(args)
     v = read_vector(args.input)
     count = OpCount()
     started = time.perf_counter()
@@ -184,16 +174,10 @@ def _rhs_callable(node):
 
 
 def cmd_solve(args) -> int:
-    hybrid = _hybrid_config(args)
+    config = SolverConfig(n_max=args.nmax, tol=args.tol, backend=args.backend,
+                          epsilon=args.epsilon, shots=args.shots, seed=args.seed)
+    _require_seed(args)
     problem, known_name = _problem_from_args(args)
-    config = SolverConfig(
-        n_max=args.nmax,
-        tol=args.tol,
-        backend=args.backend,
-        epsilon=hybrid.epsilon,
-        shots=hybrid.shots,
-        seed=hybrid.seed,
-    )
     started = time.perf_counter()
     solution, trace = picard_solve(problem, config)
     elapsed = time.perf_counter() - started
@@ -282,8 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
+    # The hybrid settings; hybrid.backend_config decides which backend takes which.
+    hybrid = argparse.ArgumentParser(add_help=False)
+    hybrid.add_argument("--shots", type=int, default=None)
+    hybrid.add_argument("--seed", type=int, default=None)
+    hybrid.add_argument("--epsilon", type=float, default=None)
 
-    p = sub.add_parser("transform", help="transform a vector file")
+    p = sub.add_parser("transform", parents=[hybrid], help="transform a vector file")
     p.add_argument("input", help="vector file, one value per line")
     p.add_argument("-o", "--output", required=True, help="output vector file")
     p.add_argument(
@@ -293,9 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--inverse", action="store_true",
                    help="apply the inverse transform (same map: involution)")
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("table", help="dump a matrix as CSV")
@@ -305,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("solve", help="solve an initial-value problem")
+    p = sub.add_parser("solve", parents=[hybrid], help="solve an initial-value problem")
     spec = p.add_mutually_exclusive_group()
     spec.add_argument("--problem", choices=["riccati", "beer_system"], default=None)
     spec.add_argument("--rhs", action="append", default=None,
@@ -327,9 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true",
                    help="also write every iteration to trace.csv")
     p.add_argument("--output-dir", default=".")
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="operation-count and timing table")

@@ -37,46 +37,59 @@ from .quantum import (
 from .transform import OpCount
 from .walsh import _require_vector
 
-_MODES = ("exact", "sampled")
+#: The settings each hybrid backend takes; any other backend takes none.
+_SETTINGS = {"hybrid-exact": ("epsilon",), "hybrid-sampled": ("epsilon", "shots", "seed")}
 
 
 @dataclass(frozen=True)
 class HybridConfig:
-    """Knobs for one transform run.
+    """Knobs for one transform run; a shot count makes it sampled.
 
     ``epsilon`` is the strictly positive shift margin; None selects
     1e-3 * (1 + sum|a_k|), large enough for strict positivity without
-    concentrating amplitude on the shifted slot.  ``shots`` is required
-    in sampled mode and refused in exact mode, which draws nothing.
+    concentrating amplitude on the shifted slot.  ``shots`` None reads
+    the exact probabilities; a count draws that many shots from ``seed``.
     """
 
     epsilon: float | None = None
-    mode: str = "exact"
     shots: int | None = None
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.epsilon is not None and not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be strictly positive, got {self.epsilon}")
-        if self.mode == "exact":
-            if self.shots is not None:
-                raise ValueError(f"exact mode draws no shots, got shots={self.shots}")
-        elif self.shots is None:
-            raise ValueError("sampled mode requires a shot count")
-        elif self.shots < 1:
+        if self.shots is not None and self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
+
+    @property
+    def mode(self) -> str:
+        """The run's kind, decided by ``shots``: "exact" or "sampled"."""
+        return "exact" if self.shots is None else "sampled"
 
     def child(self, *key: int) -> HybridConfig:
         """Reseeded by child ``key`` of ``seed``: independent, and replayable.
 
-        Exact mode draws nothing, so it returns this config unchanged.
+        An exact run draws nothing, so it returns this config unchanged.
         """
-        if self.mode == "exact":
+        if self.shots is None:
             return self
         state = np.random.SeedSequence(self.seed, spawn_key=key).generate_state(1)
         return replace(self, seed=int(state[0]))
+
+
+def backend_config(backend, epsilon=None, shots=None, seed=None) -> HybridConfig | None:
+    """The HybridConfig of a backend's settings (None: not given); None if not hybrid.
+
+    hybrid-exact takes ``epsilon``, hybrid-sampled takes all three and needs
+    ``shots``, any other backend none; a setting it would ignore raises ValueError.
+    """
+    takes = _SETTINGS.get(backend, ())
+    for name, value in (("epsilon", epsilon), ("shots", shots), ("seed", seed)):
+        if value is not None and name not in takes:
+            raise ValueError(f"{name} does not apply to backend {backend}")
+    if "shots" in takes and shots is None:
+        raise ValueError(f"backend {backend} requires a shot count")
+    return HybridConfig(epsilon, shots, DEFAULT_SEED if seed is None else seed) if takes else None
 
 
 @dataclass
@@ -138,14 +151,17 @@ def hybrid_wht(
     abs_sum = float(np.sum(np.abs(a)))
     epsilon = cfg.epsilon if cfg.epsilon is not None else 1e-3 * (1.0 + abs_sum)
     shift = epsilon + abs_sum
-    norm = math.sqrt(shift * shift + float(np.sum(a[1:] ** 2)))
-    if not math.isfinite(norm):
-        raise ValueError(f"the shifted vector's norm overflows float64 (shift {shift!r})")
+    norm_sq = shift * shift  # >= sum a_k^2: while finite, that sum cannot overflow (or warn)
+    if math.isfinite(norm_sq):
+        norm_sq += float(np.sum(a[1:] ** 2))
+    if not math.isfinite(norm_sq):
+        raise ValueError(f"the shifted vector's squared norm overflows float64 (shift {shift!r})")
+    norm = math.sqrt(norm_sq)
 
     shifted = a.copy()
     shifted[0] = shift
     state = apply_hadamard_all(prepare_state(shifted / norm))
-    sampled = cfg.mode == "sampled"
+    sampled = cfg.shots is not None
     if sampled:
         p = measure_sampled(state, cfg.shots, cfg.seed) / cfg.shots
     else:
@@ -176,5 +192,5 @@ def classical_side_opcount(N: int) -> OpCount:
     The tally is data-independent: exactly 7N (see ``hybrid_wht``).
     """
     count = OpCount()
-    hybrid_wht(np.zeros(N), HybridConfig(mode="exact"), count)
+    hybrid_wht(np.zeros(N), HybridConfig(), count)
     return count

@@ -27,8 +27,7 @@ import numpy as np
 
 from .calculus import integrate_sampled
 from .errors import DivergenceError, require_bytes
-from .hybrid import HybridConfig
-from .quantum import DEFAULT_SEED
+from .hybrid import HybridConfig, backend_config
 from .walsh import SampledFunction, _require_domain, _require_qubits, midpoints
 
 _BACKENDS = ("classical", "hybrid-exact", "hybrid-sampled")
@@ -75,10 +74,10 @@ class IVProblem:
 class SolverConfig:
     """Sweep budget, stopping tolerance and backend.
 
-    ``hybrid`` is derived: None for classical, else every integral's
-    HybridConfig.  Frozen, so it always matches the other fields.  The
-    classical backend refuses ``epsilon`` and ``shots``; it cannot refuse
-    ``seed``, because a given seed cannot be told apart from the default.
+    ``hybrid`` is derived by ``hybrid.backend_config``: None for classical,
+    else every integral's HybridConfig.  Frozen, so it always matches the
+    other fields.  A setting the backend would ignore is refused, ``seed``
+    included; a sampled run without one uses ``quantum.DEFAULT_SEED``.
     """
 
     n_max: int
@@ -86,7 +85,7 @@ class SolverConfig:
     backend: str = "classical"
     epsilon: float | None = None
     shots: int | None = None
-    seed: int = DEFAULT_SEED
+    seed: int | None = None
     hybrid: HybridConfig | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -96,12 +95,7 @@ class SolverConfig:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
-        mode = self.backend.removeprefix("hybrid-")
-        for name in ("epsilon", "shots"):
-            if mode == "classical" and getattr(self, name) is not None:
-                raise ValueError(f"{name} does not apply to backend classical")
-        hybrid = None if mode == "classical" else HybridConfig(
-            epsilon=self.epsilon, mode=mode, shots=self.shots, seed=self.seed)
+        hybrid = backend_config(self.backend, self.epsilon, self.shots, self.seed)
         object.__setattr__(self, "hybrid", hybrid)
 
 

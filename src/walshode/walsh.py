@@ -92,9 +92,11 @@ def midpoints(N: int, domain: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
 
 
 def _parity(v: np.ndarray) -> np.ndarray:
-    """Elementwise popcount parity (int width up to 64 bits), in place: overwrites v."""
-    for shift in (32, 16, 8, 4, 2, 1):
+    """Elementwise popcount parity of a signed int array, in place: overwrites v."""
+    shift = 4 * v.itemsize
+    while shift:
         v ^= v >> shift
+        shift //= 2
     v &= 1
     return v
 
@@ -126,14 +128,15 @@ def character_eval(k: int, x: int, n: int) -> int:
 def character_table(n: int) -> np.ndarray:
     """Full N x N sign table, row k = chi_k; dtype int8.
 
-    Building it takes 8 N^2 bytes of int64 parities, so it is refused
-    before allocating, with ResourceLimitError, once that passes
-    errors.MAX_ALLOC_BYTES (from n = 14); character_eval gives lazy
-    access beyond that.
+    Its peak holds the N int32 indices, their pairwise ANDs and one
+    shifted copy of those inside ``_parity``: 4N(2N + 1) bytes.  It is
+    refused before allocating, with ResourceLimitError, once that passes
+    errors.MAX_ALLOC_BYTES (from n = 14, far below int32's limit);
+    character_eval gives lazy access beyond that.
     """
     N = _require_qubits(n)
-    require_bytes(8 * N * N, f"character table for n={n}")
-    idx = np.arange(N, dtype=np.int64)
+    require_bytes(4 * N * (2 * N + 1), f"character table for n={n}")
+    idx = np.arange(N, dtype=np.int32)
     par = _parity(idx[:, None] & idx[None, :]).astype(np.int8)
     return 1 - 2 * par
 

@@ -235,7 +235,7 @@ def test_criterion_09_sampled_mode():
     with criterion("criterion 9: sampled error bound at 1e6 shots and shot monotonicity"):
         v = np.array([1 / 8, 3 / 8, 5 / 8, 7 / 8])
         reference = fwht(v)
-        out, trace = hybrid_wht(v, HybridConfig(mode="sampled", shots=10**6))
+        out, trace = hybrid_wht(v, HybridConfig(shots=10**6))
         assert np.max(np.abs(out - reference)) <= 5e-3 * trace.norm
         seeds = range(DEFAULT_SEED, DEFAULT_SEED + 8)
         means = []
@@ -243,7 +243,7 @@ def test_criterion_09_sampled_mode():
             errs = []
             for seed in seeds:
                 got, _ = hybrid_wht(
-                    v, HybridConfig(mode="sampled", shots=shots, seed=seed)
+                    v, HybridConfig(shots=shots, seed=seed)
                 )
                 errs.append(np.max(np.abs(got - reference)))
             means.append(np.mean(errs))

@@ -52,10 +52,12 @@ def _load_layers(monkeypatch):
 
 
 # A 2-sweep Riccati solve at N=16: each sweep runs one forward and one
-# inverse transform, N*log2(N) = 64 additions each, or 8N = 128 sampled ops.
+# inverse transform, N*log2(N) = 64 additions each, or 8N = 128 sampled ops
+# (7N = 112 exact ones).
 @pytest.mark.parametrize("backend, settings, classical_ops, fwht_calls, shots", [
     ("classical", {}, 0, 4, 0),
     ("hybrid-sampled", {"shots": 1000, "seed": 3}, 4 * 128, 0, 4 * 1000),
+    ("hybrid-exact", {}, 4 * 112, 0, 0),
 ])
 def test_tracer_reads_every_traced_value(monkeypatch, backend, settings,
                                          classical_ops, fwht_calls, shots):

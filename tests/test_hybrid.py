@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from walshode import (
+    DEFAULT_SEED,
     HybridConfig,
     OpCount,
     classical_side_opcount,
@@ -13,6 +14,7 @@ from walshode import (
     hybrid_wht,
     sign_safe,
 )
+from walshode.hybrid import backend_config
 
 
 def test_sign_safe_pinned_cases():
@@ -112,12 +114,15 @@ def test_rejects_non_finite_input():
 
 
 def test_overflowing_shifted_norm_is_named():
-    # shift * shift overflows; shifted / norm used to be all zeros and the
-    # error blamed the state vector's norm.
-    count = OpCount()
-    with pytest.raises(ValueError, match="shifted vector's norm overflows"):
-        hybrid_wht([1e160, 1.0, 0.0, 0.0], count=count)
-    assert count.additions == count.multiplications == count.square_roots == 0
+    # The squared norm overflows though the norm (1.4e160) does not; shifted /
+    # norm used to be all zeros and the error blamed the state vector's norm.
+    # With 1e160 in a[1:] the square is named without a numpy overflow
+    # warning, which the suite's filterwarnings = error turns into a failure.
+    for v in ([1e160, 1.0, 0.0, 0.0], [1.0, 1e160, 0.0, 0.0]):
+        count = OpCount()
+        with pytest.raises(ValueError, match="shifted vector's squared norm overflows"):
+            hybrid_wht(v, count=count)
+        assert count.additions == count.multiplications == count.square_roots == 0
 
 
 def test_rejects_input_that_is_not_one_vector():
@@ -127,34 +132,51 @@ def test_rejects_input_that_is_not_one_vector():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="epsilon must be strictly positive"):
         HybridConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        HybridConfig(mode="sampled")  # shots missing
-    with pytest.raises(ValueError):
-        HybridConfig(mode="sampled", shots=0)
-    with pytest.raises(ValueError):
-        HybridConfig(mode="fuzzy")
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        HybridConfig(shots=0)
 
 
-def test_exact_mode_refuses_shots():
-    # A forgotten mode="sampled" would otherwise run exact and never sample.
-    with pytest.raises(ValueError, match="exact mode draws no shots"):
-        HybridConfig(shots=1000, seed=7)
+def test_a_shot_count_makes_the_config_sampled():
+    assert HybridConfig(epsilon=0.5, seed=7).mode == "exact"
+    cfg = HybridConfig(shots=1000, seed=7)
+    assert cfg.mode == "sampled"
+    count = OpCount()
+    _, trace = hybrid_wht(np.array([0.5, -0.25, 1.0, 0.0]), cfg, count)
+    assert trace.sub_resolution is not None
+    assert count.total == 8 * 4
+    with pytest.raises(AttributeError):
+        cfg.mode = "exact"
+
+
+def test_backend_config_takes_each_setting_where_it_applies():
+    assert backend_config("classical") is None
+    assert backend_config("fast") is None
+    assert backend_config("hybrid-exact", epsilon=0.5) == HybridConfig(epsilon=0.5)
+    assert backend_config("hybrid-sampled", shots=10) == HybridConfig(
+        shots=10, seed=DEFAULT_SEED)
+    assert backend_config("hybrid-sampled", 0.5, 10, 3) == HybridConfig(0.5, 10, 3)
+    with pytest.raises(ValueError, match="^backend hybrid-sampled requires a shot count$"):
+        backend_config("hybrid-sampled", seed=3)
+    for backend, name in [("classical", "epsilon"), ("naive", "shots"),
+                          ("hybrid-exact", "seed"), ("hybrid-exact", "shots")]:
+        with pytest.raises(ValueError, match=f"^{name} does not apply to backend {backend}$"):
+            backend_config(backend, **{name: 1})
 
 
 def test_sampled_mode_accuracy_and_monotonicity():
     v = np.array([1 / 8, 3 / 8, 5 / 8, 7 / 8])
     reference = fwht(v)
-    big, trace = hybrid_wht(v, HybridConfig(mode="sampled", shots=10**6))
+    big, trace = hybrid_wht(v, HybridConfig(shots=10**6))
     assert np.max(np.abs(big - reference)) <= 5e-3 * trace.norm
-    small, _ = hybrid_wht(v, HybridConfig(mode="sampled", shots=10**2))
+    small, _ = hybrid_wht(v, HybridConfig(shots=10**2))
     assert np.max(np.abs(small - reference)) > np.max(np.abs(big - reference))
 
 
 def test_sampled_mode_seed_replay():
     v = np.array([0.5, -0.25, 1.0, 0.0])
-    cfg = HybridConfig(mode="sampled", shots=4096, seed=99)
+    cfg = HybridConfig(shots=4096, seed=99)
     a, _ = hybrid_wht(v, cfg)
     b, _ = hybrid_wht(v, cfg)
     assert np.array_equal(a, b)
@@ -163,7 +185,7 @@ def test_sampled_mode_seed_replay():
 def test_sampled_mode_flags_sub_resolution_components():
     # Component 3 of the ramp transform is exactly 0: always below noise.
     v = np.array([1 / 8, 3 / 8, 5 / 8, 7 / 8])
-    _, trace = hybrid_wht(v, HybridConfig(mode="sampled", shots=10**4))
+    _, trace = hybrid_wht(v, HybridConfig(shots=10**4))
     assert trace.sub_resolution is not None
     assert bool(trace.sub_resolution[3])
 
@@ -182,7 +204,7 @@ def test_sampled_mode_counts_one_more_multiplication_per_component():
     rng = np.random.default_rng(17)
     for N in (2, 8, 64):
         count = OpCount()
-        hybrid_wht(rng.standard_normal(N), HybridConfig(mode="sampled", shots=1000), count)
+        hybrid_wht(rng.standard_normal(N), HybridConfig(shots=1000), count)
         assert count.multiplications == 4 * N
         assert count.total == 8 * N
 

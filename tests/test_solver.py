@@ -297,11 +297,11 @@ def test_sampled_config_without_shots_fails_at_construction():
 
 
 def test_exact_backend_config_refuses_shots():
-    with pytest.raises(ValueError, match="exact mode draws no shots"):
+    with pytest.raises(ValueError, match="shots does not apply to backend hybrid-exact"):
         SolverConfig(n_max=1, backend="hybrid-exact", shots=5)
 
 
-@pytest.mark.parametrize("setting", [{"epsilon": 0.5}, {"shots": 5}])
+@pytest.mark.parametrize("setting", [{"epsilon": 0.5}, {"shots": 5}, {"seed": 5}])
 def test_classical_backend_config_refuses_hybrid_settings(setting):
     (name,) = setting
     with pytest.raises(ValueError, match=f"{name} does not apply to backend classical"):
@@ -311,9 +311,9 @@ def test_classical_backend_config_refuses_hybrid_settings(setting):
 def test_config_derives_the_hybrid_config_once():
     assert SolverConfig(n_max=1).hybrid is None
     exact = SolverConfig(n_max=1, backend="hybrid-exact", epsilon=0.25)
-    assert exact.hybrid == HybridConfig(epsilon=0.25, mode="exact")
+    assert exact.hybrid == HybridConfig(epsilon=0.25)
     sampled = SolverConfig(n_max=1, backend="hybrid-sampled", shots=100, seed=4)
-    assert sampled.hybrid == HybridConfig(mode="sampled", shots=100, seed=4)
+    assert sampled.hybrid == HybridConfig(shots=100, seed=4)
     # Derived: not a constructor argument, not in repr, not in equality.
     with pytest.raises(TypeError):
         SolverConfig(n_max=1, hybrid=None)
@@ -321,7 +321,8 @@ def test_config_derives_the_hybrid_config_once():
     assert sampled == SolverConfig(n_max=1, backend="hybrid-sampled", shots=100, seed=4)
     with pytest.raises(dataclasses.FrozenInstanceError):
         sampled.backend = "classical"
-    assert dataclasses.replace(sampled, backend="classical", shots=None).hybrid is None
+    assert dataclasses.replace(
+        sampled, backend="classical", shots=None, seed=None).hybrid is None
 
 
 def test_nonunit_domain_solution():
@@ -441,7 +442,7 @@ def test_solve_grid_refused_before_allocation():
 def test_exact_mode_child_is_the_same_config():
     cfg = HybridConfig(epsilon=0.5, seed=9)
     assert cfg.child(3, 1) is cfg
-    sampled = HybridConfig(mode="sampled", shots=10, seed=9)
+    sampled = HybridConfig(shots=10, seed=9)
     assert sampled.child(3, 1).seed != sampled.seed
 
 
@@ -450,7 +451,7 @@ def test_hybrid_exact_trace_unchanged_by_seed_derivation(monkeypatch):
 
     def always_reseed(self, *key):
         state = np.random.SeedSequence(self.seed, spawn_key=key).generate_state(1)
-        return HybridConfig(self.epsilon, self.mode, self.shots, int(state[0]))
+        return HybridConfig(self.epsilon, self.shots, int(state[0]))
 
     monkeypatch.setattr(HybridConfig, "child", always_reseed)
     _, reseeded = solve("beer_system", 3, 6, backend="hybrid-exact")

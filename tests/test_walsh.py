@@ -1,10 +1,12 @@
 """Character table, orderings and sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from walshode import walsh
 from walshode import (
     ResourceLimitError,
     SampledFunction,
@@ -86,10 +88,34 @@ def test_character_table_matches_lazy_eval():
 
 
 def test_character_table_resource_cap():
-    with pytest.raises(ResourceLimitError):
-        character_table(21)
+    for n in (14, 21):
+        with pytest.raises(ResourceLimitError, match=f"character table for n={n}"):
+            character_table(n)
     with pytest.raises(ValueError, match=r"qubit count must be in \[1, 62\], got 63"):
         character_table(63)
+
+
+@pytest.mark.parametrize("n", [8, 10, 11])
+def test_character_table_peak_within_its_byte_charge(monkeypatch, n):
+    charged = []
+    real = walsh.require_bytes
+
+    def record(nbytes, what):
+        charged.append(nbytes)
+        real(nbytes, what)
+
+    monkeypatch.setattr(walsh, "require_bytes", record)
+    tracemalloc.start()
+    try:
+        table = character_table(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int8
+    # The charge counts array data; tracemalloc also sees the few ndarray
+    # objects themselves, about 100 bytes each.
+    assert len(charged) == 1
+    assert peak <= charged[0] + 1024
 
 
 def test_orthogonality_exact_integer_sums():
