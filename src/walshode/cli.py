@@ -13,10 +13,12 @@ Exit codes: 0 success, 2 usage error, 3 numeric/divergence error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 
 import numpy as np
@@ -75,25 +77,34 @@ def read_vector(path: str) -> np.ndarray:
     return np.array(values)
 
 
-def _write_text(path: str | None, text: str) -> None:
-    """Write text to the file at path, or to stdout when path is None."""
+#: Rows per chunk of a vector or CSV file: a 1024-sample solve is one chunk,
+#: and a longer file never holds all of its text at once.
+_CHUNK_ROWS = 4096
+
+
+def _write_text(path: str | None, chunks: Iterable[str]) -> None:
+    """Write the chunks in turn to the file at path, or to stdout when path is None."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
+
+
+def _rows(row: str, columns: list[np.ndarray]) -> Iterator[str]:
+    """Format equal-length columns with ``row``, _CHUNK_ROWS rows per chunk."""
+    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+        yield "".join(map(row.format, *(c[lo: lo + _CHUNK_ROWS].tolist() for c in columns)))
 
 
 def write_vector(path: str, values: np.ndarray) -> None:
-    text = "".join(map("{!r}\n".format, np.asarray(values, dtype=float).tolist()))
-    _write_text(path, text)
+    _write_text(path, _rows("{!r}\n", [np.asarray(values, dtype=float)]))
 
 
 def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -> None:
     """Write equal-length columns: float cells in ``repr`` form, others as ``str``."""
     row = ",".join("{!r}" if c.dtype.kind == "f" else "{}" for c in columns) + "\n"
-    text = "".join(map(row.format, *(c.tolist() for c in columns)))
-    _write_text(path, ",".join(header) + "\n" + text)
+    _write_text(path, itertools.chain([",".join(header) + "\n"], _rows(row, columns)))
 
 
 def _require_seed(args) -> None:
@@ -139,8 +150,8 @@ def cmd_table(args) -> int:
     else:
         matrix = differentiation_matrix(N).entries
     # Row by row, each made float: a per-column format is slower, matrix.tolist() boxes N^2 cells.
-    _write_text(args.output, "".join(",".join(map(repr, row.astype(float).tolist())) + "\n"
-                                     for row in matrix))
+    _write_text(args.output, (",".join(map(repr, row.astype(float).tolist())) + "\n"
+                              for row in matrix))
     return EXIT_OK
 
 

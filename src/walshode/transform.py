@@ -31,11 +31,20 @@ cache.  Above that, the low log2(_BLOCK) stages only mix elements of one
 aligned block, so they run block by block in the same way, reading the
 caller's array and leaving each block in the output.  The high stages
 are the same schedule along axis 0 of the (N/_BLOCK, _BLOCK) view of
-the output, run one column tile at a time in the two halves of the
-block scratch; the 1/sqrt(N) scaling is fused into each tile's
-write-back.  A call holds only the output and that scratch, allocated
-per call: the input is never copied or written, and concurrent calls
-share nothing.
+the output, run one column tile at a time in the two halves of a block
+scratch; the 1/sqrt(N) scaling is fused into each tile's write-back.
+
+From _PARALLEL_ROWS = 16 blocks (N >= 2^20) on, the two passes are
+split across W threads, W being the CPUs the process may run on, at
+most one per block: worker w takes blocks w, w+W, ..., and, once every
+block is done, tiles w, w+W, ....  Each element still gets the same
+operations on the same operands, so the output does not depend on W.
+Below 16 blocks one thread does both passes (from 2^17 to 2^19 points,
+starting the threads cost more than they saved on two CPUs).
+
+A call holds only the output and one block scratch per worker, allocated
+per call, and its threads end before it returns: the input is never
+copied or written, and concurrent calls share nothing.
 
 With the symmetric normalization the transform is an involution, so the
 inverse transform is the same computation (iwht is provided for call-site
@@ -45,10 +54,13 @@ readability).
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_bytes
 from .walsh import _require_vector, character_table
 
 
@@ -78,6 +90,17 @@ _BLOCK = 1 << 16
 #: Elements per column tile of the high stages, or one column if that is
 #: more; the scratch holds two tiles.
 _TILE = _BLOCK // 2
+#: Fewest blocks (N / _BLOCK) at which the two passes are split across
+#: threads; below it, starting them costs more than they save.
+_PARALLEL_ROWS = 16
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _stages(x: np.ndarray, dst: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -100,10 +123,16 @@ def _stages(x: np.ndarray, dst: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 
 def wht_naive(v, count: OpCount | None = None) -> np.ndarray:
-    """Transform by explicit sign-table matvec; the O(N^2) oracle."""
+    """Transform by explicit sign-table matvec; the O(N^2) oracle.
+
+    It holds the int8 table and its float64 copy, 9N^2 bytes, and is
+    refused before building them, with ResourceLimitError, once that
+    passes errors.MAX_ALLOC_BYTES (from n = 14).
+    """
     a = np.asarray(v, dtype=float)
     n = _require_vector(a)
     N = a.size
+    require_bytes(9 * N * N, f"naive transform at n={n}")
     table = character_table(n).astype(float)
     out = table @ a
     out *= 1.0 / math.sqrt(N)
@@ -133,14 +162,28 @@ def fwht(v, count: OpCount | None = None) -> np.ndarray:
     else:
         rows = N // _BLOCK
         width = max(1, _TILE // rows)
-        scratch = np.empty(max(_BLOCK, 2 * rows * width))
-        for lo in range(0, N, _BLOCK):
-            _stages(v[lo: lo + _BLOCK], out[lo: lo + _BLOCK], scratch[:_BLOCK])
         grid = out.reshape(rows, _BLOCK)
-        for col in range(0, _BLOCK, width):
-            tile = grid[:, col: col + width]
-            a, b = scratch[: 2 * tile.size].reshape(2, *tile.shape)
-            np.multiply(_stages(tile, a, b), scale, out=tile)
+        workers = min(_cpu_count(), rows) if rows >= _PARALLEL_ROWS else 1
+
+        def blocks(w: int) -> None:
+            scratch = np.empty(_BLOCK)
+            for row in range(w, rows, workers):
+                _stages(v[row * _BLOCK: (row + 1) * _BLOCK], grid[row], scratch)
+
+        def tiles(w: int) -> None:
+            scratch = np.empty(max(_BLOCK, 2 * rows * width))
+            for col in range(w * width, _BLOCK, workers * width):
+                tile = grid[:, col: col + width]
+                a, b = scratch[: 2 * tile.size].reshape(2, *tile.shape)
+                np.multiply(_stages(tile, a, b), scale, out=tile)
+
+        if workers == 1:
+            blocks(0)
+            tiles(0)
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                list(pool.map(blocks, range(workers)))
+                list(pool.map(tiles, range(workers)))
     if count is not None:
         count.additions += N * n
         count.multiplications += N

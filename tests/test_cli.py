@@ -19,6 +19,7 @@ from walshode import (
     differentiation_matrix,
     fwht,
     integration_matrix,
+    walsh,
 )
 from walshode.cli import main, read_vector, write_vector
 from walshode.hybrid import backend_config
@@ -235,11 +236,19 @@ def test_table_converts_one_row_at_a_time(tmp_path, capsys, monkeypatch):
     assert peak < 3 * dense_bytes
 
 
-def test_character_table_dump_peaks_below_the_int64_build(tmp_path, capsys):
-    # At n=10 the int32 pairwise ANDs and one shifted copy take 8 MiB, and the
-    # CSV text (the row strings, then their join) about 10 MiB.  The int64
-    # build alone took 16 MiB, and 24 MiB before its parity worked in place.
-    dense_bytes = 8 * 1024 * 1024
+def test_character_table_dump_peaks_below_the_int64_build(tmp_path, capsys, monkeypatch):
+    # At n=10 the int32 pairwise ANDs and one shifted copy take 8 MiB, the
+    # table build's charge.  The CSV text is written row by row, so it adds
+    # at most one row (about 5 KiB of text) to the int8 table.  The int64
+    # build alone took 16 MiB, and the text joined whole about 10 MiB.
+    charged = []
+    real = walsh.require_bytes
+
+    def record(nbytes, what):
+        charged.append(nbytes)
+        real(nbytes, what)
+
+    monkeypatch.setattr(walsh, "require_bytes", record)
     tracemalloc.start()
     try:
         code, out, _ = run(capsys, "table", "--kind", "character", "--n", "10",
@@ -248,7 +257,8 @@ def test_character_table_dump_peaks_below_the_int64_build(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0 and out == ""
-    assert peak < 1.5 * dense_bytes
+    assert charged == [4 * 1024 * (2 * 1024 + 1)]
+    assert peak <= charged[0] + (64 << 10)
 
 
 @pytest.mark.parametrize("n", ["-1", "0", "63", "1000000000"])

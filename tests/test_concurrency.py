@@ -15,6 +15,7 @@ from walshode import (
     integration_matrix,
     picard_solve,
     SolverConfig,
+    transform,
 )
 from walshode.calculus import _cache
 from walshode.quantum import _GATES
@@ -59,6 +60,23 @@ def test_blocked_fwht_shares_no_scratch_across_threads():
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(fwht, vectors, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
+
+
+def test_threaded_fwht_calls_share_nothing(monkeypatch):
+    # n=20 is 16 blocks, so each of the 4 callers splits its passes over 3
+    # threads of its own: 12 workers on the host's CPUs, each with its scratch.
+    monkeypatch.setattr(transform, "_cpu_count", lambda: 3)
+    rng = np.random.default_rng(2020)
+    vectors = [rng.standard_normal(1 << 20) for _ in range(4)]
+    expected = [fwht(v) for v in vectors]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
             got = list(pool.map(fwht, vectors, timeout=60))
     finally:
         sys.setswitchinterval(interval)

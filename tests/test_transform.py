@@ -1,12 +1,14 @@
 """Fast butterfly vs naive oracle and radix-2 reference, normalization, op counting."""
 
+import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from walshode import OpCount, fwht, iwht, transform, wht_naive
+from walshode import OpCount, ResourceLimitError, fwht, iwht, transform, wht_naive
 
 
 def _radix2_fwht(v) -> np.ndarray:
@@ -138,13 +140,15 @@ def test_fwht_bit_identical_on_signed_zeros_and_ties():
     assert fwht(v).tobytes() == _radix2_fwht(v).tobytes()
 
 
-@pytest.mark.parametrize("block", [16, 32])
-def test_fwht_blocked_paths_bit_identical_at_small_block(monkeypatch, block):
+def _small_block_cases(monkeypatch, block, workers):
     # Blocks of 16 (4 low stages) and 32 (5).  Above one block: several
     # blocks and tiles, odd and even high stage counts and, from 2^8 or
     # 2^10 points, more rows than a tile holds, so tiles are one column.
+    # From 16 blocks (2^8 or 2^9 points) on, the passes are split across
+    # the workers, unevenly when 3 share 16 or 32 rows.
     monkeypatch.setattr(transform, "_BLOCK", block)
     monkeypatch.setattr(transform, "_TILE", block // 2)
+    monkeypatch.setattr(transform, "_cpu_count", lambda: workers)
     for n in range(1, 13):
         v = np.random.default_rng(2000 + n).standard_normal(1 << n)
         assert fwht(v).tobytes() == _radix2_fwht(v).tobytes(), n
@@ -152,17 +156,92 @@ def test_fwht_blocked_paths_bit_identical_at_small_block(monkeypatch, block):
     assert fwht(v).tobytes() == _radix2_fwht(v).tobytes()
 
 
-def test_fwht_scratch_is_bounded():
-    # The output plus one block of scratch: no N-sized temporary or input copy.
-    N = 1 << 20
-    v = np.random.default_rng(20).standard_normal(N)
+@pytest.mark.parametrize("block", [16, 32])
+def test_fwht_blocked_paths_bit_identical_at_small_block(monkeypatch, block):
+    _small_block_cases(monkeypatch, block, workers=1)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("block", [16, 32])
+def test_fwht_threaded_paths_bit_identical_at_small_block(monkeypatch, block, workers):
+    _small_block_cases(monkeypatch, block, workers)
+
+
+@pytest.mark.parametrize("n", [20, 21])
+def test_fwht_threaded_bit_identical_with_exact_count(monkeypatch, n):
+    N = 1 << n
+    v = np.random.default_rng(3000 + n).standard_normal(N)
+    expected = _radix2_fwht(v).tobytes()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(transform, "_cpu_count", lambda: workers)
+        count = OpCount()
+        assert fwht(v, count).tobytes() == expected, workers
+        assert (count.additions, count.multiplications, count.square_roots) == (N * n, N, 1)
+
+
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        fwht(v)
+        result = fn(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * N + (1 << 20)
+    return result, peak
+
+
+def _scratch_bound(N, workers):
+    # The output and one block of scratch per worker, plus 512 KiB for
+    # the rest: no N-sized temporary or input copy.  At one worker this
+    # is 8N + 1 MiB.
+    return 8 * N + workers * 8 * transform._BLOCK + (1 << 19)
+
+
+def test_fwht_scratch_is_bounded():
+    N = 1 << 20
+    v = np.random.default_rng(20).standard_normal(N)
+    _, peak = _traced_peak(fwht, v)
+    workers = min(transform._cpu_count(), N // transform._BLOCK)
+    assert peak <= _scratch_bound(N, workers)
+
+
+@pytest.mark.parametrize("kind", ["contiguous", "strided"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_fwht_threads_read_the_input_in_place(monkeypatch, workers, kind):
+    # A strided view (every other value of 2^21) is read where it lies.
+    N = 1 << 20
+    big = np.random.default_rng(21).standard_normal(2 * N)
+    keep = big.copy()
+    v = big[::2] if kind == "strided" else big[:N]
+    monkeypatch.setattr(transform, "_cpu_count", lambda: workers)
+    out, peak = _traced_peak(fwht, v)
+    assert peak <= _scratch_bound(N, workers)
+    assert big.tobytes() == keep.tobytes()
+    assert not np.shares_memory(out, big)
+    assert out.tobytes() == _radix2_fwht(v).tobytes()
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("ndim", [1, 2], ids=["block-pass", "tile-pass"])
+def test_fwht_worker_failure_reaches_the_caller(monkeypatch, ndim):
+    # The failing worker's exception is the caller's, and every thread the
+    # call started has ended when it returns.
+    real = transform._stages
+    calls = itertools.count()
+
+    def failing(x, dst, tmp):
+        if x.ndim == ndim and next(calls) == 3:
+            raise _Boom("stage failed")
+        return real(x, dst, tmp)
+
+    monkeypatch.setattr(transform, "_stages", failing)
+    monkeypatch.setattr(transform, "_cpu_count", lambda: 3)
+    before = threading.active_count()
+    with pytest.raises(_Boom, match="stage failed"):
+        fwht(np.ones(1 << 20))
+    assert threading.active_count() == before
 
 
 def test_fwht_addition_count_is_exact():
@@ -194,6 +273,30 @@ def test_naive_count_is_quadratic():
     wht_naive(np.ones(8), count)
     assert count.additions == 8 * 7
     assert count.multiplications == 8 * 8 + 8
+
+
+@pytest.mark.parametrize("n", [8, 10, 11])
+def test_naive_peak_within_its_byte_charge(monkeypatch, n):
+    charged = []
+    real = transform.require_bytes
+
+    def record(nbytes, what):
+        charged.append(nbytes)
+        real(nbytes, what)
+
+    monkeypatch.setattr(transform, "require_bytes", record)
+    v = np.random.default_rng(n).standard_normal(1 << n)
+    _, peak = _traced_peak(wht_naive, v)
+    # The int8 table and its float64 copy; tracemalloc also sees the few
+    # ndarray objects themselves, about 100 bytes each.
+    assert charged == [9 << (2 * n)]
+    assert peak <= charged[0] + 1024
+
+
+def test_naive_refused_before_building_past_the_cap():
+    # n=13 holds 576 MiB, under the 1 GiB cap; n=14 would hold 2.25 GiB.
+    with pytest.raises(ResourceLimitError, match="naive transform at n=14"):
+        wht_naive(np.zeros(1 << 14))
 
 
 def test_fwht_does_not_mutate_input():
