@@ -195,13 +195,14 @@ def cmd_solve(args) -> int:
 
     os.makedirs(args.output_dir, exist_ok=True)
     t = solution[0].midpoints
+    t_text = np.array(list(map(repr, t.tolist())), dtype=object)  # formatted once for all files
     # Analytic references anchor their initial condition at t=0.
     has_reference = known_name is not None and problem.domain[0] == 0.0
     reference = analytic_reference(known_name, t) if has_reference else None
     outputs = []
     for i, sf in enumerate(solution, start=1):
         path = os.path.join(args.output_dir, f"x{i}.csv")
-        header, columns = ["t", f"x{i}"], [t, sf.values]
+        header, columns = ["t", f"x{i}"], [t_text, sf.values]
         if reference is not None:
             header += ["analytic", "error"]
             columns += [reference[i - 1], sf.values - reference[i - 1]]
@@ -216,7 +217,7 @@ def cmd_solve(args) -> int:
             np.repeat(np.arange(1, sweeps + 1), m * N),
             np.tile(names, sweeps),
             np.tile(np.arange(N), sweeps * m),
-            np.tile(t, sweeps * m),
+            np.tile(t_text, sweeps * m),
             np.concatenate([x for snapshot in trace.snapshots for x in snapshot]),
         ])
         outputs.append(path)

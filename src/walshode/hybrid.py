@@ -27,13 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quantum import (
-    DEFAULT_SEED,
-    apply_hadamard_all,
-    measure_exact,
-    measure_sampled,
-    prepare_state,
-)
+from .quantum import (DEFAULT_SEED, apply_hadamard_all, measure_exact, measure_sampled,
+                      prepare_state, require_shots)
 from .transform import OpCount
 from .walsh import _require_vector
 
@@ -45,10 +40,10 @@ _SETTINGS = {"hybrid-exact": ("epsilon",), "hybrid-sampled": ("epsilon", "shots"
 class HybridConfig:
     """Knobs for one transform run; a shot count makes it sampled.
 
-    ``epsilon`` is the strictly positive shift margin; None selects
+    ``epsilon`` is the finite, strictly positive shift margin; None selects
     1e-3 * (1 + sum|a_k|), large enough for strict positivity without
-    concentrating amplitude on the shifted slot.  ``shots`` None reads
-    the exact probabilities; a count draws that many shots from ``seed``.
+    concentrating amplitude on the shifted slot.  ``shots`` None reads the
+    exact probabilities; a count in [1, 2^63) draws that many from ``seed``.
     """
 
     epsilon: float | None = None
@@ -56,10 +51,10 @@ class HybridConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be strictly positive, got {self.epsilon}")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be strictly positive and finite, got {self.epsilon}")
+        if self.shots is not None:
+            require_shots(self.shots)
 
     @property
     def mode(self) -> str:

@@ -78,10 +78,15 @@ def measure_exact(state: StateVector) -> np.ndarray:
     return state.amplitudes**2
 
 
+def require_shots(shots: int) -> None:
+    """Refuse a shot count outside [1, 2^63): the outcome counts are int64."""
+    if not 1 <= shots < 2**63:
+        raise ValueError(f"shots must be in [1, 2^63), got {shots}")
+
+
 def measure_sampled(state: StateVector, shots: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Int64 outcome counts of ``shots`` shots drawn with ``seed``; they sum to ``shots``."""
-    if not 1 <= shots < 2**63:  # the counts are int64
-        raise ValueError(f"shots must be in [1, 2^63), got {shots}")
+    require_shots(shots)
     p = state.amplitudes**2
     # Normalised so roundoff cannot trip numpy's sum(pvals[:-1]) <= 1 check.
     return np.random.default_rng(seed).multinomial(shots, p / p.sum())

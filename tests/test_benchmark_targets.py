@@ -51,19 +51,11 @@ def _load_layers(monkeypatch):
     return module
 
 
-# A 2-sweep Riccati solve at N=16: each sweep runs one forward and one
-# inverse transform, N*log2(N) = 64 additions each, or 8N = 128 sampled ops
-# (7N = 112 exact ones).
-@pytest.mark.parametrize("backend, settings, classical_ops, fwht_calls, shots", [
-    ("classical", {}, 0, 4, 0),
-    ("hybrid-sampled", {"shots": 1000, "seed": 3}, 4 * 128, 0, 4 * 1000),
-    ("hybrid-exact", {}, 4 * 112, 0, 0),
-])
-def test_tracer_reads_every_traced_value(monkeypatch, backend, settings,
-                                         classical_ops, fwht_calls, shots):
+def _traced_solve(monkeypatch, name, backend, settings):
+    """The layer metrics of one traced 2-sweep solve of a builtin problem at N=16."""
     modules = ("cli", "expr", "solver", "calculus", "transform", "hybrid", "quantum")
     prog = SimpleNamespace(**{m: importlib.import_module(f"walshode.{m}") for m in modules})
-    problem = prog.solver.builtin_problem("riccati", n=4)
+    problem = prog.solver.builtin_problem(name, n=4)
     config = prog.solver.SolverConfig(n_max=2, tol=0.0, backend=backend, **settings)
     tracer = _load_layers(monkeypatch).Tracer()
     tracer.install(prog, problem)
@@ -75,8 +67,32 @@ def test_tracer_reads_every_traced_value(monkeypatch, backend, settings,
     assert tracer.mismatches == []
     metrics = tracer.layer_metrics(1, 0.0)
     assert metrics["solver.sweeps"] == 2
+    assert metrics["calculus.integrate_calls"] == 2 * problem.m
+    assert prog.solver.picard_solve is importlib.import_module("walshode").picard_solve
+    return metrics
+
+
+# A 2-sweep Riccati solve at N=16: each sweep runs one forward and one
+# inverse transform, N*log2(N) = 64 additions each, or 8N = 128 sampled ops
+# (7N = 112 exact ones).
+@pytest.mark.parametrize("backend, settings, classical_ops, fwht_calls, shots", [
+    ("classical", {}, 0, 4, 0),
+    ("hybrid-sampled", {"shots": 1000, "seed": 3}, 4 * 128, 0, 4 * 1000),
+    ("hybrid-exact", {}, 4 * 112, 0, 0),
+])
+def test_tracer_reads_every_traced_value(monkeypatch, backend, settings,
+                                         classical_ops, fwht_calls, shots):
+    metrics = _traced_solve(monkeypatch, "riccati", backend, settings)
     assert metrics["hybrid.classical_ops"] == classical_ops
     assert metrics["transform.fwht_calls"] == fwht_calls
     assert metrics["transform.additions"] == fwht_calls * 64
     assert metrics["quantum.shots"] == shots
-    assert prog.solver.picard_solve is importlib.import_module("walshode").picard_solve
+
+
+def test_tracer_reads_a_system_transform_by_transform(monkeypatch):
+    # Beer's system (m=2): one forward and one inverse transform per variable
+    # and sweep, 8 calls of 64 additions, each checked by the tracer on its own.
+    metrics = _traced_solve(monkeypatch, "beer_system", "classical", {})
+    assert metrics["transform.fwht_calls"] == 8
+    assert metrics["transform.additions"] == 8 * 64
+    assert metrics["hybrid.classical_ops"] == metrics["quantum.shots"] == 0

@@ -494,6 +494,10 @@ def _spy_on_solve(monkeypatch):
 @pytest.mark.parametrize("spec, reference", [
     (["--problem", "beer_system"], "beer_system"),
     (["--rhs", "x2", "--rhs", "sin(t)-x1", "--init", "0.5", "-0.25"], None),
+    # Midpoints of [0.1, 0.7] have long reprs; one formatted t column serves
+    # three files and trace.csv.
+    (["--rhs", "x2", "--rhs", "x3 - x1", "--rhs", "cos(t) * x1", "--init", "1", "0", "0.5",
+      "--domain", "0.1", "0.7"], None),
 ])
 def test_solve_files_byte_identical_to_per_cell_writer(
         tmp_path, capsys, monkeypatch, spec, reference):
@@ -661,18 +665,45 @@ def test_cli_and_library_agree_on_settings(tmp_path, capsys, command, backend, g
         expected = "backend hybrid-sampled requires --seed"  # the CLI's own rule
 
     flags = [str(x) for name, value in settings.items() for x in (f"--{name}", value)]
-    if command == "solve":
-        argv = ["solve", "--problem", "riccati", "--nmax", "1",
-                "--output-dir", str(tmp_path / "out")]
-    else:
-        write_input(tmp_path / "in.txt", [0.5, 0.25, -1.0, 2.0])
-        argv = ["transform", str(tmp_path / "in.txt"), "-o", str(tmp_path / "out")]
-    code, out, err = run(capsys, *argv, "--backend", backend, *flags)
+    code, out, err = run(capsys, *_command_argv(tmp_path, command), "--backend", backend, *flags)
     if expected is None:
         assert (code, err) == (0, "")
     else:
         assert (code, out, err) == (2, "", f"walshode: error: {expected}\n")
         assert not (tmp_path / "out").exists()
+
+
+def _command_argv(tmp_path, command):
+    """A one-sweep Riccati solve or a length-4 transform, writing to tmp_path/out."""
+    if command == "solve":
+        return ["solve", "--problem", "riccati", "--nmax", "1",
+                "--output-dir", str(tmp_path / "out")]
+    write_input(tmp_path / "in.txt", [0.5, 0.25, -1.0, 2.0])
+    return ["transform", str(tmp_path / "in.txt"), "-o", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("command", ["solve", "transform"])
+@pytest.mark.parametrize("backend", ["hybrid-exact", "hybrid-sampled"])
+@pytest.mark.parametrize("epsilon", ["inf", "-inf", "nan"])
+def test_non_finite_epsilon_is_usage_error(tmp_path, capsys, command, backend, epsilon):
+    sampled = ["--shots", "1000", "--seed", "3"] if backend == "hybrid-sampled" else []
+    code, out, err = run(capsys, *_command_argv(tmp_path, command), "--backend", backend,
+                         f"--epsilon={epsilon}", *sampled)
+    assert (code, out) == (2, "")
+    assert err == f"walshode: error: epsilon must be strictly positive and finite, got {epsilon}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "transform"])
+def test_shot_count_bound_is_the_int64_counts(tmp_path, capsys, command):
+    argv = [*_command_argv(tmp_path, command), "--backend", "hybrid-sampled", "--seed", "3"]
+    for shots in (0, 2**63):
+        code, out, err = run(capsys, *argv, "--shots", str(shots))
+        assert (code, out) == (2, "")
+        assert err == f"walshode: error: shots must be in [1, 2^63), got {shots}\n"
+        assert not (tmp_path / "out").exists()
+    code, _, err = run(capsys, *argv, "--shots", str(2**63 - 1))
+    assert (code, err) == (0, "")
 
 
 def test_epsilon_applies_to_both_hybrid_backends(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Sign-safe hybrid transform: shift identity, positivity, equivalence, counts."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from walshode import (
     DEFAULT_SEED,
     HybridConfig,
     OpCount,
+    SolverConfig,
     classical_side_opcount,
     fwht,
     hybrid_wht,
@@ -134,8 +137,40 @@ def test_rejects_input_that_is_not_one_vector():
 def test_config_validation():
     with pytest.raises(ValueError, match="epsilon must be strictly positive"):
         HybridConfig(epsilon=0.0)
-    with pytest.raises(ValueError, match="shots must be >= 1"):
+    with pytest.raises(ValueError, match=re.escape("shots must be in [1, 2^63), got 0")):
         HybridConfig(shots=0)
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, -math.inf, math.nan])
+def test_non_finite_epsilon_refused_when_the_config_is_built(epsilon):
+    message = f"epsilon must be strictly positive and finite, got {epsilon}"
+    for backend, shots in (("hybrid-exact", None), ("hybrid-sampled", 1000)):
+        with pytest.raises(ValueError) as info:
+            backend_config(backend, epsilon=epsilon, shots=shots)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            SolverConfig(n_max=1, backend=backend, epsilon=epsilon, shots=shots)
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        HybridConfig(epsilon=epsilon)
+    assert str(info.value) == message
+    assert HybridConfig(epsilon=sys.float_info.max).epsilon == sys.float_info.max
+
+
+def test_one_shot_bound_for_every_config():
+    # The counts are int64, so 2^63 - 1 is the largest budget any config takes.
+    builders = [
+        lambda shots: HybridConfig(shots=shots),
+        lambda shots: backend_config("hybrid-sampled", shots=shots),
+        lambda shots: SolverConfig(n_max=1, backend="hybrid-sampled", shots=shots).hybrid,
+    ]
+    for build in builders:
+        with pytest.raises(ValueError) as info:
+            build(2**63)
+        assert str(info.value) == f"shots must be in [1, 2^63), got {2**63}"
+        assert build(2**63 - 1).shots == 2**63 - 1
+    out, _ = hybrid_wht([0.5, -0.25, 1.0, 0.0], HybridConfig(shots=2**63 - 1, seed=3))
+    assert np.allclose(out, fwht([0.5, -0.25, 1.0, 0.0]), atol=1e-6)
 
 
 def test_a_shot_count_makes_the_config_sampled():
