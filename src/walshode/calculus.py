@@ -25,8 +25,8 @@ The differentiation matrix D_N = I_N^-1 = H J^-1 H is built from I_{N/2}
 
 Every entry is a dyadic rational, so the float64 operators are exact.
 Each is stored as index and value arrays built in O(N) and applied in
-O(N); the dense N x N form is built only on request, for tables and
-tests.
+O(N); the dense N x N form is built on each request, for tables and
+tests, and never kept.
 
 Integration of samples runs entirely through transforms:
 antiderivative = WHT(I_N * WHT(samples)), rescaled by the domain width,
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -55,8 +54,8 @@ _cache_lock = threading.Lock()
 class OperationalMatrix:
     """Immutable sparse N x N Walsh-domain operator: its 2N-1 nonzeros.
 
-    ``apply`` is the O(N) product; ``entries`` is the dense form, built on
-    first access and refused above the allocation cap.
+    ``apply`` is the O(N) product; ``entries`` is the dense form, built
+    afresh on each access (never kept) and refused above the allocation cap.
     """
 
     kind: str
@@ -71,7 +70,7 @@ class OperationalMatrix:
             self.rows, weights=self.values * c[self.cols], minlength=1 << self.n
         )
 
-    @cached_property
+    @property
     def entries(self) -> np.ndarray:
         """Read-only dense N x N array, for tables and tests."""
         N = 1 << self.n

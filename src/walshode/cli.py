@@ -35,6 +35,7 @@ from .errors import (
 from .expr import evaluate, evaluate_grid, parse
 from .hybrid import backend_config, hybrid_wht
 from .solver import (
+    _BACKENDS,
     IVProblem,
     SolverConfig,
     analytic_reference,
@@ -166,9 +167,8 @@ def _problem_from_args(args) -> tuple[IVProblem, str | None]:
         raise UsageError("provide either --problem or at least one --rhs")
     if args.init is None or len(args.init) != len(args.rhs):
         raise UsageError("--init must supply one value per --rhs expression")
-    m = len(args.rhs)
-    rhs = [_rhs_callable(parse(src, m)) for src in args.rhs]
-    problem = IVProblem(m=m, rhs=rhs, initial=list(args.init), domain=domain,
+    rhs = [_rhs_callable(parse(src, len(args.rhs))) for src in args.rhs]
+    problem = IVProblem(rhs=rhs, initial=list(args.init), domain=domain,
                         n=args.n, vectorized=True)
     return problem, None
 
@@ -218,7 +218,7 @@ def cmd_solve(args) -> int:
             np.tile(names, sweeps),
             np.tile(np.arange(N), sweeps * m),
             np.tile(t_text, sweeps * m),
-            np.concatenate([x for snapshot in trace.snapshots for x in snapshot]),
+            np.ravel(trace.snapshots),
         ])
         outputs.append(path)
 
@@ -315,11 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, help="resolution exponent (N=2^n)")
     p.add_argument("--nmax", type=int, default=10, help="maximum Picard sweeps")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument(
-        "--backend",
-        choices=["classical", "hybrid-exact", "hybrid-sampled"],
-        default="classical",
-    )
+    p.add_argument("--backend", choices=_BACKENDS, default="classical")
     p.add_argument("--domain", type=float, nargs=2, default=[0.0, 1.0],
                    metavar=("LO", "HI"))
     p.add_argument("--trace", action="store_true",

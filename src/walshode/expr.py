@@ -1,11 +1,8 @@
 """Tiny arithmetic expression language for user-supplied right-hand sides.
 
-Grammar (recursive descent, no implicit multiplication):
+Grammar (no implicit multiplication):
 
-    expr    := term  (('+' | '-') term)*
-    term    := unary (('*' | '/') unary)*
-    unary   := '-' unary | power
-    power   := atom ('^' unary)?            # right-associative
+    expr    := '-' expr | expr OP expr | atom      OP one of + - * / ^
     atom    := NUMBER | 't' | 'x'<digits> | FUNC '(' expr ')' | '(' expr ')'
     FUNC    := sin | cos | tan | exp | log | sqrt | abs
     NUMBER  := (digits ('.' digits?)? | '.' digits) ([eE] [+-]? digits)?
@@ -13,9 +10,13 @@ Grammar (recursive descent, no implicit multiplication):
 Digits, letters and whitespace are ASCII; any other character is a parse
 error at its offset.
 
-Precedence, tightest first: ^, unary -, * /, + -.  So ``-x1^2`` is
--(x1^2) and ``2^3^2`` is 2^(3^2) = 512.  Parse errors carry the byte
-offset of the offending token.
+One table, ``_PREC``, ranks the operators, tightest first: ^, unary -,
+* /, + -.  The parser reads it by precedence climbing (Pratt's top-down
+operator precedence, POPL 1973) and ``to_source`` reads it to place
+parentheses.  Binary operators group to the left except ^, which groups
+to the right, and a unary - may open any operand.  So ``-x1^2`` is
+-(x1^2), ``2^3^2`` is 2^(3^2) = 512 and ``2^-3^2`` is 2^(-(3^2)).
+Parse errors carry the byte offset of the offending token.
 
 Two evaluators walk the same tree: ``evaluate`` at one point with Python
 floats and ``math`` (the scalar oracle, which names domain errors), and
@@ -130,10 +131,14 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_op(self, text: str) -> _Token:
+    def peek_op(self) -> str:
+        """The next token's text if it is an operator, else ''."""
         tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            raise ExprError(f"expected {text!r}", tok.pos)
+        return tok.text if tok.kind == "op" else ""
+
+    def expect_op(self, text: str) -> _Token:
+        if self.peek_op() != text:
+            raise ExprError(f"expected {text!r}", self.peek().pos)
         return self.advance()
 
     def parse(self) -> Expr:
@@ -143,33 +148,21 @@ class _Parser:
             raise ExprError(f"unexpected token {tail.text!r}", tail.pos)
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
+    def expr(self, min_prec: int = 0) -> Expr:
+        """An operand, then every binary operator that binds at least ``min_prec``.
 
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.unary())
-        return node
-
-    def unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        A binary operator parses its right operand one level tighter than
+        itself, so it groups to the left; ``^`` parses it at its own level,
+        so it groups to the right.
+        """
+        if self.peek_op() == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        node = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
+            node = Neg(self.expr(_PREC["neg"]))
+        else:
+            node = self.atom()
+        while (op := self.peek_op()) in _SCALAR_OPS and _PREC[op] >= min_prec:
             self.advance()
-            return BinOp("^", node, self.unary())
+            node = BinOp(op, node, self.expr(_PREC[op] + (op != "^")))
         return node
 
     def atom(self) -> Expr:

@@ -43,7 +43,7 @@ class HybridConfig:
     ``epsilon`` is the finite, strictly positive shift margin; None selects
     1e-3 * (1 + sum|a_k|), large enough for strict positivity without
     concentrating amplitude on the shifted slot.  ``shots`` None reads the
-    exact probabilities; a count in [1, 2^63) draws that many from ``seed``.
+    exact probabilities; an integer in [1, 2^63) draws that many from ``seed``.
     """
 
     epsilon: float | None = None

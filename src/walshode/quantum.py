@@ -79,8 +79,8 @@ def measure_exact(state: StateVector) -> np.ndarray:
 
 
 def require_shots(shots: int) -> None:
-    """Refuse a shot count outside [1, 2^63): the outcome counts are int64."""
-    if not 1 <= shots < 2**63:
+    """Refuse all but an integer (not a bool) in [1, 2^63): the outcome counts are int64."""
+    if isinstance(shots, bool) or not hasattr(shots, "__index__") or not 1 <= shots < 2**63:
         raise ValueError(f"shots must be in [1, 2^63), got {shots}")
 
 

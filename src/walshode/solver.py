@@ -49,20 +49,24 @@ class IVProblem:
     first failing point when a grid call fails or yields non-finite values.
     """
 
-    m: int
     rhs: Sequence[Callable[[np.ndarray, float], float]]
     initial: Sequence[float]
     domain: tuple[float, float] = (0.0, 1.0)
     n: int = 2
     vectorized: bool = False
 
+    @property
+    def m(self) -> int:
+        """The number of dependent variables: one per right-hand side."""
+        return len(self.rhs)
+
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError(f"need at least one dependent variable, got m={self.m}")
-        if len(self.rhs) != self.m or len(self.initial) != self.m:
+            raise ValueError("need at least one right-hand side")
+        if len(self.initial) != self.m:
             raise ValueError(
-                f"rhs and initial must both have length m={self.m}, "
-                f"got {len(self.rhs)} and {len(self.initial)}"
+                f"need one initial value per right-hand side (m={self.m}), "
+                f"got {len(self.initial)}"
             )
         if not np.all(np.isfinite(self.initial)):
             raise ValueError(f"initial values must be finite, got {list(self.initial)}")
@@ -101,9 +105,9 @@ class SolverConfig:
 
 @dataclass
 class SolutionTrace:
-    """Per-sweep snapshots of every variable's sample vector."""
+    """Per-sweep snapshots: each sweep's read-only (m, N) iterate."""
 
-    snapshots: list[list[np.ndarray]] = field(default_factory=list)
+    snapshots: list[np.ndarray] = field(default_factory=list)
     converged: bool = False
     final_residual: float = math.inf
 
@@ -173,7 +177,8 @@ def picard_solve(
 
         residual = float(np.max(np.abs(new_xs - xs)))
         xs = new_xs
-        trace.snapshots.append(list(xs))
+        xs.flags.writeable = False
+        trace.snapshots.append(xs)
         trace.final_residual = residual
 
         if np.max(np.abs(xs)) > MAGNITUDE_CAP:
@@ -202,10 +207,9 @@ def _beer_rhs_2(x: np.ndarray, t: float) -> float:
 def builtin_problem(name: str, n: int = 2) -> IVProblem:
     """Ready-made demonstration problems with known analytic solutions."""
     if name == "riccati":
-        return IVProblem(m=1, rhs=[_riccati_rhs], initial=[-0.5], n=n, vectorized=True)
+        return IVProblem(rhs=[_riccati_rhs], initial=[-0.5], n=n, vectorized=True)
     if name == "beer_system":
-        return IVProblem(m=2, rhs=[_beer_rhs_1, _beer_rhs_2], initial=[0.0, 1.0], n=n,
-                         vectorized=True)
+        return IVProblem(rhs=[_beer_rhs_1, _beer_rhs_2], initial=[0.0, 1.0], n=n, vectorized=True)
     raise ValueError(f"unknown builtin problem {name!r}")
 
 

@@ -1,5 +1,8 @@
 """Operational matrices and Walsh-domain integration."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -183,6 +186,18 @@ def test_matrix_metadata_and_immutability():
 
 def test_caching_returns_same_object():
     assert integration_matrix(16) is integration_matrix(16)
+
+
+def test_dense_entries_are_never_kept():
+    # The memo keeps the sparse operator only: a dense form dies with its
+    # last caller reference, and each access builds a fresh one.
+    matrix = integration_matrix(64)
+    dense = matrix.entries
+    assert matrix.entries is not dense
+    alive = weakref.ref(dense)
+    del dense
+    gc.collect()
+    assert alive() is None
 
 
 def test_conjugation_roundtrip_recovers_time_operator():

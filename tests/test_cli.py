@@ -13,7 +13,6 @@ from walshode import (
     OperationalMatrix,
     SolverConfig,
     analytic_reference,
-    calculus,
     character_table,
     cli,
     differentiation_matrix,
@@ -220,10 +219,9 @@ def test_table_byte_identical_to_per_cell_writer(tmp_path, capsys, kind, n):
     assert dst.read_bytes() == expected.encode("utf-8")
 
 
-def test_table_converts_one_row_at_a_time(tmp_path, capsys, monkeypatch):
-    # A fresh operator cache, so the dense array is built inside the traced
-    # run; matrix.tolist() over all N^2 cells peaked near 44 MiB here.
-    monkeypatch.setattr(calculus, "_cache", {})
+def test_table_converts_one_row_at_a_time(tmp_path, capsys):
+    # The dense array is built inside the traced run; matrix.tolist() over
+    # all N^2 cells peaked near 44 MiB here.
     dense_bytes = 8 * 1024 * 1024
     tracemalloc.start()
     try:

@@ -86,6 +86,32 @@ def test_ascii_edge_case_tokens(src, tokens):
     assert [(tok.kind, tok.text, tok.pos) for tok in _tokenize(src)] == tokens
 
 
+@pytest.mark.parametrize("src, tree", [
+    ("-2^2*3", BinOp("*", Neg(BinOp("^", Num(2.0), Num(2.0))), Num(3.0))),
+    ("2^-3^2", BinOp("^", Num(2.0), Neg(BinOp("^", Num(3.0), Num(2.0))))),
+    ("2*-3^2", BinOp("*", Num(2.0), Neg(BinOp("^", Num(3.0), Num(2.0))))),
+    ("1--2", BinOp("-", Num(1.0), Neg(Num(2.0)))),
+    ("-x1^2^3", Neg(BinOp("^", Var(1), BinOp("^", Num(2.0), Num(3.0))))),
+    ("2^3*4", BinOp("*", BinOp("^", Num(2.0), Num(3.0)), Num(4.0))),
+])
+def test_precedence_and_grouping_trees(src, tree):
+    assert parse(src, 1) == tree
+
+
+@pytest.mark.parametrize("src, message", [
+    ("2 +", "expected a value, got 'end of input' (at offset 3)"),
+    ("(x1", "expected ')' (at offset 3)"),
+    ("x1)", "unexpected token ')' (at offset 2)"),
+    ("2 * * 3", "expected a value, got '*' (at offset 4)"),
+    ("sin x1", "expected '(' (at offset 4)"),
+])
+def test_parse_error_messages_and_offsets(src, message):
+    with pytest.raises(ExprError) as info:
+        parse(src, 1)
+    assert str(info.value) == message
+    assert info.value.offset == int(message.rsplit(" ", 1)[1].rstrip(")"))
+
+
 def test_function_requires_parentheses():
     with pytest.raises(ExprError):
         parse("sin x1", 1)

@@ -18,6 +18,7 @@ from walshode import (
     sign_safe,
 )
 from walshode.hybrid import backend_config
+from walshode.quantum import measure_sampled, prepare_state
 
 
 def test_sign_safe_pinned_cases():
@@ -139,6 +140,21 @@ def test_config_validation():
         HybridConfig(epsilon=0.0)
     with pytest.raises(ValueError, match=re.escape("shots must be in [1, 2^63), got 0")):
         HybridConfig(shots=0)
+
+
+@pytest.mark.parametrize("shots", [1.5, True, 5.0])
+def test_shot_count_must_be_an_integer(shots):
+    message = re.escape(f"shots must be in [1, 2^63), got {shots}")
+    with pytest.raises(ValueError, match=message):
+        HybridConfig(shots=shots)
+    with pytest.raises(ValueError, match=message):
+        measure_sampled(prepare_state([1.0, 0.0]), shots)
+
+
+def test_numpy_integer_shot_count_is_taken():
+    cfg = HybridConfig(shots=np.int64(5))
+    assert cfg.shots == 5
+    assert int(measure_sampled(prepare_state([0.6, 0.8]), cfg.shots).sum()) == 5
 
 
 @pytest.mark.parametrize("epsilon", [math.inf, -math.inf, math.nan])

@@ -116,7 +116,7 @@ def test_beer_sweep_20():
 
 
 def test_constant_problem_is_fixed_point():
-    problem = IVProblem(m=1, rhs=[lambda x, t: 0.0], initial=[1.5], n=3)
+    problem = IVProblem(rhs=[lambda x, t: 0.0], initial=[1.5], n=3)
     solution, trace = picard_solve(problem, SolverConfig(n_max=5, tol=0.0))
     assert np.all(solution[0].values == 1.5)
     assert trace.iterations_run == 5
@@ -128,7 +128,7 @@ def test_time_only_rhs_single_sweep_is_exact_quadrature():
     # With an x-independent right-hand side, one sweep returns
     # q + the midpoint running integral of g, whatever the initial iterate.
     g = lambda x, t: math.cos(3.0 * t)
-    problem = IVProblem(m=1, rhs=[g], initial=[2.0], n=3)
+    problem = IVProblem(rhs=[g], initial=[2.0], n=3)
     solution, _ = picard_solve(problem, SolverConfig(n_max=1))
     N = 8
     mids = (2 * np.arange(N) + 1) / (2 * N)
@@ -137,7 +137,7 @@ def test_time_only_rhs_single_sweep_is_exact_quadrature():
 
 
 def test_tolerance_stops_early_and_flags_convergence():
-    problem = IVProblem(m=1, rhs=[lambda x, t: 0.0], initial=[0.25], n=2)
+    problem = IVProblem(rhs=[lambda x, t: 0.0], initial=[0.25], n=2)
     solution, trace = picard_solve(problem, SolverConfig(n_max=50, tol=1e-9))
     assert trace.converged
     assert trace.iterations_run < 50
@@ -158,6 +158,16 @@ def test_trace_snapshot_count_matches_iterations():
     assert len(trace.snapshots) == 7
     assert not trace.converged
     assert np.array_equal(trace.snapshots[0][0], [0.125, 0.375, 0.625, 0.875])
+
+
+def test_snapshots_are_the_read_only_iterates():
+    solution, trace = solve("beer_system", 3, 4)
+    assert np.array(trace.snapshots).shape == (4, 2, 8)
+    for snapshot in trace.snapshots:
+        assert not snapshot.flags.writeable
+        with pytest.raises(ValueError):
+            snapshot[0, 0] = 1.0
+    assert np.array_equal(trace.snapshots[-1], [x.values for x in solution])
 
 
 def test_backend_determinism_classical_vs_hybrid_exact():
@@ -230,7 +240,7 @@ def test_refinement_reduces_error_beer():
 def test_divergence_cap_raises_with_trace():
     # dx/dt = x^2 from x(0)=2 blows up inside [0,1]; iterates grow
     # double-exponentially and must trip the magnitude cap.
-    problem = IVProblem(m=1, rhs=[lambda x, t: x[0] ** 2], initial=[2.0], n=2)
+    problem = IVProblem(rhs=[lambda x, t: x[0] ** 2], initial=[2.0], n=2)
     with pytest.raises(DivergenceError) as info:
         picard_solve(problem, SolverConfig(n_max=100, tol=0.0))
     trace = info.value.trace
@@ -241,7 +251,7 @@ def test_divergence_cap_raises_with_trace():
 
 def test_non_finite_rhs_raises_divergence():
     problem = IVProblem(
-        m=1, rhs=[lambda x, t: float("nan") if t > 0.5 else 1.0], initial=[0.0], n=2
+        rhs=[lambda x, t: float("nan") if t > 0.5 else 1.0], initial=[0.0], n=2
     )
     with pytest.raises(DivergenceError):
         picard_solve(problem, SolverConfig(n_max=2))
@@ -251,7 +261,7 @@ def test_rhs_arithmetic_error_becomes_divergence():
     # Evaluation failures (here 1/x at x=0) surface as divergence, not as a
     # raw arithmetic exception, and still carry the trace.
     problem = IVProblem(
-        m=1, rhs=[lambda x, t: 1.0 / float(x[0])], initial=[0.0], n=2
+        rhs=[lambda x, t: 1.0 / float(x[0])], initial=[0.0], n=2
     )
     with pytest.raises(DivergenceError) as info:
         picard_solve(problem, SolverConfig(n_max=3))
@@ -267,7 +277,19 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(n_max=1, backend="adams")
     with pytest.raises(ValueError):
-        IVProblem(m=2, rhs=[lambda x, t: 0.0], initial=[0.0, 1.0])
+        IVProblem(rhs=[lambda x, t: 0.0], initial=[0.0, 1.0])
+
+
+def test_variable_count_is_the_number_of_right_hand_sides():
+    problem = IVProblem(rhs=[lambda x, t: 0.0] * 3, initial=[0.0, 1.0, 2.0])
+    assert problem.m == len(problem.rhs) == 3
+    with pytest.raises(TypeError):
+        IVProblem(m=3, rhs=problem.rhs, initial=problem.initial)
+
+
+def test_problem_without_right_hand_sides_is_refused():
+    with pytest.raises(ValueError, match="need at least one right-hand side"):
+        IVProblem(rhs=[], initial=[])
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1e-300])
@@ -279,7 +301,7 @@ def test_config_rejects_nan_and_negative_tol(tol):
 @pytest.mark.parametrize("initial", [[math.inf], [-math.inf], [math.nan]])
 def test_problem_rejects_non_finite_initial_value(initial):
     with pytest.raises(ValueError, match="initial values must be finite"):
-        IVProblem(m=1, rhs=[lambda x, t: 0.0], initial=initial)
+        IVProblem(rhs=[lambda x, t: 0.0], initial=initial)
 
 
 @pytest.mark.parametrize("domain", [
@@ -288,7 +310,7 @@ def test_problem_rejects_non_finite_initial_value(initial):
 ])
 def test_problem_rejects_bad_domain(domain):
     with pytest.raises(ValueError, match="domain must be finite with t_lo < t_hi"):
-        IVProblem(m=1, rhs=[lambda x, t: 0.0], initial=[0.0], domain=domain)
+        IVProblem(rhs=[lambda x, t: 0.0], initial=[0.0], domain=domain)
 
 
 def test_sampled_config_without_shots_fails_at_construction():
@@ -328,7 +350,7 @@ def test_config_derives_the_hybrid_config_once():
 def test_nonunit_domain_solution():
     # dx/dt = x on [0, 0.5], x(0) = 1 -> exp(t) at the midpoints.
     problem = IVProblem(
-        m=1, rhs=[lambda x, t: x[0]], initial=[1.0], domain=(0.0, 0.5), n=4
+        rhs=[lambda x, t: x[0]], initial=[1.0], domain=(0.0, 0.5), n=4
     )
     solution, trace = picard_solve(problem, SolverConfig(n_max=60))
     t = solution[0].midpoints
@@ -353,8 +375,7 @@ def expression_problem(sources, initial, n, vectorized):
         return rhs
 
     rhs = [both_forms(e) for e in nodes]
-    return IVProblem(m=len(sources), rhs=rhs, initial=initial, n=n,
-                     vectorized=vectorized)
+    return IVProblem(rhs=rhs, initial=initial, n=n, vectorized=vectorized)
 
 
 def snapshots_of(sources, initial, n=6, sweeps=18, vectorized=False):
@@ -387,7 +408,7 @@ def test_grid_rhs_within_ulps_of_scalar_for_power_and_functions(sources, initial
 
 def test_grid_rhs_scalar_result_is_broadcast():
     _, trace = picard_solve(
-        IVProblem(m=1, rhs=[lambda x, t: 0.75], initial=[0.0], n=2, vectorized=True),
+        IVProblem(rhs=[lambda x, t: 0.75], initial=[0.0], n=2, vectorized=True),
         SolverConfig(n_max=1),
     )
     assert np.array_equal(trace.snapshots[0][0], 0.75 * np.array([1, 3, 5, 7]) / 8)
@@ -421,7 +442,7 @@ def test_grid_rhs_failure_reruns_only_that_variable():
             return np.log(x[0] - x[0])  # -inf: a divide flag on the grid
         return 1.0
 
-    problem = IVProblem(m=2, rhs=[x1, failing], initial=[1.0, 0.0], n=2,
+    problem = IVProblem(rhs=[x1, failing], initial=[1.0, 0.0], n=2,
                         vectorized=True)
     _, trace = picard_solve(problem, SolverConfig(n_max=1))
     assert calls == [1]
