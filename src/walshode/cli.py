@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage error, 3 numeric/divergence error,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -42,7 +43,7 @@ from .solver import (
     builtin_problem,
     picard_solve,
 )
-from .transform import OpCount, fwht, iwht, wht_naive
+from .transform import OpCount, _require_naive_bytes, fwht, iwht, wht_naive
 from .walsh import _require_power_of_two, _require_qubits, character_table
 
 EXIT_OK = 0
@@ -92,20 +93,22 @@ def _write_text(path: str | None, chunks: Iterable[str]) -> None:
         fh.writelines(chunks)
 
 
-def _rows(row: str, columns: list[np.ndarray]) -> Iterator[str]:
-    """Format equal-length columns with ``row``, _CHUNK_ROWS rows per chunk."""
+def _rows(columns: list[np.ndarray]) -> Iterator[str]:
+    """Format whole columns (floats by repr, others by str) into chunks of _CHUNK_ROWS rows."""
     for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-        yield "".join(map(row.format, *(c[lo: lo + _CHUNK_ROWS].tolist() for c in columns)))
+        cells = [map(repr if c.dtype.kind == "f" else str, c[lo: lo + _CHUNK_ROWS].tolist())
+                 for c in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def write_vector(path: str, values: np.ndarray) -> None:
-    _write_text(path, _rows("{!r}\n", [np.asarray(values, dtype=float)]))
+    _write_text(path, _rows([np.asarray(values, dtype=float)]))
 
 
-def _write_csv(path: str | None, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write equal-length columns: float cells in ``repr`` form, others as ``str``."""
-    row = ",".join("{!r}" if c.dtype.kind == "f" else "{}" for c in columns) + "\n"
-    _write_text(path, itertools.chain([",".join(header) + "\n"], _rows(row, columns)))
+def _write_csv(path: str | None, header: list[str], blocks: Iterable[list[np.ndarray]]) -> None:
+    """Write the header, then each block of equal-length columns, one block at a time."""
+    chunks = itertools.chain.from_iterable(map(_rows, blocks))
+    _write_text(path, itertools.chain([",".join(header) + "\n"], chunks))
 
 
 def _require_seed(args) -> None:
@@ -206,20 +209,17 @@ def cmd_solve(args) -> int:
         if reference is not None:
             header += ["analytic", "error"]
             columns += [reference[i - 1], sf.values - reference[i - 1]]
-        _write_csv(path, header, columns)
+        _write_csv(path, header, [columns])
         outputs.append(path)
 
     if args.trace:
         path = os.path.join(args.output_dir, "trace.csv")
-        sweeps, m, N = len(trace.snapshots), len(solution), t.size
-        names = np.repeat([f"x{i}" for i in range(1, m + 1)], N)
-        _write_csv(path, ["iteration", "variable", "sample", "t", "value"], [
-            np.repeat(np.arange(1, sweeps + 1), m * N),
-            np.tile(names, sweeps),
-            np.tile(np.arange(N), sweeps * m),
-            np.tile(t_text, sweeps * m),
-            np.ravel(trace.snapshots),
-        ])
+        # One block per sweep and variable, so no column spans the whole trace.
+        samples = np.arange(t.size)
+        _write_csv(path, ["iteration", "variable", "sample", "t", "value"], (
+            [np.full(t.size, k), np.full(t.size, f"x{i}"), samples, t_text, x]
+            for k, snapshot in enumerate(trace.snapshots, start=1)
+            for i, x in enumerate(snapshot, start=1)))
         outputs.append(path)
 
     _print_report(
@@ -241,8 +241,10 @@ def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     for N in args.sizes:
-        _require_power_of_two(N)
+        n = _require_power_of_two(N)
         require_bytes(16 * N, f"bench input and transform output at N={N}")
+        if "naive" in args.backends:
+            _require_naive_bytes(n)
     transforms = {
         "fast": fwht,
         "naive": wht_naive,
@@ -266,7 +268,7 @@ def cmd_bench(args) -> int:
             )
     header = ["N", "backend", "additions", "multiplications", "square_roots",
               "wall_time_s"]
-    _write_csv(args.output, header, [np.array(column) for column in zip(*rows)])
+    _write_csv(args.output, header, [[np.array(column) for column in zip(*rows)]])
     return EXIT_OK
 
 
@@ -334,8 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: main's parser, built on first use; parse_args leaves it unchanged, so threads share it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     args._echo = list(argv) if argv is not None else sys.argv[1:]
     try:
         return args.func(args)

@@ -125,6 +125,11 @@ def _stages(x: np.ndarray, dst: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return dst
 
 
+def _require_naive_bytes(n: int) -> None:
+    """Refuse, with ResourceLimitError, a naive transform at n whose 9N^2 bytes pass the cap."""
+    require_bytes(9 * 4**n, f"naive transform at n={n}")
+
+
 def wht_naive(v, count: OpCount | None = None) -> np.ndarray:
     """Transform by explicit sign-table matvec; the O(N^2) oracle.
 
@@ -135,7 +140,7 @@ def wht_naive(v, count: OpCount | None = None) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     n = _require_vector(a)
     N = a.size
-    require_bytes(9 * N * N, f"naive transform at n={n}")
+    _require_naive_bytes(n)
     table = character_table(n).astype(float)
     out = table @ a
     out *= 1.0 / math.sqrt(N)

@@ -78,17 +78,17 @@ def _require_vector(a: np.ndarray, what: str = "input") -> int:
 
 
 def _require_domain(domain: tuple[float, float]) -> tuple[float, float]:
-    """Return the domain as floats, or raise unless finite with t_lo < t_hi."""
+    """Return the domain as floats, or raise unless t_lo < t_hi with a finite width."""
     lo, hi = map(float, domain)
-    if not -np.inf < lo < hi < np.inf:  # also False for nan
-        raise ValueError(f"domain must be finite with t_lo < t_hi, got {domain}")
+    if not (lo < hi and np.isfinite(hi - lo)):  # a finite width needs finite ends
+        raise ValueError(f"domain must be finite with t_lo < t_hi and a finite width, got {domain}")
     return lo, hi
 
 
 def midpoints(N: int, domain: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
     """The N cell midpoints t_m = t_lo + (t_hi - t_lo)(2m+1)/(2N) of the domain."""
     lo, hi = domain
-    return lo + (hi - lo) * (2.0 * np.arange(N) + 1.0) / (2.0 * N)
+    return lo + (hi - lo) * ((2.0 * np.arange(N) + 1.0) / (2.0 * N))  # exact fraction: no overflow
 
 
 def _parity(v: np.ndarray) -> np.ndarray:

@@ -366,6 +366,27 @@ def test_solve_trace_output(tmp_path, capsys):
     assert len(lines) == 1 + 3 * 1 * 4  # sweeps * variables * samples
 
 
+def test_solve_trace_is_written_one_sweep_at_a_time(tmp_path, capsys):
+    # Beer at n=10 takes 18 sweeps.  Writing trace.csv may hold the index
+    # columns and text of one sweep of one variable, no more than an x*.csv
+    # chunk; columns spanning the whole trace take ~39 bytes a row, 18 sweeps.
+    m, N = 2, 1024
+    argv = ["solve", "--problem", "beer_system", "--n", "10", "--nmax", "40",
+            "--output-dir", str(tmp_path / "out")]
+    run(capsys, *argv)  # first-run costs (operator memo, imports) fall outside
+    peaks = []
+    for trace in ([], ["--trace"]):
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, *argv, *trace)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert len((tmp_path / "out" / "trace.csv").read_text().splitlines()) == 1 + 18 * m * N
+    assert peaks[1] - peaks[0] <= 64 * m * N
+
+
 def test_solve_expression_parse_error_is_usage(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--rhs", "x1 +", "--init", "0",
                        "--output-dir", str(tmp_path))
@@ -455,12 +476,22 @@ def test_solve_rejects_init_for_builtin_problem(tmp_path, capsys):
     (("--problem", "riccati", "--domain", "nan", "1"), "domain must be finite"),
     (("--problem", "riccati", "--domain", "1", "0"), "t_lo < t_hi"),
     (("--problem", "riccati", "--tol", "nan"), "tol must be >= 0"),
+    # argparse takes "-1e308" for an option; the digits spell the same float.
+    (("--problem", "riccati", "--domain", str(-10**308), "1e308"), "a finite width"),
 ])
 def test_solve_rejects_non_finite_values_and_bad_domain(tmp_path, capsys, flags, message):
     code, out, err = run(capsys, "solve", *flags, "--output-dir", str(tmp_path))
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_solve_on_a_wide_domain_warns_nothing(tmp_path, capsys):
+    # The midpoints of [0, 1e308] are finite; only the iterate runs away.
+    code, out, err = run(capsys, "solve", "--problem", "riccati", "--domain", "0", "1e308",
+                         "--output-dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err == "walshode: numeric failure: iterate magnitude exceeded 1e+12\n"
 
 
 # ---------------------------------------------------------------------------
@@ -569,15 +600,18 @@ def test_bench_rejects_bad_size(monkeypatch, capsys):
 
 
 def test_bench_oversized_size_refused_before_any_size_runs(capsys, monkeypatch):
-    # 2^27 points: the input and the transform output take 2 GiB.
     def forbidden(*args, **kwargs):
         raise AssertionError("bench input allocated")
 
     monkeypatch.setattr(np.random, "default_rng", forbidden)
-    code, out, err = run(capsys, "bench", "--sizes", "16", str(1 << 27))
-    assert code == 2
-    assert out == ""
-    assert "over the cap" in err
+    # 2^27 points: the input and the transform output take 2 GiB.  At 2^14
+    # points the naive transform's tables take 9N^2 = 2.25 GiB.
+    for argv in (["--sizes", "16", str(1 << 27)],
+                 ["--sizes", "4", str(1 << 14), "--backends", "naive"]):
+        code, out, err = run(capsys, "bench", *argv)
+        assert code == 2
+        assert out == ""
+        assert "over the cap" in err
 
 
 def test_bench_rejects_zero_repeats(capsys):
@@ -721,6 +755,12 @@ def test_solve_problem_and_rhs_are_exclusive(tmp_path, capsys):
         main(["solve", "--problem", "riccati", "--rhs", "x1",
               "--output-dir", str(tmp_path)])
     assert info.value.code == 2
+
+
+def test_one_parser_per_process():
+    # main parses with one parser; build_parser still makes a fresh one.
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_usage_error_exit_code_from_argparse(capsys):

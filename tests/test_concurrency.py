@@ -1,5 +1,6 @@
 """Reentrancy of the pure operations and the synchronized matrix memo."""
 
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,6 +16,7 @@ from walshode import (
     integration_matrix,
     picard_solve,
     SolverConfig,
+    cli,
     transform,
 )
 from walshode.calculus import _cache
@@ -111,3 +113,49 @@ def test_distinct_solves_run_concurrently():
         results = list(pool.map(work, [2, 2, 3, 3]))
     assert np.array_equal(results[0], results[1])
     assert np.array_equal(results[2], results[3])
+
+
+def test_cli_solves_run_concurrently(tmp_path, capsys):
+    # Every thread parses with the one shared parser and writes its own
+    # directory; files and reports (minus elapsed_s) match a serial run's.
+    specs = [
+        ["--problem", "beer_system", "--trace"],
+        ["--rhs", "x2", "--rhs", "sin(t)-x1", "--init", "0.5", "-0.25"],
+        ["--problem", "riccati", "--backend", "hybrid-sampled", "--shots", "1000",
+         "--seed", "4", "--trace"],
+        ["--problem", "riccati", "--backend", "hybrid-exact", "--domain", "0.5", "2"],
+    ] * 2
+
+    def solve(job, root):
+        out = root / str(job)
+        argv = ["solve", *specs[job], "--n", "6", "--nmax", "8", "--output-dir", str(out)]
+        assert cli.main(argv) == 0
+        return out
+
+    def reports(text, root):
+        """The JSON reports printed in any order, by output directory, minus elapsed_s."""
+        decoder, found, text = json.JSONDecoder(), {}, text.replace(str(root), "ROOT").strip()
+        while text:
+            report, end = decoder.raw_decode(text)
+            text = text[end:].lstrip()
+            del report["elapsed_s"]
+            found[report["command"][-1]] = report
+        return found
+
+    jobs = range(len(specs))
+    serial = [solve(job, tmp_path / "serial") for job in jobs]
+    expected = reports(capsys.readouterr().out, tmp_path / "serial")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(solve, jobs, [tmp_path / "threads"] * len(specs),
+                                     timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports(capsys.readouterr().out, tmp_path / "threads") == expected
+    assert len(expected) == len(specs)
+    for a, b in zip(serial, threaded):
+        names = sorted(path.name for path in a.iterdir())
+        assert names == sorted(path.name for path in b.iterdir())
+        assert all((a / name).read_bytes() == (b / name).read_bytes() for name in names)

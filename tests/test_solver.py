@@ -306,7 +306,7 @@ def test_problem_rejects_non_finite_initial_value(initial):
 
 @pytest.mark.parametrize("domain", [
     (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan),
-    (1.0, 1.0), (1.0, 0.0),
+    (1.0, 1.0), (1.0, 0.0), (-1e308, 1e308),
 ])
 def test_problem_rejects_bad_domain(domain):
     with pytest.raises(ValueError, match="domain must be finite with t_lo < t_hi"):

@@ -310,6 +310,15 @@ def test_sampled_function_validation():
         SampledFunction(np.ones(4), domain=(1.0, 1.0))
     with pytest.raises(ValueError, match="domain must be finite"):
         SampledFunction(np.ones(4), domain=(0.0, math.inf))
+    # Both ends finite, but t_hi - t_lo is inf: every integral would be inf.
+    with pytest.raises(ValueError, match="a finite width"):
+        SampledFunction(np.ones(4), domain=(-1e308, 1e308))
+
+
+def test_midpoints_of_a_wide_domain_do_not_overflow():
+    # (t_hi - t_lo)(2m+1) passes the largest float though every midpoint is finite.
+    t = walsh.midpoints(4, (0.0, 1e308))
+    assert np.array_equal(t, [1.25e307, 3.75e307, 6.25e307, 8.75e307])
 
 
 @pytest.mark.parametrize("make", [SampledFunction, SpectralVector])
