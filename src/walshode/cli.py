@@ -16,7 +16,9 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
+import re
 import sys
 import time
 from collections.abc import Iterable, Iterator
@@ -72,12 +74,16 @@ def read_vector(path: str) -> np.ndarray:
                 values.append(float(text))
             except ValueError:
                 raise UsageError(f"{path}:{lineno}: not a number: {text!r}")
-            if not np.isfinite(values[-1]):
+            if not math.isfinite(values[-1]):
                 raise UsageError(f"{path}:{lineno}: not a finite number: {text!r}")
     if not values:
         raise UsageError(f"{path}: no values found")
     return np.array(values)
 
+
+#: A negative number, exponent included, for argparse's private _negative_number_matcher
+#: (3.10-3.13), which knows none and so takes "-1e-3" for an option.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 #: Rows per chunk of a vector or CSV file: a 1024-sample solve is one chunk,
 #: and a longer file never holds all of its text at once.
@@ -123,13 +129,16 @@ def cmd_transform(args) -> int:
     v = read_vector(args.input)
     count = OpCount()
     started = time.perf_counter()
-    if args.backend == "naive":
-        out = wht_naive(v, count)
-    elif args.backend == "fast":
-        out = iwht(v, count) if args.inverse else fwht(v, count)
-    else:
-        out, _ = hybrid_wht(v, hybrid, count)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite output is refused below
+        if args.backend == "naive":
+            out = wht_naive(v, count)
+        elif args.backend == "fast":
+            out = iwht(v, count) if args.inverse else fwht(v, count)
+        else:
+            out, _ = hybrid_wht(v, hybrid, count)
     elapsed = time.perf_counter() - started
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError(f"the {args.backend} transform overflows float64")
     write_vector(args.output, out)
     _print_report(
         command=args._echo,
@@ -333,6 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_bench)
 
+    for p in (parser, hybrid, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

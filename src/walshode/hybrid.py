@@ -43,7 +43,8 @@ class HybridConfig:
     ``epsilon`` is the finite, strictly positive shift margin; None selects
     1e-3 * (1 + sum|a_k|), large enough for strict positivity without
     concentrating amplitude on the shifted slot.  ``shots`` None reads the
-    exact probabilities; an integer in [1, 2^63) draws that many from ``seed``.
+    exact probabilities; an integer in [1, 2^63) draws that many from ``seed``,
+    a non-negative integer (not None, which would draw OS entropy, nor a bool).
     """
 
     epsilon: float | None = None
@@ -55,6 +56,8 @@ class HybridConfig:
             raise ValueError(f"epsilon must be strictly positive and finite, got {self.epsilon}")
         if self.shots is not None:
             require_shots(self.shots)
+        if isinstance(self.seed, bool) or not hasattr(self.seed, "__index__") or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     @property
     def mode(self) -> str:
@@ -143,12 +146,12 @@ def hybrid_wht(
         raise ValueError("input vector must be finite")
     N = a.size
 
-    abs_sum = float(np.sum(np.abs(a)))
+    with np.errstate(over="ignore"):  # an overflowing sum makes norm_sq inf, refused below
+        abs_sum = float(np.sum(np.abs(a)))
+        rest_sq = float(np.sum(a[1:] ** 2))
     epsilon = cfg.epsilon if cfg.epsilon is not None else 1e-3 * (1.0 + abs_sum)
     shift = epsilon + abs_sum
-    norm_sq = shift * shift  # >= sum a_k^2: while finite, that sum cannot overflow (or warn)
-    if math.isfinite(norm_sq):
-        norm_sq += float(np.sum(a[1:] ** 2))
+    norm_sq = shift * shift + rest_sq
     if not math.isfinite(norm_sq):
         raise ValueError(f"the shifted vector's squared norm overflows float64 (shift {shift!r})")
     norm = math.sqrt(norm_sq)

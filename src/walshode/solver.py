@@ -95,8 +95,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if not self.tol >= 0.0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be >= 0 and finite, got {self.tol}")
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
         hybrid = backend_config(self.backend, self.epsilon, self.shots, self.seed)

@@ -91,16 +91,6 @@ def midpoints(N: int, domain: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
     return lo + (hi - lo) * ((2.0 * np.arange(N) + 1.0) / (2.0 * N))  # exact fraction: no overflow
 
 
-def _parity(v: np.ndarray) -> np.ndarray:
-    """Elementwise popcount parity of a signed int array, in place: overwrites v."""
-    shift = 4 * v.itemsize
-    while shift:
-        v ^= v >> shift
-        shift //= 2
-    v &= 1
-    return v
-
-
 def _bit_reverse(v, n: int):
     """Reverse the low n bits of v (scalar int or ndarray)."""
     out = v * 0
@@ -128,17 +118,18 @@ def character_eval(k: int, x: int, n: int) -> int:
 def character_table(n: int) -> np.ndarray:
     """Full N x N sign table, row k = chi_k; dtype int8.
 
-    Its peak holds the N int32 indices, their pairwise ANDs and one
-    shifted copy of those inside ``_parity``: 4N(2N + 1) bytes.  It is
-    refused before allocating, with ResourceLimitError, once that passes
+    Its peak holds the N int32 indices, their pairwise ANDs and the uint8
+    popcounts (``np.bitwise_count``): N(5N + 4) bytes, plus the broadcast
+    AND's buffers for its two operands, 8 * np.getbufsize() bytes.  It
+    is refused before allocating, with ResourceLimitError, once that passes
     errors.MAX_ALLOC_BYTES (from n = 14, far below int32's limit);
     character_eval gives lazy access beyond that.
     """
     N = _require_qubits(n)
-    require_bytes(4 * N * (2 * N + 1), f"character table for n={n}")
+    require_bytes(N * (5 * N + 4) + 8 * np.getbufsize(), f"character table for n={n}")
     idx = np.arange(N, dtype=np.int32)
-    par = _parity(idx[:, None] & idx[None, :]).astype(np.int8)
-    return 1 - 2 * par
+    odd = np.bitwise_count(idx[:, None] & idx) & 1  # the ANDs are freed once counted
+    return 1 - 2 * odd.astype(np.int8)  # signed: in uint8, 1 - 2 would wrap to 255
 
 
 def sequency_walsh_recursive(j: int, x: float) -> int:
@@ -277,5 +268,5 @@ def reconstruct(sv: SpectralVector, t: float) -> float:
     if cell is None:
         return 0.0
     coeffs = convert_ordering(sv, WalshOrdering.NATURAL).coeffs
-    signs = 1 - 2 * _parity(np.arange(N) & cell)
-    return float(coeffs @ signs) / np.sqrt(N)
+    odd = np.bitwise_count(np.arange(N) & cell) & 1
+    return float(coeffs @ (1 - 2 * odd.astype(np.int8))) / np.sqrt(N)

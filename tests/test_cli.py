@@ -160,6 +160,29 @@ def test_transform_hybrid_norm_overflow_is_usage_error(tmp_path, capsys):
         assert not (tmp_path / "o.txt").exists()
 
 
+@pytest.mark.parametrize("backend", ["fast", "naive"])
+@pytest.mark.parametrize("inverse", [[], ["--inverse"]])
+def test_transform_overflow_is_numeric_failure(tmp_path, capsys, backend, inverse):
+    # The sum 2e308 overflows: no numpy warning, no file of inf, exit 3.
+    src = tmp_path / "in.txt"
+    write_input(src, [1e308, 1e308])
+    code, out, err = run(capsys, "transform", str(src), "-o", str(tmp_path / "o.txt"),
+                         "--backend", backend, *inverse)
+    assert (code, out) == (3, "")
+    assert err == f"walshode: numeric failure: the {backend} transform overflows float64\n"
+    assert not (tmp_path / "o.txt").exists()
+
+
+def test_transform_hybrid_absolute_sum_overflow_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    write_input(src, [1e308, 1e308])
+    code, out, err = run(capsys, "transform", str(src), "-o", str(tmp_path / "o.txt"),
+                         "--backend", "hybrid-exact")
+    assert (code, out) == (2, "")
+    assert err == ("walshode: error: the shifted vector's squared norm overflows "
+                   "float64 (shift inf)\n")
+
+
 def test_transform_missing_file_is_io_error(tmp_path, capsys):
     code, _, _ = run(capsys, "transform", str(tmp_path / "nope.txt"),
                      "-o", str(tmp_path / "o.txt"))
@@ -235,8 +258,9 @@ def test_table_converts_one_row_at_a_time(tmp_path, capsys):
 
 
 def test_character_table_dump_peaks_below_the_int64_build(tmp_path, capsys, monkeypatch):
-    # At n=10 the int32 pairwise ANDs and one shifted copy take 8 MiB, the
-    # table build's charge.  The CSV text is written row by row, so it adds
+    # At n=10 the int32 pairwise ANDs and their uint8 popcounts take 5 MiB,
+    # and numpy's buffers for the broadcast AND 64 KiB: the table build's
+    # charge.  The CSV text is written row by row, so it adds
     # at most one row (about 5 KiB of text) to the int8 table.  The int64
     # build alone took 16 MiB, and the text joined whole about 10 MiB.
     charged = []
@@ -255,7 +279,7 @@ def test_character_table_dump_peaks_below_the_int64_build(tmp_path, capsys, monk
     finally:
         tracemalloc.stop()
     assert code == 0 and out == ""
-    assert charged == [4 * 1024 * (2 * 1024 + 1)]
+    assert charged == [1024 * (5 * 1024 + 4) + 8 * 8192]
     assert peak <= charged[0] + (64 << 10)
 
 
@@ -484,6 +508,40 @@ def test_solve_rejects_non_finite_values_and_bad_domain(tmp_path, capsys, flags,
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_solve_rejects_infinite_tol(tmp_path, capsys):
+    code, out, err = run(capsys, "solve", "--problem", "riccati", "--tol", "inf",
+                         "--output-dir", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == "walshode: error: tol must be >= 0 and finite, got inf\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, spelled, plain", [
+    ("--init", ["-1e-3"], ["-0.001"]),
+    ("--init", ["-1E+2"], ["-100.0"]),
+    ("--init", ["-2.5e-1"], ["-0.25"]),
+    ("--domain", ["-1e-3", "1"], ["-0.001", "1"]),
+    ("--domain", ["-1E+2", "1"], ["-100.0", "1"]),
+    ("--domain", ["-2.5e-1", "1"], ["-0.25", "1"]),
+])
+def test_negative_values_with_an_exponent_are_values(tmp_path, capsys, flag, spelled, plain):
+    def solve(values, out):
+        init = [] if flag == "--init" else ["--init", "0.5"]
+        code, report, err = run(capsys, "solve", "--rhs", "t", *init, flag, *values,
+                                "--output-dir", str(tmp_path / out))
+        assert (code, err) == (0, "")
+        return (tmp_path / out / "x1.csv").read_bytes()
+
+    assert solve(spelled, "spelled") == solve(plain, "plain")
+
+
+def test_an_option_after_init_is_still_an_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--rhs", "x1", "--init", "-x", "--output-dir", str(tmp_path)])
+    assert info.value.code == 2
+    assert "argument --init: expected at least one argument" in capsys.readouterr().err
 
 
 def test_solve_on_a_wide_domain_warns_nothing(tmp_path, capsys):
@@ -723,6 +781,15 @@ def test_non_finite_epsilon_is_usage_error(tmp_path, capsys, command, backend, e
                          f"--epsilon={epsilon}", *sampled)
     assert (code, out) == (2, "")
     assert err == f"walshode: error: epsilon must be strictly positive and finite, got {epsilon}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "transform"])
+def test_negative_seed_is_named(tmp_path, capsys, command):
+    code, out, err = run(capsys, *_command_argv(tmp_path, command), "--backend",
+                         "hybrid-sampled", "--shots", "1000", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "walshode: error: seed must be a non-negative integer, got -1\n"
     assert not (tmp_path / "out").exists()
 
 

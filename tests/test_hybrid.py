@@ -157,6 +157,28 @@ def test_numpy_integer_shot_count_is_taken():
     assert int(measure_sampled(prepare_state([0.6, 0.8]), cfg.shots).sum()) == 5
 
 
+@pytest.mark.parametrize("seed", [None, True, 1.5, -1])
+def test_seed_must_be_a_non_negative_integer(seed):
+    # None would draw OS entropy, so two runs of one config would differ.
+    with pytest.raises(ValueError) as info:
+        HybridConfig(shots=1000, seed=seed)
+    assert str(info.value) == f"seed must be a non-negative integer, got {seed}"
+
+
+def test_numpy_integer_seed_is_taken():
+    v = np.array([0.5, -0.25, 1.0, 0.0])
+    cfg = HybridConfig(shots=1000, seed=np.int64(7))
+    assert np.array_equal(hybrid_wht(v, cfg)[0], hybrid_wht(v, HybridConfig(shots=1000, seed=7))[0])
+
+
+def test_overflowing_absolute_sum_raises_only_the_value_error():
+    # np.sum(np.abs(a)) is inf here; under filterwarnings = error numpy's
+    # overflow warning would reach the caller instead of the ValueError.
+    with pytest.raises(ValueError) as info:
+        hybrid_wht(np.array([1e308, 1e308]))
+    assert str(info.value) == "the shifted vector's squared norm overflows float64 (shift inf)"
+
+
 @pytest.mark.parametrize("epsilon", [math.inf, -math.inf, math.nan])
 def test_non_finite_epsilon_refused_when_the_config_is_built(epsilon):
     message = f"epsilon must be strictly positive and finite, got {epsilon}"

@@ -298,6 +298,13 @@ def test_config_rejects_nan_and_negative_tol(tol):
         SolverConfig(n_max=1, tol=tol)
 
 
+@pytest.mark.parametrize("tol", [math.inf, -math.inf])
+def test_config_rejects_infinite_tol(tol):
+    with pytest.raises(ValueError) as info:
+        SolverConfig(n_max=1, tol=tol)
+    assert str(info.value) == f"tol must be >= 0 and finite, got {tol}"
+
+
 @pytest.mark.parametrize("initial", [[math.inf], [-math.inf], [math.nan]])
 def test_problem_rejects_non_finite_initial_value(initial):
     with pytest.raises(ValueError, match="initial values must be finite"):
