@@ -6,8 +6,11 @@ report to stdout; `table` and `bench` print CSV to stdout unless -o names
 a file.  Every command is deterministic given its flags (the sampled
 backend refuses to run without an explicit --seed).
 
-Exit codes: 0 success, 2 usage error, 3 numeric/divergence error,
-4 I/O error.
+Exit codes, by exception family: 0 success, 2 usage (ValueError,
+ResourceLimitError), 3 numeric/divergence (ArithmeticError,
+DivergenceError), 4 I/O (OSError).  A failure prints one stderr line and
+no report, and a failed solve writes no file.  A hybrid `transform` of an
+input whose norm overflows exits 2 (ValueError), where fast and naive exit 3.
 """
 
 from __future__ import annotations
@@ -28,13 +31,7 @@ import numpy as np
 
 from . import __version__
 from .calculus import differentiation_matrix, integration_matrix
-from .errors import (
-    DivergenceError,
-    ExprError,
-    ExprEvalError,
-    ResourceLimitError,
-    require_bytes,
-)
+from .errors import DivergenceError, ResourceLimitError, require_bytes
 from .expr import evaluate, evaluate_grid, parse
 from .hybrid import backend_config, hybrid_wht
 from .solver import (
@@ -54,10 +51,6 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-class UsageError(ValueError):
-    """Bad flags or malformed input content."""
-
-
 def _print_report(**doc) -> None:
     """Print the JSON run report; each command passes its full key set."""
     print(json.dumps(doc, indent=2, sort_keys=True))
@@ -73,11 +66,11 @@ def read_vector(path: str) -> np.ndarray:
             try:
                 values.append(float(text))
             except ValueError:
-                raise UsageError(f"{path}:{lineno}: not a number: {text!r}")
+                raise ValueError(f"{path}:{lineno}: not a number: {text!r}")
             if not math.isfinite(values[-1]):
-                raise UsageError(f"{path}:{lineno}: not a finite number: {text!r}")
+                raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
     if not values:
-        raise UsageError(f"{path}: no values found")
+        raise ValueError(f"{path}: no values found")
     return np.array(values)
 
 
@@ -120,7 +113,7 @@ def _write_csv(path: str | None, header: list[str], blocks: Iterable[list[np.nda
 def _require_seed(args) -> None:
     """The CLI's own rule: a sampled run needs an explicit --seed to replay from."""
     if args.backend == "hybrid-sampled" and args.seed is None:
-        raise UsageError("backend hybrid-sampled requires --seed")
+        raise ValueError("backend hybrid-sampled requires --seed")
 
 
 def cmd_transform(args) -> int:
@@ -172,13 +165,13 @@ def _problem_from_args(args) -> tuple[IVProblem, str | None]:
     domain = (args.domain[0], args.domain[1])
     if args.problem:
         if args.init is not None:
-            raise UsageError(f"--init applies to --rhs systems only; "
+            raise ValueError(f"--init applies to --rhs systems only; "
                              f"{args.problem} has its own initial values")
         return replace(builtin_problem(args.problem, n=args.n), domain=domain), args.problem
     if not args.rhs:
-        raise UsageError("provide either --problem or at least one --rhs")
+        raise ValueError("provide either --problem or at least one --rhs")
     if args.init is None or len(args.init) != len(args.rhs):
-        raise UsageError("--init must supply one value per --rhs expression")
+        raise ValueError("--init must supply one value per --rhs expression")
     rhs = [_rhs_callable(parse(src, len(args.rhs))) for src in args.rhs]
     problem = IVProblem(rhs=rhs, initial=list(args.init), domain=domain,
                         n=args.n, vectorized=True)
@@ -248,7 +241,7 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.repeats < 1:
-        raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     for N in args.sizes:
         n = _require_power_of_two(N)
         require_bytes(16 * N, f"bench input and transform output at N={N}")
@@ -356,10 +349,10 @@ def main(argv=None) -> int:
     args._echo = list(argv) if argv is not None else sys.argv[1:]
     try:
         return args.func(args)
-    except (UsageError, ExprError, ResourceLimitError, ValueError) as exc:
+    except (ValueError, ResourceLimitError) as exc:
         print(f"walshode: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DivergenceError, ExprEvalError, FloatingPointError) as exc:
+    except (ArithmeticError, DivergenceError) as exc:
         print(f"walshode: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

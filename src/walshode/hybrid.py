@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .quantum import (DEFAULT_SEED, apply_hadamard_all, measure_exact, measure_sampled,
-                      prepare_state, require_shots)
+                      prepare_state, require_seed, require_shots)
 from .transform import OpCount
 from .walsh import _require_vector
 
@@ -56,8 +56,7 @@ class HybridConfig:
             raise ValueError(f"epsilon must be strictly positive and finite, got {self.epsilon}")
         if self.shots is not None:
             require_shots(self.shots)
-        if isinstance(self.seed, bool) or not hasattr(self.seed, "__index__") or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        require_seed(self.seed)
 
     @property
     def mode(self) -> str:

@@ -84,9 +84,16 @@ def require_shots(shots: int) -> None:
         raise ValueError(f"shots must be in [1, 2^63), got {shots}")
 
 
+def require_seed(seed: int) -> None:
+    """Refuse all but a non-negative integer (not a bool): None would draw fresh OS entropy."""
+    if isinstance(seed, bool) or not hasattr(seed, "__index__") or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def measure_sampled(state: StateVector, shots: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Int64 outcome counts of ``shots`` shots drawn with ``seed``; they sum to ``shots``."""
     require_shots(shots)
+    require_seed(seed)
     p = state.amplitudes**2
     # Normalised so roundoff cannot trip numpy's sum(pvals[:-1]) <= 1 check.
     return np.random.default_rng(seed).multinomial(shots, p / p.sum())

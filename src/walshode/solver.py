@@ -13,8 +13,11 @@ point, so errors name the first bad sample either way.  Iteration stops after ``
 largest componentwise update drops below ``tol``.
 
 Picard iteration is not guaranteed to converge for stiff problems or
-long intervals; iterates that blow past a magnitude cap raise
-DivergenceError carrying the partial trace instead of looping silently.
+long intervals.  Every numeric failure of a solve raises DivergenceError
+carrying the partial trace, and no numpy warning: an iterate past a
+magnitude cap or not finite, or a hybrid integral whose norm overflows.
+Before sweep k, its k kept snapshots plus state, derivatives and update,
+(k + 3) float64 grids of m x N, are charged against the byte cap.
 """
 
 from __future__ import annotations
@@ -154,11 +157,13 @@ def picard_solve(
 ) -> tuple[list[SampledFunction], SolutionTrace]:
     """Run Picard sweeps; returns the final iterates and the full trace."""
     N = 1 << problem.n
-    # The trace keeps n_max grids; state, derivatives and update add three.
-    require_bytes(
-        (config.n_max + 3) * problem.m * N * 8,
-        f"picard_solve at n={problem.n}, m={problem.m}, n_max={config.n_max}",
-    )
+
+    def charge(kept: int) -> None:
+        """The kept snapshots, plus three grids: state, derivatives and update."""
+        require_bytes((kept + 3) * problem.m * N * 8,
+                      f"picard_solve at n={problem.n}, m={problem.m}, sweep {kept}")
+
+    charge(1)  # before the grid below is built
     t = midpoints(N, problem.domain)
 
     initial = np.array(problem.initial, dtype=float)
@@ -166,14 +171,19 @@ def picard_solve(
     trace = SolutionTrace()
 
     for sweep in range(config.n_max):
+        charge(sweep + 1)
         derivs = _rhs_values(problem, xs, t, trace)
 
         # All integrals use the pre-sweep iterates; each draws its own seed.
         new_xs = np.empty_like(xs)
-        for i in range(problem.m):
-            cfg = None if config.hybrid is None else config.hybrid.child(sweep, i)
-            integral = integrate_sampled(SampledFunction(derivs[i], problem.domain), cfg)
-            new_xs[i] = initial[i] + integral.values
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite iterate is refused below
+            for i in range(problem.m):
+                cfg = None if config.hybrid is None else config.hybrid.child(sweep, i)
+                try:
+                    integral = integrate_sampled(SampledFunction(derivs[i], problem.domain), cfg)
+                except ValueError as exc:  # derivs[i] is finite: the hybrid norm left float64 range
+                    raise DivergenceError(f"the integral of x{i + 1} failed: {exc}", trace) from exc
+                new_xs[i] = initial[i] + integral.values
 
         residual = float(np.max(np.abs(new_xs - xs)))
         xs = new_xs
@@ -181,10 +191,10 @@ def picard_solve(
         trace.snapshots.append(xs)
         trace.final_residual = residual
 
-        if np.max(np.abs(xs)) > MAGNITUDE_CAP:
-            raise DivergenceError(
-                f"iterate magnitude exceeded {MAGNITUDE_CAP:g}", trace
-            )
+        peak = float(np.max(np.abs(xs)))
+        if not peak <= MAGNITUDE_CAP:  # also True for nan
+            what = f"magnitude exceeded {MAGNITUDE_CAP:g}" if peak < math.inf else "is not finite"
+            raise DivergenceError(f"iterate {what}", trace)
         if residual < config.tol:
             trace.converged = True
             break

@@ -58,6 +58,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import Context, copy_context
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,9 +190,11 @@ def fwht(v, count: OpCount | None = None) -> np.ndarray:
             blocks(0)
             tiles(0)
         else:
+            # Each worker runs in a copy of the caller's context, which holds numpy's error state.
+            contexts = [copy_context() for _ in range(workers)]
             with ThreadPoolExecutor(workers) as pool:
-                list(pool.map(blocks, range(workers)))
-                list(pool.map(tiles, range(workers)))
+                for task in (blocks, tiles):
+                    list(pool.map(Context.run, contexts, [task] * workers, range(workers)))
     if count is not None:
         count.additions += N * n
         count.multiplications += N

@@ -146,6 +146,14 @@ def test_transform_non_power_of_two_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_transform_of_comments_only_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    write_input(src, [])
+    code, out, err = run(capsys, "transform", str(src), "-o", str(tmp_path / "o.txt"))
+    assert (code, out) == (2, "")
+    assert err == f"walshode: error: {src}: no values found\n"
+
+
 def test_transform_hybrid_norm_overflow_is_usage_error(tmp_path, capsys):
     # With 1e160 in a[1:], a numpy overflow warning on squaring it would escape
     # main as an exception under the suite's filterwarnings = error.
@@ -466,6 +474,26 @@ def test_solve_oversized_grid_refused_before_allocation(tmp_path, capsys, monkey
     assert "over the cap" in err
 
 
+def test_solve_cap_charges_kept_sweeps_not_nmax(tmp_path, capsys):
+    # 2000 sweeps at n=16 would pass the cap; the 18 it runs do not.
+    code, out, err = run(capsys, "solve", "--problem", "beer_system", "--n", "16",
+                         "--nmax", "2000", "--output-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["converged"] and report["iterations"] == 18
+
+
+@pytest.mark.parametrize("backend", ["classical", "hybrid-exact"])
+def test_solve_overflowing_integral_is_numeric_failure(tmp_path, capsys, backend):
+    # exp(709.7) is finite, but its integral overflows: one line, no report, no file.
+    code, out, err = run(capsys, "solve", "--rhs", "exp(709.7)", "--init", "0", "--n", "4",
+                         "--nmax", "3", "--tol", "0", "--backend", backend,
+                         "--output-dir", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err.startswith("walshode: numeric failure: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_shifted_domain_drops_analytic_columns(tmp_path, capsys):
     # The builtin references anchor x(0); a domain not starting at 0 cannot
     # be compared against them.
@@ -481,6 +509,12 @@ def test_solve_rejects_mismatched_init(tmp_path, capsys):
     code, _, _ = run(capsys, "solve", "--rhs", "x1", "--rhs", "x2",
                      "--init", "0", "--output-dir", str(tmp_path))
     assert code == 2
+
+
+def test_solve_needs_a_problem_or_an_rhs(tmp_path, capsys):
+    code, out, err = run(capsys, "solve", "--output-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "walshode: error: provide either --problem or at least one --rhs\n"
 
 
 def test_solve_rejects_init_for_builtin_problem(tmp_path, capsys):

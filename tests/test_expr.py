@@ -247,6 +247,14 @@ def test_roundtrip_preserves_value():
             assert evaluate(tree, x, t) == evaluate(reparsed, x, t)
 
 
+def test_negative_number_base_keeps_its_parentheses():
+    # Without them "-2.0 ^ 2.0" would read as -(2.0 ^ 2.0) = -4.0.
+    tree = BinOp("^", Num(-2.0), Num(2.0))
+    printed = to_source(tree)
+    assert printed == "(-2.0) ^ 2.0"
+    assert evaluate(parse(printed, 0), [], 0.0) == evaluate(tree, [], 0.0) == 4.0
+
+
 # ---------------------------------------------------------------------------
 # parity with native problem definitions
 

@@ -235,6 +235,18 @@ def test_measure_sampled_shot_budget_bounded_by_int64_counts():
         measure_sampled(s, shots=2**63)
 
 
+@pytest.mark.parametrize("seed", [None, -1, True, 1.5])
+def test_measure_sampled_refuses_a_seed_that_does_not_replay(seed):
+    # None would draw fresh OS entropy on every call.
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        measure_sampled(prepare_state([0.6, 0.8]), 1000, seed)
+
+
+def test_measure_sampled_takes_a_numpy_integer_seed():
+    s = prepare_state([0.6, 0.8])
+    assert np.array_equal(measure_sampled(s, 1000, np.int64(7)), measure_sampled(s, 1000, 7))
+
+
 def test_sampled_frequencies_converge_to_exact():
     rng = np.random.default_rng(31)
     v = rng.standard_normal(4)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import walshode.errors
 import walshode.hybrid
 from walshode import (
     DivergenceError,
@@ -461,6 +462,40 @@ def test_solve_grid_refused_before_allocation():
     with pytest.raises(ResourceLimitError) as info:
         picard_solve(problem, SolverConfig(n_max=10))
     assert "picard_solve" in str(info.value)
+
+
+def test_solve_is_charged_for_the_sweeps_it_keeps(monkeypatch):
+    # n=4, m=1: 128 bytes a grid.  A cap of 6 grids holds three kept sweeps
+    # plus state, derivatives and update, so the fourth sweep is refused.
+    monkeypatch.setattr(walshode.errors, "MAX_ALLOC_BYTES", 6 * 128)
+    calls = []
+
+    def rhs(x, t):
+        calls.append(t.size)
+        return 1.0 + x[0]
+
+    problem = IVProblem(rhs=[rhs], initial=[0.0], n=4, vectorized=True)
+    _, trace = picard_solve(problem, SolverConfig(n_max=3, tol=0.0))
+    assert trace.iterations_run == 3
+    calls.clear()
+    with pytest.raises(ResourceLimitError, match="sweep 4 needs 896 bytes"):
+        picard_solve(problem, SolverConfig(n_max=10, tol=0.0))
+    assert calls == [16, 16, 16]
+
+
+@pytest.mark.parametrize("backend, message", [
+    ("classical", "iterate is not finite"),
+    ("hybrid-exact", "the integral of x1 failed: the shifted vector's squared norm "
+                     "overflows float64 (shift inf)"),
+], ids=["classical", "hybrid-exact"])
+def test_overflowing_integral_is_divergence_with_trace(backend, message):
+    # Each derivative sample is finite, but 16 of them sum past float64.
+    problem = IVProblem(rhs=[lambda x, t: math.exp(709.7)], initial=[0.0], n=4)
+    with pytest.raises(DivergenceError) as info:
+        picard_solve(problem, SolverConfig(n_max=3, tol=0.0, backend=backend))
+    assert str(info.value) == message
+    assert info.value.trace is not None
+    assert info.value.trace.iterations_run == (1 if backend == "classical" else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import itertools
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,26 @@ def test_fwht_worker_failure_reaches_the_caller(monkeypatch, ndim):
     with pytest.raises(_Boom, match="stage failed"):
         fwht(np.ones(1 << 20))
     assert threading.active_count() == before
+
+
+def test_fwht_workers_keep_the_callers_error_state(monkeypatch):
+    # numpy's error state is a context variable, which pool threads do not
+    # inherit by themselves; the overflow happens in the workers' first stage.
+    monkeypatch.setattr(transform, "_cpu_count", lambda: 2)
+    v = np.full(1 << 20, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(fwht(v)))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        fwht(v)
+
+
+@pytest.mark.parametrize("cpus, expected", [(5, 5), (None, 1)])
+def test_cpu_count_falls_back_without_an_affinity_call(monkeypatch, cpus, expected):
+    monkeypatch.delattr(transform.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(transform.os, "cpu_count", lambda: cpus)
+    assert transform._cpu_count() == expected
 
 
 def test_fwht_addition_count_is_exact():

@@ -195,6 +195,21 @@ def test_recursive_oracle_outside_unit_interval():
     assert sequency_walsh_recursive(3, 1.25) == 0
 
 
+def test_index_helpers_refuse_out_of_range_indices():
+    with pytest.raises(ValueError, match="function index must be >= 0"):
+        sequency_walsh_recursive(-1, 0.5)
+    with pytest.raises(ValueError, match="cal index must be >= 0"):
+        cal_index(-1)
+    with pytest.raises(IndexError, match="k=4 out of range for n=2"):
+        walsh_value(4, 0.5, 2)
+
+
+def test_ordering_permutation_refuses_names_for_orderings():
+    # Only WalshOrdering members name an ordering; their string values do not.
+    with pytest.raises(ValueError, match="unsupported ordering pair"):
+        ordering_permutation(2, "natural", "sequency")
+
+
 def test_sequency_symmetry_about_half():
     # Even sequency index: symmetric about 1/2; odd: antisymmetric.
     for n in range(1, 7):
