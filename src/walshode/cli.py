@@ -92,10 +92,11 @@ def _write_text(path: str | None, chunks: Iterable[str]) -> None:
         fh.writelines(chunks)
 
 
-def _rows(columns: list[np.ndarray]) -> Iterator[str]:
-    """Format whole columns (floats by repr, others by str) into chunks of _CHUNK_ROWS rows."""
+def _rows(columns: list[np.ndarray | list[str]]) -> Iterator[str]:
+    """Chunks of _CHUNK_ROWS rows; float arrays by repr, other arrays by str, str lists as is."""
     for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-        cells = [map(repr if c.dtype.kind == "f" else str, c[lo: lo + _CHUNK_ROWS].tolist())
+        cells = [c[lo: lo + _CHUNK_ROWS] if isinstance(c, list) else
+                 map(repr if c.dtype.kind == "f" else str, c[lo: lo + _CHUNK_ROWS].tolist())
                  for c in columns]
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
@@ -104,7 +105,7 @@ def write_vector(path: str, values: np.ndarray) -> None:
     _write_text(path, _rows([np.asarray(values, dtype=float)]))
 
 
-def _write_csv(path: str | None, header: list[str], blocks: Iterable[list[np.ndarray]]) -> None:
+def _write_csv(path: str | None, header: list[str], blocks: Iterable[list]) -> None:
     """Write the header, then each block of equal-length columns, one block at a time."""
     chunks = itertools.chain.from_iterable(map(_rows, blocks))
     _write_text(path, itertools.chain([",".join(header) + "\n"], chunks))
@@ -200,7 +201,7 @@ def cmd_solve(args) -> int:
 
     os.makedirs(args.output_dir, exist_ok=True)
     t = solution[0].midpoints
-    t_text = np.array(list(map(repr, t.tolist())), dtype=object)  # formatted once for all files
+    t_text = list(map(repr, t.tolist()))  # formatted once for all files
     # Analytic references anchor their initial condition at t=0.
     has_reference = known_name is not None and problem.domain[0] == 0.0
     reference = analytic_reference(known_name, t) if has_reference else None
@@ -217,9 +218,9 @@ def cmd_solve(args) -> int:
     if args.trace:
         path = os.path.join(args.output_dir, "trace.csv")
         # One block per sweep and variable, so no column spans the whole trace.
-        samples = np.arange(t.size)
+        samples = list(map(str, range(t.size)))
         _write_csv(path, ["iteration", "variable", "sample", "t", "value"], (
-            [np.full(t.size, k), np.full(t.size, f"x{i}"), samples, t_text, x]
+            [[str(k)] * t.size, [f"x{i}"] * t.size, samples, t_text, x]
             for k, snapshot in enumerate(trace.snapshots, start=1)
             for i, x in enumerate(snapshot, start=1)))
         outputs.append(path)

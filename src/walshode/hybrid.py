@@ -17,12 +17,13 @@ The pipeline for an arbitrary real input a of length N = 2^n:
 Replacing slot 0 moves every transform component by the same constant,
 because the shifted and original vectors differ in one component only;
 subtracting ``offset`` therefore recovers the transform of the original
-vector.  Any epsilon > 0 works, including for the all-zero input.
+vector.  Any epsilon > 0 works, zero input too, unless the squared norm underflows.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -153,6 +154,8 @@ def hybrid_wht(
     norm_sq = shift * shift + rest_sq
     if not math.isfinite(norm_sq):
         raise ValueError(f"the shifted vector's squared norm overflows float64 (shift {shift!r})")
+    if norm_sq < sys.float_info.min:
+        raise ValueError(f"the shifted vector's squared norm underflows float64 (shift {shift!r})")
     norm = math.sqrt(norm_sq)
 
     shifted = a.copy()

@@ -146,7 +146,7 @@ def _rhs_values(problem: IVProblem, state, t, trace) -> np.ndarray:
             except ArithmeticError:
                 pass
             else:
-                if np.all(np.isfinite(derivs[i])):
+                if np.isfinite(derivs[i]).all():
                     continue
         derivs[i] = _rhs_at_each_sample(f_i, state, t, trace)
     return derivs
@@ -185,13 +185,13 @@ def picard_solve(
                     raise DivergenceError(f"the integral of x{i + 1} failed: {exc}", trace) from exc
                 new_xs[i] = initial[i] + integral.values
 
-        residual = float(np.max(np.abs(new_xs - xs)))
+        residual = float(abs(new_xs - xs).max())
         xs = new_xs
         xs.flags.writeable = False
         trace.snapshots.append(xs)
         trace.final_residual = residual
 
-        peak = float(np.max(np.abs(xs)))
+        peak = float(abs(xs).max())
         if not peak <= MAGNITUDE_CAP:  # also True for nan
             what = f"magnitude exceeded {MAGNITUDE_CAP:g}" if peak < math.inf else "is not finite"
             raise DivergenceError(f"iterate {what}", trace)

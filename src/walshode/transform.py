@@ -25,16 +25,16 @@ additions on the same operands, so the two agree bit for bit, signed
 zeros included.
 
 Schedule.  Up to _BLOCK elements (512 KiB), the stages ping-pong between
-the output and one scratch array of the same size, the first reading
-the caller's array, and the result is scaled while it is still in
-cache.  Above that, the low log2(_BLOCK) stages only mix elements of one
+two buffers of the calling thread, the first reading the caller's array,
+and the result is scaled into a fresh output while it is still in cache.
+Above that, the low log2(_BLOCK) stages only mix elements of one
 aligned block, so they run block by block in the same way, reading the
 caller's array and leaving each block in the output.  The high stages
 are the same schedule along axis 0 of the (N/_BLOCK, _BLOCK) view of
 the output, run one column tile at a time in the two halves of a block
 scratch; the 1/sqrt(N) scaling is fused into each tile's write-back.
-Each run of the stages slices its buffers once, so a stage is two ufunc
-calls (N=1024: 24.7 -> 19.5 us a call, 2-CPU x86_64, best of 5000).
+The stages read views of their buffers sliced once, so a stage is two
+ufunc calls (N=1024: 24.7 -> 19.5 us a call, 2-CPU x86_64, best of 5000).
 
 From _PARALLEL_ROWS = 16 blocks (N >= 2^20) on, the two passes are
 split across W threads, W being the CPUs the process may run on, at
@@ -44,9 +44,9 @@ operations on the same operands, so the output does not depend on W.
 Below 16 blocks one thread does both passes (from 2^17 to 2^19 points,
 starting the threads cost more than they saved on two CPUs).
 
-A call holds only the output and one block scratch per worker, allocated
-per call, and its threads end before it returns: the input is never
-copied or written, and concurrent calls share nothing.
+Each thread keeps two buffers per size N <= _BLOCK it ran, 16N bytes (2 MiB
+over all sizes); a larger call allocates its output and one block scratch
+per worker and joins its threads.  The input is only read; calls share nothing.
 
 With the symmetric normalization the transform is an involution, so the
 inverse transform is the same computation (iwht is provided for call-site
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import Context, copy_context
 from dataclasses import dataclass
@@ -106,24 +107,31 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _stages(x: np.ndarray, dst: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Every constant-geometry stage along axis 0 of x, ending in dst.
+def _views(dst: np.ndarray, tmp: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """dst and tmp with their even/odd/low/high views, ordered so that _stages ends in dst."""
+    half = len(dst) // 2
+    return [(y, y[0::2], y[1::2], y[:half], y[half:])
+            for y in ((dst, tmp) if half.bit_length() % 2 else (tmp, dst))]
+
+
+def _stages(x: np.ndarray, views: list[tuple[np.ndarray, ...]]) -> np.ndarray:
+    """Every constant-geometry stage along axis 0 of x; returns the buffer of the last.
 
     A stage maps y[k] = x[2k] + x[2k+1] and y[k + L/2] = x[2k] - x[2k+1]
-    for the length L of axis 0, on views sliced once per call.  The
-    stages alternate between dst and tmp, starting with the one that puts
-    the last stage in dst; x is only read, so it may be the caller's array.
+    for the length L of axis 0, alternating between the two buffers of
+    views; x is only read, so it may be the caller's array.
     """
-    half = len(x) // 2
-    views = [(y[0::2], y[1::2], y[:half], y[half:])
-             for y in ((dst, tmp) if half.bit_length() % 2 else (tmp, dst))]
     even, odd = x[0::2], x[1::2]
-    for stage in range(half.bit_length()):
-        next_even, next_odd, low, high = views[stage % 2]
+    for stage in range(len(x).bit_length() - 1):
+        y, next_even, next_odd, low, high = views[stage % 2]
         np.add(even, odd, out=low)
         np.subtract(even, odd, out=high)
         even, odd = next_even, next_odd
-    return dst
+    return y
+
+
+#: Per thread, in the dict "by_size": the _views of two buffers for each size up to _BLOCK it ran.
+_workspace = threading.local()
 
 
 def _require_naive_bytes(n: int) -> None:
@@ -164,11 +172,13 @@ def fwht(v, count: OpCount | None = None) -> np.ndarray:
     n = _require_vector(v)
     N = v.size
     scale = 1.0 / math.sqrt(N)
-    out = np.empty(N)
     if N <= _BLOCK:
-        _stages(v, out, np.empty(N))
-        out *= scale
+        by_size = _workspace.__dict__.setdefault("by_size", {})
+        if N not in by_size:
+            by_size[N] = _views(np.empty(N), np.empty(N))
+        out = np.multiply(_stages(v, by_size[N]), scale)
     else:
+        out = np.empty(N)
         rows = N // _BLOCK
         width = max(1, _TILE // rows)
         grid = out.reshape(rows, _BLOCK)
@@ -177,14 +187,14 @@ def fwht(v, count: OpCount | None = None) -> np.ndarray:
         def blocks(w: int) -> None:
             scratch = np.empty(_BLOCK)
             for row in range(w, rows, workers):
-                _stages(v[row * _BLOCK: (row + 1) * _BLOCK], grid[row], scratch)
+                _stages(v[row * _BLOCK: (row + 1) * _BLOCK], _views(grid[row], scratch))
 
         def tiles(w: int) -> None:
             scratch = np.empty(max(_BLOCK, 2 * rows * width))
             for col in range(w * width, _BLOCK, workers * width):
                 tile = grid[:, col: col + width]
                 a, b = scratch[: 2 * tile.size].reshape(2, *tile.shape)
-                np.multiply(_stages(tile, a, b), scale, out=tile)
+                np.multiply(_stages(tile, _views(a, b)), scale, out=tile)
 
         if workers == 1:
             blocks(0)

@@ -35,6 +35,7 @@ holds f(t_m) with t_m = t_lo + (t_hi - t_lo)(2m+1)/(2N).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +81,7 @@ def _require_vector(a: np.ndarray, what: str = "input") -> int:
 def _require_domain(domain: tuple[float, float]) -> tuple[float, float]:
     """Return the domain as floats, or raise unless t_lo < t_hi with a finite width."""
     lo, hi = map(float, domain)
-    if not (lo < hi and np.isfinite(hi - lo)):  # a finite width needs finite ends
+    if not (lo < hi and math.isfinite(hi - lo)):  # a finite width needs finite ends
         raise ValueError(f"domain must be finite with t_lo < t_hi and a finite width, got {domain}")
     return lo, hi
 

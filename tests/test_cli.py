@@ -4,6 +4,7 @@ import itertools
 import json
 import shlex
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,25 @@ def test_transform_hybrid_absolute_sum_overflow_is_usage_error(tmp_path, capsys)
     assert (code, out) == (2, "")
     assert err == ("walshode: error: the shifted vector's squared norm overflows "
                    "float64 (shift inf)\n")
+
+
+def test_hybrid_squared_norm_underflow_is_refused_by_name(tmp_path, capsys):
+    # epsilon^2 underflows to 0 on a zero input, a norm nothing can be divided
+    # by: refused by name, one stderr line, no file, no numpy warning.
+    src, dst, out_dir = tmp_path / "in.txt", tmp_path / "o.txt", tmp_path / "solve"
+    write_input(src, [0.0, 0.0])
+    message = "the shifted vector's squared norm underflows float64 (shift 1e-200)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "transform", str(src), "-o", str(dst),
+                             "--backend", "hybrid-exact", "--epsilon", "1e-200")
+        assert (code, out, err) == (2, "", f"walshode: error: {message}\n")
+        code, out, err = run(capsys, "solve", "--rhs", "0", "--init", "0",
+                             "--backend", "hybrid-exact", "--epsilon", "1e-200",
+                             "--output-dir", str(out_dir))
+        assert (code, out) == (3, "")
+        assert err == f"walshode: numeric failure: the integral of x1 failed: {message}\n"
+    assert not dst.exists() and not out_dir.exists()
 
 
 def test_transform_missing_file_is_io_error(tmp_path, capsys):
@@ -619,11 +639,15 @@ def _spy_on_solve(monkeypatch):
     # three files and trace.csv.
     (["--rhs", "x2", "--rhs", "x3 - x1", "--rhs", "cos(t) * x1", "--init", "1", "0", "0.5",
       "--domain", "0.1", "0.7"], None),
+    # 8192 rows: two _CHUNK_ROWS chunks per file and per trace block, so the
+    # list columns are sliced across a chunk boundary.
+    (["--problem", "beer_system", "--n", "13"], "beer_system"),
 ])
 def test_solve_files_byte_identical_to_per_cell_writer(
         tmp_path, capsys, monkeypatch, spec, reference):
     seen = _spy_on_solve(monkeypatch)
-    code, _, _ = run(capsys, "solve", *spec, "--n", "5", "--nmax", "6", "--tol", "0",
+    # n=5 unless the spec's own --n, parsed later, replaces it.
+    code, _, _ = run(capsys, "solve", "--n", "5", *spec, "--nmax", "6", "--tol", "0",
                      "--trace", "--output-dir", str(tmp_path))
     assert code == 0
     solution, trace = seen["solution"], seen["trace"]
@@ -642,7 +666,7 @@ def test_solve_files_byte_identical_to_per_cell_writer(
             for sweep, snapshot in enumerate(trace.snapshots, start=1)
             for i, x in enumerate(snapshot, start=1)
             for s in range(x.size)]
-    assert len(rows) == 6 * len(solution) * 32
+    assert len(rows) == 6 * len(solution) * (8192 if "--n" in spec else 32)
     assert (tmp_path / "trace.csv").read_bytes() == _per_cell_csv(
         ["iteration", "variable", "sample", "t", "value"], rows)
 

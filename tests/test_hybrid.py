@@ -69,6 +69,16 @@ def test_zero_vector_maps_to_zero():
         assert trace.shift > 0.0
 
 
+@pytest.mark.parametrize("epsilon", [1e-200, 1e-160])
+def test_squared_norm_below_normal_range_is_refused(epsilon):
+    # shift^2 underflows to 0 (1e-200) or to a subnormal (1e-160); 1e-150
+    # squares to a normal 1e-300 and still maps zero to zero.
+    with pytest.raises(ValueError, match=r"squared norm underflows float64 \(shift 1e-(200|160)\)"):
+        hybrid_wht(np.zeros(4), HybridConfig(epsilon=epsilon))
+    out, _ = hybrid_wht(np.zeros(4), HybridConfig(epsilon=1e-150))
+    assert not out.any()
+
+
 def test_ramp_vector_exact_mode():
     out, _ = hybrid_wht([1 / 8, 3 / 8, 5 / 8, 7 / 8])
     assert np.max(np.abs(out - 0.5 * np.array([2, -0.5, -1, 0]))) < 1e-12

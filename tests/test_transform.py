@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -232,10 +234,10 @@ def test_fwht_worker_failure_reaches_the_caller(monkeypatch, ndim):
     real = transform._stages
     calls = itertools.count()
 
-    def failing(x, dst, tmp):
+    def failing(x, views):
         if x.ndim == ndim and next(calls) == 3:
             raise _Boom("stage failed")
-        return real(x, dst, tmp)
+        return real(x, views)
 
     monkeypatch.setattr(transform, "_stages", failing)
     monkeypatch.setattr(transform, "_cpu_count", lambda: 3)
@@ -318,6 +320,38 @@ def test_naive_refused_before_building_past_the_cap():
     # n=13 holds 576 MiB, under the 1 GiB cap; n=14 would hold 2.25 GiB.
     with pytest.raises(ResourceLimitError, match="naive transform at n=14"):
         wht_naive(np.zeros(1 << 14))
+
+
+def test_fwht_small_results_share_no_memory():
+    # Calls at one size reuse the calling thread's two buffers, never an output.
+    v, w = np.random.default_rng(40).standard_normal((2, 1024))
+    first = fwht(v)
+    keep = first.copy()
+    second = fwht(w)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == keep.tobytes()
+    assert second.tobytes() == _radix2_fwht(w).tobytes()
+
+
+def test_fwht_small_sizes_under_threads_match_the_reference():
+    # Each thread has its own buffers per size: 8 threads run every size up
+    # to one block, each from its own starting size, switching every 1 us.
+    rng = np.random.default_rng(41)
+    vectors = [rng.standard_normal(1 << n) for n in range(1, 17)]
+    expected = [_radix2_fwht(v).tobytes() for v in vectors]
+
+    def mismatches(worker):
+        order = [(worker * 5 + k) % len(vectors) for k in range(2 * len(vectors))]
+        return [k for k in order if fwht(vectors[k]).tobytes() != expected[k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(mismatches, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[]] * 8
 
 
 def test_fwht_does_not_mutate_input():
