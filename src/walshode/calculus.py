@@ -139,7 +139,7 @@ def integrate_sampled(
     """Sampled antiderivative vanishing at the left domain endpoint.
 
     With ``cfg`` None both transforms are the classical fwht; otherwise both
-    are hybrid_wht runs, seeded by children (0,) and (1,) of ``cfg.seed``.
+    are hybrid_wht runs, drawing from ``cfg.child(0)`` and ``cfg.child(1)``.
     """
     matrix = integration_matrix(f.values.size)
     if cfg is None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,20 +44,21 @@ class HybridConfig:
     ``epsilon`` is the finite, strictly positive shift margin; None selects
     1e-3 * (1 + sum|a_k|), large enough for strict positivity without
     concentrating amplitude on the shifted slot.  ``shots`` None reads the
-    exact probabilities; an integer in [1, 2^63) draws that many from ``seed``,
-    a non-negative integer (not None, which would draw OS entropy, nor a bool).
+    exact probabilities; an integer in [1, 2^63) draws that many from stream
+    ``spawn_key`` of ``seed``: non-negative integers (not None, which draws OS entropy, nor bools).
     """
 
     epsilon: float | None = None
     shots: int | None = None
     seed: int = DEFAULT_SEED
+    spawn_key: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be strictly positive and finite, got {self.epsilon}")
         if self.shots is not None:
             require_shots(self.shots)
-        require_seed(self.seed)
+        require_seed(self.seed, self.spawn_key)
 
     @property
     def mode(self) -> str:
@@ -65,14 +66,13 @@ class HybridConfig:
         return "exact" if self.shots is None else "sampled"
 
     def child(self, *key: int) -> HybridConfig:
-        """Reseeded by child ``key`` of ``seed``: independent, and replayable.
+        """This config drawing from stream ``spawn_key + key`` of ``seed``: independent, replayable.
 
         An exact run draws nothing, so it returns this config unchanged.
         """
         if self.shots is None:
             return self
-        state = np.random.SeedSequence(self.seed, spawn_key=key).generate_state(1)
-        return replace(self, seed=int(state[0]))
+        return HybridConfig(self.epsilon, self.shots, self.seed, self.spawn_key + key)
 
 
 def backend_config(backend, epsilon=None, shots=None, seed=None) -> HybridConfig | None:
@@ -142,13 +142,13 @@ def hybrid_wht(
         cfg = HybridConfig()
     a = np.asarray(v, dtype=float)
     _require_vector(a)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("input vector must be finite")
     N = a.size
 
     with np.errstate(over="ignore"):  # an overflowing sum makes norm_sq inf, refused below
-        abs_sum = float(np.sum(np.abs(a)))
-        rest_sq = float(np.sum(a[1:] ** 2))
+        abs_sum = float(np.abs(a).sum())
+        rest_sq = float((a[1:] ** 2).sum())
     epsilon = cfg.epsilon if cfg.epsilon is not None else 1e-3 * (1.0 + abs_sum)
     shift = epsilon + abs_sum
     norm_sq = shift * shift + rest_sq
@@ -158,12 +158,12 @@ def hybrid_wht(
         raise ValueError(f"the shifted vector's squared norm underflows float64 (shift {shift!r})")
     norm = math.sqrt(norm_sq)
 
-    shifted = a.copy()
-    shifted[0] = shift
-    state = apply_hadamard_all(prepare_state(shifted / norm))
+    shifted = a / norm
+    shifted[0] = shift / norm
+    state = apply_hadamard_all(prepare_state(shifted))
     sampled = cfg.shots is not None
     if sampled:
-        p = measure_sampled(state, cfg.shots, cfg.seed) / cfg.shots
+        p = measure_sampled(state, cfg.shots, cfg.seed, cfg.spawn_key) / cfg.shots
     else:
         p = measure_exact(state)
 
@@ -175,15 +175,8 @@ def hybrid_wht(
         count.square_roots += N + 1
 
     flags = np.abs(out) < norm / math.sqrt(cfg.shots) if sampled else None
-    trace = HybridTrace(
-        shift=shift,
-        norm=norm,
-        offset=offset,
-        probabilities=p,
-        output=out.copy(),
-        sub_resolution=flags,
-    )
-    return out, trace
+    return out, HybridTrace(shift=shift, norm=norm, offset=offset, probabilities=p,
+                            output=out.copy(), sub_resolution=flags)
 
 
 def classical_side_opcount(N: int) -> OpCount:

@@ -7,7 +7,8 @@ per group (gate fusion, as in qsim), a deliberately different code path
 from the butterfly in ``transform`` so the two can cross-check each other.
 The measurements return plain arrays: ``measure_exact`` the Born-rule
 probabilities, ``measure_sampled`` the int64 outcome counts, which come
-from one multinomial draw: O(N) whatever the shots.
+from one multinomial draw: O(N) whatever the shots, from the stream of
+``SeedSequence(seed, spawn_key=spawn_key)``; the empty key is ``default_rng(seed)``'s.
 """
 
 from __future__ import annotations
@@ -84,16 +85,21 @@ def require_shots(shots: int) -> None:
         raise ValueError(f"shots must be in [1, 2^63), got {shots}")
 
 
-def require_seed(seed: int) -> None:
-    """Refuse all but a non-negative integer (not a bool): None would draw fresh OS entropy."""
-    if isinstance(seed, bool) or not hasattr(seed, "__index__") or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+def require_seed(seed: int, spawn_key: tuple[int, ...] = ()) -> None:
+    """Only non-negative integers as seed and tuple-key entries: no bool, no None (OS entropy)."""
+    if not isinstance(spawn_key, tuple):
+        raise ValueError(f"spawn_key must be a tuple of non-negative integers, got {spawn_key!r}")
+    for name, value in (("seed", seed), *(("spawn_key entry", k) for k in spawn_key)):
+        if isinstance(value, bool) or not hasattr(value, "__index__") or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value}")
 
 
-def measure_sampled(state: StateVector, shots: int, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """Int64 outcome counts of ``shots`` shots drawn with ``seed``; they sum to ``shots``."""
+def measure_sampled(state: StateVector, shots: int, seed: int = DEFAULT_SEED,
+                    spawn_key: tuple[int, ...] = ()) -> np.ndarray:
+    """Int64 counts of ``shots`` shots (they sum to it) from stream ``spawn_key`` of ``seed``."""
     require_shots(shots)
-    require_seed(seed)
+    require_seed(seed, spawn_key)
     p = state.amplitudes**2
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
     # Normalised so roundoff cannot trip numpy's sum(pvals[:-1]) <= 1 check.
-    return np.random.default_rng(seed).multinomial(shots, p / p.sum())
+    return rng.multinomial(shots, p / p.sum())

@@ -82,9 +82,9 @@ class SolverConfig:
     """Sweep budget, stopping tolerance and backend.
 
     ``hybrid`` is derived by ``hybrid.backend_config``: None for classical,
-    else every integral's HybridConfig.  Frozen, so it always matches the
-    other fields.  A setting the backend would ignore is refused, ``seed``
-    included; a sampled run without one uses ``quantum.DEFAULT_SEED``.
+    else the root HybridConfig, whose ``child(sweep, i)`` integrates x_i in that sweep.
+    Frozen, so it always matches the other fields.  A setting the backend would ignore
+    is refused, ``seed`` included; a sampled run without one uses ``quantum.DEFAULT_SEED``.
     """
 
     n_max: int
@@ -174,7 +174,7 @@ def picard_solve(
         charge(sweep + 1)
         derivs = _rhs_values(problem, xs, t, trace)
 
-        # All integrals use the pre-sweep iterates; each draws its own seed.
+        # All integrals use the pre-sweep iterates; each draws its own keyed stream.
         new_xs = np.empty_like(xs)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite iterate is refused below
             for i in range(problem.m):

@@ -152,6 +152,21 @@ def test_apply_matches_dense_product():
             assert np.all(np.abs(matrix.apply(c) - dense) <= 1e-15 * scale)
 
 
+def test_classical_integral_is_the_closed_form_trapezoid():
+    # integrate_sampled(f) = (cumsum(f) - f/2) h: the dense oracles stop short of n=20.
+    rng = np.random.default_rng(20)
+    lo, hi = -0.5, 2.5
+    for n in range(1, 21):
+        N = 1 << n
+        f = rng.standard_normal(N)
+        h = (hi - lo) / N
+        got = integrate_sampled(SampledFunction(f, (lo, hi))).values
+        error = np.max(np.abs(got - (np.cumsum(f) - f / 2) * h))
+        assert error <= n * 2.0**-52 * h * np.sum(np.abs(f)), n
+    with pytest.raises(ResourceLimitError):
+        time_integration_operator(1 << 20)
+
+
 def test_dense_entries_refused_before_allocation(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense allocation attempted")

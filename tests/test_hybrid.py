@@ -167,6 +167,28 @@ def test_numpy_integer_shot_count_is_taken():
     assert int(measure_sampled(prepare_state([0.6, 0.8]), cfg.shots).sum()) == 5
 
 
+@pytest.mark.parametrize("entry", [True, -1])
+def test_spawn_key_entries_must_be_non_negative_integers(entry):
+    message = f"spawn_key entry must be a non-negative integer, got {entry}"
+    with pytest.raises(ValueError, match=message):
+        HybridConfig(shots=1000, spawn_key=(0, entry))
+    with pytest.raises(ValueError, match=message):
+        HybridConfig(shots=1000).child(1, entry)
+
+
+def test_spawn_key_must_be_a_tuple():
+    # A list would neither extend by child nor hash as a frozen field.
+    with pytest.raises(ValueError, match=re.escape("spawn_key must be a tuple of non-negative")):
+        HybridConfig(shots=1000, spawn_key=[0])
+
+
+def test_numpy_integer_spawn_key_is_taken():
+    v = np.random.default_rng(8).standard_normal(16)
+    cfg = HybridConfig(shots=1000, seed=3)
+    out, _ = hybrid_wht(v, cfg.child(np.int64(2), np.uint8(1)))
+    assert np.array_equal(out, hybrid_wht(v, cfg.child(2, 1))[0])
+
+
 @pytest.mark.parametrize("seed", [None, True, 1.5, -1])
 def test_seed_must_be_a_non_negative_integer(seed):
     # None would draw OS entropy, so two runs of one config would differ.

@@ -247,6 +247,33 @@ def test_measure_sampled_takes_a_numpy_integer_seed():
     assert np.array_equal(measure_sampled(s, 1000, np.int64(7)), measure_sampled(s, 1000, 7))
 
 
+def test_unkeyed_measure_sampled_is_the_default_rng_stream():
+    v = np.random.default_rng(4).standard_normal(8)
+    s = prepare_state(v / np.linalg.norm(v))
+    p = s.amplitudes**2
+    expected = np.random.default_rng(7).multinomial(10**6, p / p.sum())
+    assert np.array_equal(measure_sampled(s, 10**6, 7), expected)
+    assert np.array_equal(measure_sampled(s, 10**6, 7, ()), expected)
+
+
+def test_keyed_measure_sampled_draws_the_spawned_stream():
+    v = np.random.default_rng(4).standard_normal(8)
+    s = prepare_state(v / np.linalg.norm(v))
+    p = s.amplitudes**2
+    rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(2, 0, 1)))
+    keyed = measure_sampled(s, 10**6, 7, (2, 0, 1))
+    assert np.array_equal(keyed, rng.multinomial(10**6, p / p.sum()))
+    assert not np.array_equal(keyed, measure_sampled(s, 10**6, 7))
+    assert np.array_equal(measure_sampled(s, 10**6, 7, (np.int64(2), 0, np.uint16(1))), keyed)
+
+
+@pytest.mark.parametrize("entry", [True, -1])
+def test_measure_sampled_refuses_a_spawn_key_entry_that_does_not_replay(entry):
+    message = f"spawn_key entry must be a non-negative integer, got {entry}"
+    with pytest.raises(ValueError, match=message):
+        measure_sampled(prepare_state([0.6, 0.8]), 1000, 7, (1, entry))
+
+
 def test_sampled_frequencies_converge_to_exact():
     rng = np.random.default_rng(31)
     v = rng.standard_normal(4)

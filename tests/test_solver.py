@@ -201,18 +201,23 @@ def test_hybrid_sampled_same_seed_replays_bit_for_bit():
 
 
 def test_hybrid_sampled_transforms_draw_distinct_seeds(monkeypatch):
-    seeds = []
+    draws = []
 
-    def recording(state, shots, seed):
-        seeds.append(seed)
-        return measure_sampled(state, shots, seed)
+    def recording(state, shots, seed, spawn_key=()):
+        counts = measure_sampled(state, shots, seed, spawn_key)
+        draws.append((seed, spawn_key, state.amplitudes**2, counts))
+        return counts
 
     monkeypatch.setattr(walshode.hybrid, "measure_sampled", recording)
     solve("beer_system", 2, 2, backend="hybrid-sampled", shots=1000, seed=3)
-    # 2 sweeps x 2 variables x (forward, inverse).
-    assert len(seeds) == 8
-    assert len(set(seeds)) == 8
-    assert all(type(seed) is int for seed in seeds)
+    # 2 sweeps x 2 variables x (forward, inverse), each keyed (sweep, i, j) under the root seed.
+    streams = [(seed, key) for seed, key, _, _ in draws]
+    assert streams == [(3, (sweep, i, j)) for sweep in range(2) for i in range(2) for j in range(2)]
+    assert len(set(streams)) == 8
+    # A recorded draw replays from its stream alone.
+    seed, key, p, counts = draws[5]
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    assert np.array_equal(counts, rng.multinomial(1000, p / p.sum()))
 
 
 def test_refinement_reduces_error_riccati():
@@ -505,8 +510,11 @@ def test_overflowing_integral_is_divergence_with_trace(backend, message):
 def test_exact_mode_child_is_the_same_config():
     cfg = HybridConfig(epsilon=0.5, seed=9)
     assert cfg.child(3, 1) is cfg
-    sampled = HybridConfig(shots=10, seed=9)
-    assert sampled.child(3, 1).seed != sampled.seed
+    # A sampled child keeps the root seed and extends the spawn key.
+    sampled = HybridConfig(epsilon=0.5, shots=10, seed=9)
+    assert sampled.spawn_key == ()
+    assert sampled.child(3, 1) == HybridConfig(0.5, 10, 9, (3, 1))
+    assert sampled.child(3, 1).child(0) == HybridConfig(0.5, 10, 9, (3, 1, 0))
 
 
 def test_hybrid_exact_trace_unchanged_by_seed_derivation(monkeypatch):
