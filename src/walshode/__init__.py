@@ -18,7 +18,6 @@ from .errors import DivergenceError, ExprError, ExprEvalError, ResourceLimitErro
 from .hybrid import HybridConfig, HybridTrace, classical_side_opcount, hybrid_wht, sign_safe
 from .quantum import (
     DEFAULT_SEED,
-    StateVector,
     apply_hadamard_all,
     measure_exact,
     measure_sampled,
@@ -32,7 +31,7 @@ from .solver import (
     builtin_problem,
     picard_solve,
 )
-from .transform import OpCount, fwht, iwht, wht_naive
+from .transform import OpCount, fwht, wht_naive
 from .walsh import (
     SampledFunction,
     SpectralVector,
@@ -64,7 +63,6 @@ __all__ = [
     "SolutionTrace",
     "SolverConfig",
     "SpectralVector",
-    "StateVector",
     "WalshOrdering",
     "analytic_reference",
     "apply_hadamard_all",
@@ -80,7 +78,6 @@ __all__ = [
     "hybrid_wht",
     "integrate_sampled",
     "integration_matrix",
-    "iwht",
     "measure_exact",
     "measure_sampled",
     "ordering_permutation",

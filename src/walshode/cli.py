@@ -42,7 +42,7 @@ from .solver import (
     builtin_problem,
     picard_solve,
 )
-from .transform import OpCount, _require_naive_bytes, fwht, iwht, wht_naive
+from .transform import OpCount, _require_naive_bytes, fwht, wht_naive
 from .walsh import _require_power_of_two, _require_qubits, character_table
 
 EXIT_OK = 0
@@ -74,9 +74,9 @@ def read_vector(path: str) -> np.ndarray:
     return np.array(values)
 
 
-#: A negative number, exponent included, for argparse's private _negative_number_matcher
-#: (3.10-3.13), which knows none and so takes "-1e-3" for an option.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+#: A negative number as float() reads it, exponent, inf and nan included, for argparse's
+#: private _negative_number_matcher (3.10-3.13), which takes "-1e-3" or "-inf" for an option.
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.I)
 
 #: Rows per chunk of a vector or CSV file: a 1024-sample solve is one chunk,
 #: and a longer file never holds all of its text at once.
@@ -126,8 +126,8 @@ def cmd_transform(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite output is refused below
         if args.backend == "naive":
             out = wht_naive(v, count)
-        elif args.backend == "fast":
-            out = iwht(v, count) if args.inverse else fwht(v, count)
+        elif args.backend == "fast":  # the inverse too: the map is an involution
+            out = fwht(v, count)
         else:
             out, _ = hybrid_wht(v, hybrid, count)
     elapsed = time.perf_counter() - started

@@ -1,11 +1,14 @@
 """Desk-scale statevector simulator for one circuit: H on every qubit.
 
-Amplitudes are real (the transforms in this package act on real data),
-so no phase tracking is needed.  The Hadamard layer fuses the H gates of
-k <= _GROUP adjacent qubits into one 2^k x 2^k gate, one matrix product
-per group (gate fusion, as in qsim), a deliberately different code path
-from the butterfly in ``transform`` so the two can cross-check each other.
-The measurements return plain arrays: ``measure_exact`` the Born-rule
+A register of n qubits is its array of 2^n real amplitudes (the
+transforms in this package act on real data, so no phase tracking is
+needed): every function takes it as an array, read as float64, and
+refuses anything but a 1-D vector of power-of-two length; n is read off
+the size.  ``prepare_state`` also requires unit norm.  The Hadamard layer
+fuses the H gates of k <= _GROUP adjacent qubits into one 2^k x 2^k gate,
+one matrix product per group (gate fusion, as in qsim), a deliberately
+different code path from the butterfly in ``transform`` so the two can
+cross-check each other.  ``measure_exact`` returns the Born-rule
 probabilities, ``measure_sampled`` the int64 outcome counts, which come
 from one multinomial draw: O(N) whatever the shots, from the stream of
 ``SeedSequence(seed, spawn_key=spawn_key)``; the empty key is ``default_rng(seed)``'s.
@@ -13,7 +16,6 @@ from one multinomial draw: O(N) whatever the shots, from the stream of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -38,45 +40,37 @@ def _fused_gate(k: int) -> np.ndarray:
 _GATES = tuple(_fused_gate(k) for k in range(_GROUP + 1))
 
 
-@dataclass
-class StateVector:
-    """2^n real amplitudes with unit Euclidean norm; n is read off their size."""
-
-    amplitudes: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.amplitudes.size.bit_length() - 1
-
-
-def prepare_state(v) -> StateVector:
-    """Load a unit-norm real vector into a register (amplitude encoding)."""
+def prepare_state(v) -> np.ndarray:
+    """Load a unit-norm real vector into a register (amplitude encoding): a fresh float64 copy."""
     a = np.array(v, dtype=float)
     _require_vector(a, "state vector")
     norm = float(np.linalg.norm(a))
     if not abs(norm - 1.0) <= 1e-9:  # also True for nan
         raise ValueError(f"state vector must have unit norm, got {norm!r}")
-    return StateVector(a)
+    return a
 
 
-def apply_hadamard_all(state: StateVector) -> StateVector:
-    """Apply one H gate per qubit; returns a new float64 state, norm preserved.
+def apply_hadamard_all(state) -> np.ndarray:
+    """Apply one H gate per qubit; returns a new float64 register, norm preserved.
 
     Qubits [q, q+k) are the gate times the (N/2^(q+k), 2^k, 2^q) view, the lowest
     the (N/2^k, 2^k) view times the symmetric gate; no product aliases the input.
     """
-    n = state.n
+    a = np.asarray(state, dtype=float)
+    n = _require_vector(a, "state vector")
     k = min(n, _GROUP)
-    a = np.asarray(state.amplitudes, dtype=float).reshape(-1, 1 << k) @ _GATES[k]
+    a = a.reshape(-1, 1 << k) @ _GATES[k]
     for q in range(k, n, _GROUP):
         k = min(_GROUP, n - q)
         a = _GATES[k] @ a.reshape(-1, 1 << k, 1 << q)
-    return StateVector(a.reshape(-1))
+    return a.reshape(-1)
 
 
-def measure_exact(state: StateVector) -> np.ndarray:
-    """Born-rule probabilities |amplitude|^2 without sampling noise."""
-    return state.amplitudes**2
+def measure_exact(state) -> np.ndarray:
+    """Born-rule probabilities |amplitude|^2 without sampling noise, as float64."""
+    a = np.asarray(state, dtype=float)
+    _require_vector(a, "state vector")
+    return a**2
 
 
 def require_shots(shots: int) -> None:
@@ -94,12 +88,12 @@ def require_seed(seed: int, spawn_key: tuple[int, ...] = ()) -> None:
             raise ValueError(f"{name} must be a non-negative integer, got {value}")
 
 
-def measure_sampled(state: StateVector, shots: int, seed: int = DEFAULT_SEED,
+def measure_sampled(state, shots: int, seed: int = DEFAULT_SEED,
                     spawn_key: tuple[int, ...] = ()) -> np.ndarray:
     """Int64 counts of ``shots`` shots (they sum to it) from stream ``spawn_key`` of ``seed``."""
     require_shots(shots)
     require_seed(seed, spawn_key)
-    p = state.amplitudes**2
+    p = measure_exact(state)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
     # Normalised so roundoff cannot trip numpy's sum(pvals[:-1]) <= 1 check.
     return rng.multinomial(shots, p / p.sum())

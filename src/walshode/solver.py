@@ -96,8 +96,8 @@ class SolverConfig:
     hybrid: HybridConfig | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        if isinstance(self.n_max, bool) or not hasattr(self.n_max, "__index__") or self.n_max < 1:
+            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max}")
         if not 0.0 <= self.tol < math.inf:
             raise ValueError(f"tol must be >= 0 and finite, got {self.tol}")
         if self.backend not in _BACKENDS:

@@ -48,9 +48,8 @@ Each thread keeps two buffers per size N <= _BLOCK it ran, 16N bytes (2 MiB
 over all sizes); a larger call allocates its output and one block scratch
 per worker and joins its threads.  The input is only read; calls share nothing.
 
-With the symmetric normalization the transform is an involution, so the
-inverse transform is the same computation (iwht is provided for call-site
-readability).
+With the symmetric normalization the transform is an involution: fwht
+is also the inverse transform.
 """
 
 from __future__ import annotations
@@ -210,8 +209,3 @@ def fwht(v, count: OpCount | None = None) -> np.ndarray:
         count.multiplications += N
         count.square_roots += 1
     return out
-
-
-def iwht(v, count: OpCount | None = None) -> np.ndarray:
-    """Inverse transform; identical to fwht because the map is an involution."""
-    return fwht(v, count)

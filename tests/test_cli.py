@@ -591,6 +591,25 @@ def test_negative_values_with_an_exponent_are_values(tmp_path, capsys, flag, spe
     assert solve(spelled, "spelled") == solve(plain, "plain")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--rhs", "x1", "--init", "-inf"], "initial values must be finite, got [-inf]"),
+    (["--rhs", "x1", "--init", "-Infinity"], "initial values must be finite, got [-inf]"),
+    (["--rhs", "x1", "--init", "-NaN"], "initial values must be finite, got [nan]"),
+    (["--rhs", "x1", "--init", "inf"], "initial values must be finite, got [inf]"),
+    (["--problem", "riccati", "--tol", "-inf"], "tol must be >= 0 and finite, got -inf"),
+    (["--problem", "riccati", "--tol", "-nan"], "tol must be >= 0 and finite, got nan"),
+    (["--problem", "riccati", "--backend", "hybrid-exact", "--epsilon", "-INF"],
+     "epsilon must be strictly positive and finite, got -inf"),
+    (["--problem", "riccati", "--domain", "-inf", "1"],
+     "domain must be finite with t_lo < t_hi and a finite width, got (-inf, 1.0)"),
+])
+def test_negative_non_finite_values_are_values(tmp_path, capsys, flags, message):
+    # argparse took "-inf" for an option; now it reaches the library's finite checks.
+    code, out, err = run(capsys, "solve", *flags, "--output-dir", str(tmp_path / "out"))
+    assert (code, out, err) == (2, "", f"walshode: error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_an_option_after_init_is_still_an_option(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["solve", "--rhs", "x1", "--init", "-x", "--output-dir", str(tmp_path)])

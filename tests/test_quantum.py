@@ -7,7 +7,6 @@ import pytest
 
 from walshode import (
     DEFAULT_SEED,
-    StateVector,
     apply_hadamard_all,
     character_table,
     fwht,
@@ -35,19 +34,18 @@ def _per_qubit_hadamard(a):
 
 def test_prepare_basis_state():
     s = prepare_state([1.0, 0.0, 0.0, 0.0])
-    assert s.n == 2
-    assert np.array_equal(s.amplitudes, [1, 0, 0, 0])
+    assert np.array_equal(s, [1, 0, 0, 0])
 
 
 def test_prepare_uniform_state():
     s = prepare_state([0.5, 0.5, 0.5, 0.5])
-    assert np.allclose(s.amplitudes, 0.5, rtol=0, atol=0)
+    assert np.allclose(s, 0.5, rtol=0, atol=0)
 
 
 def test_prepare_normalized_input_passthrough():
     v = np.array([3.0, 1.0, -2.0, 0.5])
     s = prepare_state(v / np.linalg.norm(v))
-    assert np.allclose(s.amplitudes, v / np.linalg.norm(v), rtol=0, atol=0)
+    assert np.allclose(s, v / np.linalg.norm(v), rtol=0, atol=0)
 
 
 def test_prepare_rejects_bad_norm_and_length():
@@ -70,25 +68,54 @@ def test_prepare_rejects_input_that_is_not_one_vector():
 
 
 def test_state_qubit_count_is_derived_from_the_amplitudes():
+    # A register is its amplitudes: H on all n qubits of the uniform state gives |0...0>.
     for n in (1, 3, 10):
         a = np.full(1 << n, 2.0 ** (-n / 2))
-        assert StateVector(a).n == n == math.log2(a.size)
-        assert apply_hadamard_all(StateVector(a)).n == n
-    # No second count to disagree with the amplitudes: with n=2 stored
-    # beside 8 amplitudes, the H layer would skip the third qubit.
-    with pytest.raises(TypeError):
-        StateVector(np.full(8, 8**-0.5), 2)
+        out = apply_hadamard_all(a)
+        assert out.shape == a.shape
+        assert abs(out[0] - 1.0) < 1e-12 and np.max(np.abs(out[1:])) < 1e-12
+
+
+def test_register_prepared_is_a_fresh_float64_copy():
+    v = np.array([0.6, 0.8])
+    s = prepare_state(v)
+    assert s.dtype == np.float64 and not np.shares_memory(s, v)
+    s[0] = 0.0
+    assert v[0] == 0.6
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 4), (4, 1), ()])
+def test_every_register_function_refuses_what_is_not_one_vector(shape):
+    # A 2x2 block with a power-of-two size is not a 2-qubit register.
+    a = np.full(shape, 0.5)
+    for fn in (apply_hadamard_all, measure_exact, lambda s: measure_sampled(s, 10, 1)):
+        with pytest.raises(ValueError, match="state vector must form a 1-D vector"):
+            fn(a)
+
+
+@pytest.mark.parametrize("size", [1, 3, 6])
+def test_every_register_function_refuses_a_size_that_is_not_a_qubit_count(size):
+    a = np.full(size, size**-0.5)
+    for fn in (prepare_state, apply_hadamard_all, measure_exact,
+               lambda s: measure_sampled(s, 10, 1)):
+        with pytest.raises(ValueError, match="power of two >= 2"):
+            fn(a)
+
+
+def test_measure_exact_is_float64_on_integer_amplitudes():
+    p = measure_exact(np.array([1, 0]))
+    assert p.dtype == np.float64 and np.array_equal(p, [1.0, 0.0])
 
 
 def test_hadamard_on_single_qubit_states():
     plus = apply_hadamard_all(prepare_state([1.0, 0.0]))
-    assert np.allclose(plus.amplitudes, [1 / math.sqrt(2)] * 2, rtol=0, atol=1e-15)
+    assert np.allclose(plus, [1 / math.sqrt(2)] * 2, rtol=0, atol=1e-15)
     # Integer amplitudes: float results written into an int copy gave [0, 0].
-    plus = apply_hadamard_all(StateVector(np.array([1, 0])))
-    assert np.allclose(plus.amplitudes, [1 / math.sqrt(2)] * 2, rtol=0, atol=1e-15)
+    plus = apply_hadamard_all(np.array([1, 0]))
+    assert np.allclose(plus, [1 / math.sqrt(2)] * 2, rtol=0, atol=1e-15)
     minus = apply_hadamard_all(prepare_state([0.0, 1.0]))
     assert np.allclose(
-        minus.amplitudes, [1 / math.sqrt(2), -1 / math.sqrt(2)], rtol=0, atol=1e-15
+        minus, [1 / math.sqrt(2), -1 / math.sqrt(2)], rtol=0, atol=1e-15
     )
 
 
@@ -97,7 +124,7 @@ def test_hadamard_twice_is_identity():
     v = rng.standard_normal(16)
     v /= np.linalg.norm(v)
     s = apply_hadamard_all(apply_hadamard_all(prepare_state(v)))
-    assert np.max(np.abs(s.amplitudes - v)) < 1e-12
+    assert np.max(np.abs(s - v)) < 1e-12
 
 
 def test_hadamard_preserves_norm():
@@ -106,7 +133,7 @@ def test_hadamard_preserves_norm():
         v = rng.standard_normal(1 << n)
         v /= np.linalg.norm(v)
         s = apply_hadamard_all(prepare_state(v))
-        assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(s) - 1.0) < 1e-12
 
 
 def test_fused_layer_matches_per_qubit_sweeps():
@@ -115,8 +142,8 @@ def test_fused_layer_matches_per_qubit_sweeps():
     for n in range(1, 17):
         v = rng.standard_normal(1 << n)
         v /= np.linalg.norm(v)
-        s = apply_hadamard_all(StateVector(v))
-        assert np.max(np.abs(s.amplitudes - _per_qubit_hadamard(v))) < 1e-15, n
+        s = apply_hadamard_all(v)
+        assert np.max(np.abs(s - _per_qubit_hadamard(v))) < 1e-15, n
 
 
 def test_fused_gates_are_read_only_kronecker_powers():
@@ -137,11 +164,11 @@ def test_fused_gates_are_read_only_kronecker_powers():
 
 @pytest.mark.parametrize("dtype", [float, np.int64, np.int8])
 def test_hadamard_layer_computes_in_float_and_never_aliases(dtype):
-    for n in range(0, 8):
+    for n in range(1, 8):
         a = np.zeros(1 << n, dtype=dtype)
         a[-1] = 1
         before = a.copy()
-        out = apply_hadamard_all(StateVector(a)).amplitudes
+        out = apply_hadamard_all(a)
         assert out.dtype == np.float64 and out.shape == a.shape
         assert not np.shares_memory(out, a)
         assert np.array_equal(a, before)
@@ -155,7 +182,7 @@ def test_hadamard_layer_matches_fast_transform():
         v = rng.standard_normal(1 << n)
         v /= np.linalg.norm(v)
         s = apply_hadamard_all(prepare_state(v))
-        assert np.max(np.abs(s.amplitudes - fwht(v))) < 1e-12
+        assert np.max(np.abs(s - fwht(v))) < 1e-12
 
 
 def test_measure_exact_probabilities():
@@ -250,7 +277,7 @@ def test_measure_sampled_takes_a_numpy_integer_seed():
 def test_unkeyed_measure_sampled_is_the_default_rng_stream():
     v = np.random.default_rng(4).standard_normal(8)
     s = prepare_state(v / np.linalg.norm(v))
-    p = s.amplitudes**2
+    p = s**2
     expected = np.random.default_rng(7).multinomial(10**6, p / p.sum())
     assert np.array_equal(measure_sampled(s, 10**6, 7), expected)
     assert np.array_equal(measure_sampled(s, 10**6, 7, ()), expected)
@@ -259,7 +286,7 @@ def test_unkeyed_measure_sampled_is_the_default_rng_stream():
 def test_keyed_measure_sampled_draws_the_spawned_stream():
     v = np.random.default_rng(4).standard_normal(8)
     s = prepare_state(v / np.linalg.norm(v))
-    p = s.amplitudes**2
+    p = s**2
     rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(2, 0, 1)))
     keyed = measure_sampled(s, 10**6, 7, (2, 0, 1))
     assert np.array_equal(keyed, rng.multinomial(10**6, p / p.sum()))

@@ -22,6 +22,8 @@ from walshode import (
 )
 from walshode.expr import evaluate, evaluate_grid, parse
 
+from trapezoid_march import trapezoid_march
+
 RICCATI_SWEEP_1 = np.array([-0.40625, -0.21875, -0.03125, 0.15625])
 RICCATI_SWEEP_10 = np.array([-0.40512, -0.20567, 0.02743, 0.33735])
 
@@ -205,7 +207,7 @@ def test_hybrid_sampled_transforms_draw_distinct_seeds(monkeypatch):
 
     def recording(state, shots, seed, spawn_key=()):
         counts = measure_sampled(state, shots, seed, spawn_key)
-        draws.append((seed, spawn_key, state.amplitudes**2, counts))
+        draws.append((seed, spawn_key, state**2, counts))
         return counts
 
     monkeypatch.setattr(walshode.hybrid, "measure_sampled", recording)
@@ -296,6 +298,17 @@ def test_variable_count_is_the_number_of_right_hand_sides():
 def test_problem_without_right_hand_sides_is_refused():
     with pytest.raises(ValueError, match="need at least one right-hand side"):
         IVProblem(rhs=[], initial=[])
+
+
+@pytest.mark.parametrize("n_max", [2.5, 3.0, True])
+def test_config_refuses_a_sweep_count_that_is_not_an_integer(n_max):
+    # 2.5 and 3.0 used to fail later in range(); True ran one sweep.
+    with pytest.raises(ValueError, match=f"n_max must be an integer >= 1, got {n_max}"):
+        SolverConfig(n_max=n_max)
+
+
+def test_config_takes_a_numpy_integer_sweep_count():
+    assert SolverConfig(n_max=np.int64(3)).n_max == 3
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1e-300])
@@ -501,6 +514,28 @@ def test_overflowing_integral_is_divergence_with_trace(backend, message):
     assert str(info.value) == message
     assert info.value.trace is not None
     assert info.value.trace.iterations_run == (1 if backend == "classical" else 0)
+
+
+# ---------------------------------------------------------------------------
+# the converged classical solve against the trapezoidal march
+
+
+MARCH_PROBLEMS = {
+    "riccati": lambda n: builtin_problem("riccati", n=n),
+    "beer_system": lambda n: builtin_problem("beer_system", n=n),
+    "expression": lambda n: expression_problem(["x2", "-x1", "x1*x2"], [0.0, 1.0, 0.0], n,
+                                               vectorized=True),
+}
+
+
+@pytest.mark.parametrize("name", MARCH_PROBLEMS)
+def test_converged_classical_solve_is_the_trapezoidal_march(name):
+    for n in range(2, 11):
+        problem = MARCH_PROBLEMS[name](n)
+        solution, trace = picard_solve(problem, SolverConfig(n_max=100, tol=1e-15))
+        assert trace.converged, (name, n)
+        got = np.array([sf.values for sf in solution])
+        assert np.max(np.abs(got - trapezoid_march(problem))) <= 1e-13, (name, n)
 
 
 # ---------------------------------------------------------------------------

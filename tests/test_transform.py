@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from walshode import OpCount, ResourceLimitError, fwht, iwht, transform, wht_naive
+from walshode import OpCount, ResourceLimitError, fwht, transform, wht_naive
 
 
 def _radix2_fwht(v) -> np.ndarray:
@@ -91,14 +91,9 @@ def test_fwht_cos_t_pinned():
     assert np.max(np.abs(out - 0.5 * np.array([3.375, 0.232, 0.471, -0.108]))) < 2.5e-4
 
 
-def test_iwht_inverts_fwht():
-    rng = np.random.default_rng(17)
-    v = rng.standard_normal(128)
-    assert np.max(np.abs(iwht(fwht(v)) - v)) < 1e-12
-
-
 def test_iwht_ramp_pair():
-    out = iwht(0.5 * np.array([2.0, -0.5, -1.0, 0.0]))
+    # The inverse transform is fwht itself (the map is an involution).
+    out = fwht(0.5 * np.array([2.0, -0.5, -1.0, 0.0]))
     assert np.allclose(out, [1 / 8, 3 / 8, 5 / 8, 7 / 8], rtol=0, atol=1e-15)
 
 
@@ -106,7 +101,7 @@ def test_iwht_integral_coefficients_bridge():
     # sqrt(N) times the unit-normalized inverse equals the unnormalized
     # synthesis; these coefficients come from a worked integration example.
     coeffs = np.array([0.459, -0.105, -0.214, -0.015])
-    out = 2.0 * iwht(coeffs)
+    out = 2.0 * fwht(coeffs)
     expected = [0.125, 0.366, 0.585, 0.767]
     assert np.max(np.abs(out - expected)) < 5e-3
 
@@ -382,7 +377,7 @@ def test_fwht_leaves_every_input_kind_untouched(kind):
     assert out.tobytes() == _radix2_fwht(keep).tobytes()
 
 
-@pytest.mark.parametrize("fn", [fwht, iwht, wht_naive])
+@pytest.mark.parametrize("fn", [fwht, wht_naive])
 @pytest.mark.parametrize("shape", [(2, 4), (1, 8), (8, 1), ()])
 def test_rejects_input_that_is_not_one_vector(fn, shape):
     with pytest.raises(ValueError, match="must form a 1-D vector"):
