@@ -28,10 +28,9 @@ Each is stored as index and value arrays built in O(N) and applied in
 O(N); the dense N x N form is built on each request, for tables and
 tests, and never kept.
 
-Integration of samples runs entirely through transforms:
-antiderivative = WHT(I_N * WHT(samples)), rescaled by the domain width,
-with WHT = fwht for integrate_sampled(f) and the simulated quantum route
-hybrid_wht for integrate_sampled(f, cfg), cfg a HybridConfig.
+integrate_sampled(values, domain) integrates sample arrays entirely through
+transforms: WHT(I_N * WHT(values)) times the domain width, with WHT = fwht,
+or the simulated quantum route hybrid_wht when a HybridConfig cfg is passed.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import numpy as np
 from .errors import require_bytes
 from .hybrid import HybridConfig, hybrid_wht
 from .transform import fwht
-from .walsh import SampledFunction, _require_power_of_two
+from .walsh import _require_domain, _require_power_of_two, _require_vector
 
 _cache: dict[tuple[str, int], "OperationalMatrix"] = {}
 _cache_lock = threading.Lock()
@@ -65,10 +64,11 @@ class OperationalMatrix:
     values: np.ndarray
 
     def apply(self, c: np.ndarray) -> np.ndarray:
-        """Operator times ``c``: one gather, then a scatter-add in a fixed order."""
-        return np.bincount(
-            self.rows, weights=self.values * c[self.cols], minlength=1 << self.n
-        )
+        """Operator times ``c`` of shape (N,): one gather, then a scatter-add in a fixed order."""
+        N = 1 << self.n
+        if c.shape != (N,):
+            raise ValueError(f"the {self.kind} matrix takes shape {(N,)}, got shape {c.shape}")
+        return np.bincount(self.rows, weights=self.values * c[self.cols], minlength=N)
 
     @property
     def entries(self) -> np.ndarray:
@@ -133,19 +133,17 @@ def differentiation_matrix(N: int) -> OperationalMatrix:
     return _operator("differentiation", N, _differentiation_nonzeros)
 
 
-def integrate_sampled(
-    f: SampledFunction, cfg: HybridConfig | None = None
-) -> SampledFunction:
-    """Sampled antiderivative vanishing at the left domain endpoint.
+def integrate_sampled(values: np.ndarray, domain: tuple[float, float] = (0.0, 1.0),
+                      cfg: HybridConfig | None = None) -> np.ndarray:
+    """Antiderivative of midpoint samples, a fresh array vanishing at ``domain``'s left end.
 
-    With ``cfg`` None both transforms are the classical fwht; otherwise both
-    are hybrid_wht runs, drawing from ``cfg.child(0)`` and ``cfg.child(1)``.
-    """
-    matrix = integration_matrix(f.values.size)
+    Samples and domain are checked as ``SampledFunction`` checks them.  With ``cfg`` None both
+    transforms are fwht; else hybrid_wht, drawing from ``cfg.child(0)`` and ``cfg.child(1)``."""
+    matrix = integration_matrix(1 << _require_vector(np.asarray(values), "samples"))
+    lo, hi = _require_domain(domain)
     if cfg is None:
-        out = fwht(matrix.apply(fwht(f.values)))
+        out = fwht(matrix.apply(fwht(values)))
     else:
-        spectrum, _ = hybrid_wht(f.values, cfg.child(0))
+        spectrum, _ = hybrid_wht(values, cfg.child(0))
         out, _ = hybrid_wht(matrix.apply(spectrum), cfg.child(1))
-    lo, hi = f.domain
-    return SampledFunction(out * (hi - lo), f.domain)
+    return out * (hi - lo)

@@ -93,7 +93,11 @@ def measure_sampled(state, shots: int, seed: int = DEFAULT_SEED,
     """Int64 counts of ``shots`` shots (they sum to it) from stream ``spawn_key`` of ``seed``."""
     require_shots(shots)
     require_seed(seed, spawn_key)
-    p = measure_exact(state)
+    with np.errstate(over="ignore"):  # an overflowing square or sum makes the total inf
+        p = measure_exact(state)
+        total = float(p.sum())
+    if not 0.0 < total < np.inf:  # also True for nan
+        raise ValueError(f"squared amplitudes must sum to a positive finite number, got {total!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
     # Normalised so roundoff cannot trip numpy's sum(pvals[:-1]) <= 1 check.
-    return rng.multinomial(shots, p / p.sum())
+    return rng.multinomial(shots, p / total)

@@ -180,10 +180,10 @@ def picard_solve(
             for i in range(problem.m):
                 cfg = None if config.hybrid is None else config.hybrid.child(sweep, i)
                 try:
-                    integral = integrate_sampled(SampledFunction(derivs[i], problem.domain), cfg)
+                    integral = integrate_sampled(derivs[i], problem.domain, cfg)
                 except ValueError as exc:  # derivs[i] is finite: the hybrid norm left float64 range
                     raise DivergenceError(f"the integral of x{i + 1} failed: {exc}", trace) from exc
-                new_xs[i] = initial[i] + integral.values
+                new_xs[i] = initial[i] + integral
 
         residual = float(abs(new_xs - xs).max())
         xs = new_xs

@@ -123,8 +123,8 @@ def _stages(x: np.ndarray, views: list[tuple[np.ndarray, ...]]) -> np.ndarray:
     even, odd = x[0::2], x[1::2]
     for stage in range(len(x).bit_length() - 1):
         y, next_even, next_odd, low, high = views[stage % 2]
-        np.add(even, odd, out=low)
-        np.subtract(even, odd, out=high)
+        np.add(even, odd, low)
+        np.subtract(even, odd, high)
         even, odd = next_even, next_odd
     return y
 

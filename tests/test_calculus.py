@@ -1,6 +1,7 @@
 """Operational matrices and Walsh-domain integration."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 from walshode import (
     HybridConfig,
     ResourceLimitError,
-    SampledFunction,
     character_table,
     differentiation_matrix,
     discretize,
@@ -154,6 +154,27 @@ def test_apply_matches_dense_product():
             assert np.all(np.abs(matrix.apply(c) - dense) <= 1e-15 * scale)
 
 
+def test_apply_is_the_one_scatter_add_byte_for_byte():
+    # apply is one gather and one bincount over the public nonzero arrays,
+    # in their order: equal exactly on dyadic inputs with signed zeros,
+    # whose terms cancel exactly, and on normal ones, whose sums round.
+    rng = np.random.default_rng(23)
+    dyadic = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+    for n in range(1, 21):
+        N = 1 << n
+        for c in (rng.choice(dyadic, N), rng.standard_normal(N)):
+            for M in (integration_matrix(N), differentiation_matrix(N)):
+                one_scatter = np.bincount(M.rows, weights=M.values * c[M.cols], minlength=N)
+                assert M.apply(c).tobytes() == one_scatter.tobytes(), (M.kind, n)
+
+
+@pytest.mark.parametrize("shape", [(16,), (5,), (2, 8)])
+def test_apply_refuses_an_operand_of_another_shape(shape):
+    for M in (integration_matrix(8), differentiation_matrix(8)):
+        with pytest.raises(ValueError, match=rf"shape \(8,\), got shape {re.escape(str(shape))}"):
+            M.apply(np.ones(shape))
+
+
 def test_classical_integral_is_the_closed_form_trapezoid():
     # integrate_sampled(f) = (cumsum(f) - f/2) h: the dense oracles stop short of n=20.
     rng = np.random.default_rng(20)
@@ -162,7 +183,7 @@ def test_classical_integral_is_the_closed_form_trapezoid():
         N = 1 << n
         f = rng.standard_normal(N)
         h = (hi - lo) / N
-        got = integrate_sampled(SampledFunction(f, (lo, hi))).values
+        got = integrate_sampled(f, (lo, hi))
         error = np.max(np.abs(got - trapezoid_integral(f, hi - lo)))
         assert error <= n * 2.0**-52 * h * np.sum(np.abs(f)), n
     with pytest.raises(ResourceLimitError):
@@ -257,10 +278,10 @@ def test_differentiation_sparsity_measured():
 
 def test_integrate_cos_time_domain_pinned():
     f = discretize(np.cos, 2)
-    out = integrate_sampled(f)
-    assert np.max(np.abs(out.values - [0.125, 0.366, 0.585, 0.767])) < 5e-3
+    out = integrate_sampled(f.values, f.domain)
+    assert np.max(np.abs(out - [0.125, 0.366, 0.585, 0.767])) < 5e-3
     # The true antiderivative is sin; midpoint quadrature error ~ 2e-3.
-    assert np.max(np.abs(out.values - np.sin(f.midpoints))) < 5e-3
+    assert np.max(np.abs(out - np.sin(f.midpoints))) < 5e-3
 
 
 def test_integrate_cos_spectral_coefficients_pinned():
@@ -269,8 +290,8 @@ def test_integrate_cos_spectral_coefficients_pinned():
     # it on those samples), so it sits up to ~1e-3 from the unrounded
     # pipeline (component 0 differs by 5.06e-4).
     f = discretize(np.cos, 2)
-    out = integrate_sampled(f)
-    coords = fwht(out.values) / 2.0  # unit-synthesis coordinates at N=4
+    out = integrate_sampled(f.values, f.domain)
+    coords = fwht(out) / 2.0  # unit-synthesis coordinates at N=4
     display = np.array([0.459, -0.105, -0.214, -0.015])
     assert np.max(np.abs(coords - display)) < 1e-3
 
@@ -289,8 +310,7 @@ def test_integration_matrix_reproduces_worked_multiplication():
 
 
 def test_integrate_zero():
-    f = SampledFunction(np.zeros(8))
-    assert np.array_equal(integrate_sampled(f).values, np.zeros(8))
+    assert np.array_equal(integrate_sampled(np.zeros(8)), np.zeros(8))
 
 
 def test_integrals_of_the_four_basis_functions():
@@ -311,16 +331,16 @@ def test_integrals_of_the_four_basis_functions():
         3: 0.5 * np.array([0, 0, 1 / 2, 0]),
     }
     for k in range(4):
-        out = integrate_sampled(SampledFunction(table[k]))
-        assert np.array_equal(out.values, expected_time[k])
-        assert np.array_equal(fwht(out.values), expected_spectrum[k])
+        out = integrate_sampled(table[k])
+        assert np.array_equal(out, expected_time[k])
+        assert np.array_equal(fwht(out), expected_spectrum[k])
 
 
 def test_integrate_matches_time_operator_oracle():
     rng = np.random.default_rng(1234)
     for N in (4, 8, 32):
         vals = rng.standard_normal(N)
-        via_transforms = integrate_sampled(SampledFunction(vals)).values
+        via_transforms = integrate_sampled(vals)
         via_oracle = time_integration_operator(N) @ vals
         assert np.max(np.abs(via_transforms - via_oracle)) < 1e-12
 
@@ -331,8 +351,8 @@ def test_exact_on_dyadic_constants():
     for N in (4, 16, 64):
         mids = (2 * np.arange(N) + 1) / (2 * N)
         for kappa in (1.0, 0.75, -2.5, 3.0):
-            out = integrate_sampled(SampledFunction(np.full(N, kappa)))
-            assert np.array_equal(out.values, kappa * mids)
+            out = integrate_sampled(np.full(N, kappa))
+            assert np.array_equal(out, kappa * mids)
 
 
 def test_near_exact_on_constants_odd_n():
@@ -340,24 +360,33 @@ def test_near_exact_on_constants_odd_n():
     # error is acceptable.
     N = 8
     mids = (2 * np.arange(N) + 1) / (2 * N)
-    out = integrate_sampled(SampledFunction(np.full(N, 1 / 3)))
-    assert np.max(np.abs(out.values - mids / 3)) < 1e-15
+    out = integrate_sampled(np.full(N, 1 / 3))
+    assert np.max(np.abs(out - mids / 3)) < 1e-15
 
 
 def test_domain_rescaling():
     # integral of a constant over [2, 6]: slope kappa from t_lo.
     f = discretize(lambda t: 0.5, 2, domain=(2.0, 6.0))
-    out = integrate_sampled(f)
+    out = integrate_sampled(f.values, f.domain)
     expected = 0.5 * (f.midpoints - 2.0)
-    assert np.max(np.abs(out.values - expected)) < 1e-14
-    assert out.domain == (2.0, 6.0)
+    assert np.max(np.abs(out - expected)) < 1e-14
+
+
+@pytest.mark.parametrize("values, domain, message", [
+    (np.ones((2, 4)), (0.0, 1.0), "samples must form a 1-D vector, got shape (2, 4)"),
+    (np.ones(3), (0.0, 1.0), "vector length must be a power of two >= 2, got 3"),
+    (np.ones(4), (1.0, 1.0), "domain must be finite with t_lo < t_hi and a finite width, "
+                             "got (1.0, 1.0)"),
+])
+def test_integrate_refuses_what_a_sampled_function_refuses(values, domain, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        integrate_sampled(values, domain)
 
 
 def test_backend_equivalence_classical_vs_hybrid_exact():
     rng = np.random.default_rng(55)
     for N in (4, 16, 128):
         vals = rng.standard_normal(N)
-        f = SampledFunction(vals)
-        classical = integrate_sampled(f)
-        hybrid = integrate_sampled(f, HybridConfig())
-        assert np.max(np.abs(classical.values - hybrid.values)) < 1e-10
+        classical = integrate_sampled(vals)
+        hybrid = integrate_sampled(vals, cfg=HybridConfig())
+        assert np.max(np.abs(classical - hybrid)) < 1e-10

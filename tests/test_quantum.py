@@ -262,6 +262,16 @@ def test_measure_sampled_shot_budget_bounded_by_int64_counts():
         measure_sampled(s, shots=2**63)
 
 
+@pytest.mark.parametrize("amplitudes", [
+    [0.0, 0.0, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0],
+    [-np.inf, 0.0, 0.0, 0.0], [1e200, 0.0, 0.0, 0.0],
+], ids=["zeros", "nan", "inf", "-inf", "square-overflows"])
+def test_measure_sampled_refuses_amplitudes_without_a_positive_finite_total(amplitudes):
+    # Refused by name, with no numpy warning (the suite turns warnings into errors).
+    with pytest.raises(ValueError, match="squared amplitudes must sum to a positive finite number"):
+        measure_sampled(np.array(amplitudes), 10, 1)
+
+
 @pytest.mark.parametrize("seed", [None, -1, True, 1.5])
 def test_measure_sampled_refuses_a_seed_that_does_not_replay(seed):
     # None would draw fresh OS entropy on every call.

@@ -16,6 +16,8 @@ from walshode import (
     SolverConfig,
     analytic_reference,
     builtin_problem,
+    fwht,
+    integration_matrix,
     measure_sampled,
     picard_solve,
     time_integration_operator,
@@ -536,6 +538,31 @@ def test_converged_classical_solve_is_the_trapezoidal_march(name):
         assert trace.converged, (name, n)
         got = np.array([sf.values for sf in solution])
         assert np.max(np.abs(got - trapezoid_march(problem))) <= 1e-13, (name, n)
+
+
+@pytest.mark.parametrize("name", ["riccati", "beer_system"])
+def test_converged_hybrid_exact_solve_is_the_trapezoidal_march(name):
+    # A hybrid transform returns norm*sqrt(p_k) - offset, and its norm is about
+    # the l1 norm of its input (the shift in slot 0 dominates), so each output
+    # carries roundoff of order 2^-52 times that norm.  One integral,
+    # w*WHT(I_N*WHT(f)), then errs by about 2^-52*w*(|f|_1 + |g|_1) at most,
+    # g = I_N*WHT(f) the inverse transform's input; and a solve converged to
+    # tol sits within about tol of its fixed point.  Measured: at most 0.18
+    # of this bound (Beer's x2 at n=3, 1.8e-14 off), at most 0.03 from n=4 on.
+    tol = 1e-13
+    for n in range(2, 11):
+        problem = MARCH_PROBLEMS[name](n)
+        solution, trace = picard_solve(
+            problem, SolverConfig(n_max=200, tol=tol, backend="hybrid-exact"))
+        assert trace.converged, (name, n)
+        march = trapezoid_march(problem)
+        t = solution[0].midpoints
+        width = problem.domain[1] - problem.domain[0]
+        for i, rhs in enumerate(problem.rhs):
+            f = rhs(march, t)
+            g = integration_matrix(1 << n).apply(fwht(f))
+            bound = tol + 2.0**-52 * width * (np.abs(f).sum() + np.abs(g).sum())
+            assert np.max(np.abs(solution[i].values - march[i])) <= bound, (name, n, i)
 
 
 # ---------------------------------------------------------------------------
