@@ -67,10 +67,14 @@ def apply_hadamard_all(state) -> np.ndarray:
 
 
 def measure_exact(state) -> np.ndarray:
-    """Born-rule probabilities |amplitude|^2 without sampling noise, as float64."""
+    """Born-rule probabilities |amplitude|^2 as float64, without sampling noise; no nan or inf."""
     a = np.asarray(state, dtype=float)
     _require_vector(a, "state vector")
-    return a**2
+    with np.errstate(over="ignore"):  # a square past the float range is inf, refused below
+        p = a**2
+    if not np.isfinite(p.max()):  # the largest square is nan or inf if any one is
+        raise ValueError(f"squared amplitudes must be finite, got a largest of {float(p.max())}")
+    return p
 
 
 def require_shots(shots: int) -> None:
@@ -93,8 +97,10 @@ def measure_sampled(state, shots: int, seed: int = DEFAULT_SEED,
     """Int64 counts of ``shots`` shots (they sum to it) from stream ``spawn_key`` of ``seed``."""
     require_shots(shots)
     require_seed(seed, spawn_key)
+    a = np.asarray(state, dtype=float)
+    _require_vector(a, "state vector")
     with np.errstate(over="ignore"):  # an overflowing square or sum makes the total inf
-        p = measure_exact(state)
+        p = a**2
         total = float(p.sum())
     if not 0.0 < total < np.inf:  # also True for nan
         raise ValueError(f"squared amplitudes must sum to a positive finite number, got {total!r}")

@@ -8,19 +8,20 @@ Two code paths compute the same unitary map:
 
 The textbook butterfly runs stages s = 1..n with stride h = 2^(s-1):
 each pair (x_j, x_{j+h}) with j & h == 0 becomes
-(x_j + x_{j+h}, x_j - x_{j+h}).  fwht runs the same stages in Pease's
-constant geometry (M. C. Pease, J. ACM 15(2), 1968), where every stage
-maps y[k] = x[2k] + x[2k+1] and y[k + N/2] = x[2k] - x[2k+1]: two numpy
-calls, on the same strided views, whatever the stage.
+(x_j + x_{j+h}, x_j - x_{j+h}).  Over L <= _BLOCK elements, fwht runs
+them in Pease's constant geometry (M. C. Pease, J. ACM 15(2), 1968),
+where every stage maps y[k] = x[2k] + x[2k+1] and y[k + L/2] =
+x[2k] - x[2k+1]: two numpy calls, on views sliced once whatever the
+stage (N=1024: 24.7 -> 19.5 us a call, 2-CPU x86_64, best of 5000).
 
 Why the output is bit-identical.  A stage combines the two elements
 whose indices differ only in bit 0, as (even, odd), and moves the bit
 that tells sum from difference to the top of the index, shifting the
 other bits down by one.  So stage s combines bit s-1 of the original
 index, the bit the stride-doubling loop combines at stage s, with the
-operands in the same (x_j, x_{j+h}) order.  After n stages, stage s's
-sign bit sits at bit s-1, where the stride-doubling loop leaves it, so
-the output is in natural order.  Every output comes from the same
+operands in the same (x_j, x_{j+h}) order.  After the last stage, stage
+s's sign bit sits at bit s-1, where the stride-doubling loop leaves it,
+so the result is in natural order.  Every output comes from the same
 additions on the same operands, so the two agree bit for bit, signed
 zeros included.
 
@@ -30,23 +31,21 @@ and the result is scaled into a fresh output while it is still in cache.
 Above that, the low log2(_BLOCK) stages only mix elements of one
 aligned block, so they run block by block in the same way, reading the
 caller's array and leaving each block in the output.  The high stages
-are the same schedule along axis 0 of the (N/_BLOCK, _BLOCK) view of
-the output, run one column tile at a time in the two halves of a block
-scratch; the 1/sqrt(N) scaling is fused into each tile's write-back.
-The stages read views of their buffers sliced once, so a stage is two
-ufunc calls (N=1024: 24.7 -> 19.5 us a call, 2-CPU x86_64, best of 5000).
+never mix columns of the (N/_BLOCK, _BLOCK) output grid: they are the
+stride-doubling loop itself, run in place on one column chunk at a time,
+each ufunc call on one contiguous row run, the last stage scaling its
+results (chunked passes: D. H. Bailey, J. Supercomputing 4, 1990).
 
 From _PARALLEL_ROWS = 16 blocks (N >= 2^20) on, the two passes are
 split across W threads, W being the CPUs the process may run on, at
 most one per block: worker w takes blocks w, w+W, ..., and, once every
-block is done, tiles w, w+W, ....  Each element still gets the same
-operations on the same operands, so the output does not depend on W.
-Below 16 blocks one thread does both passes (from 2^17 to 2^19 points,
-starting the threads cost more than they saved on two CPUs).
+block is done, chunks w, w+W, ... of at least W.  Each element still
+gets the same operations on the same operands, so the output does not
+depend on W.
 
 Each thread keeps two buffers per size N <= _BLOCK it ran, 16N bytes (2 MiB
-over all sizes); a larger call allocates its output and one block scratch
-per worker and joins its threads.  The input is only read; calls share nothing.
+over all sizes); a larger call allocates its output and, per worker, a block
+then a run of scratch.  The input is only read; calls share nothing.
 
 With the symmetric normalization the transform is an involution: fwht
 is also the inverse transform.
@@ -90,9 +89,8 @@ class OpCount:
 
 #: Elements per block of the low stages: 512 KiB, which stays in L2.
 _BLOCK = 1 << 16
-#: Elements per column tile of the high stages, or one column if that is
-#: more; the scratch holds two tiles.
-_TILE = _BLOCK // 2
+#: Most elements per column chunk of the high stages: 128 KiB, a worker's scratch.
+_RUN = _BLOCK // 4
 #: Fewest blocks (N / _BLOCK) at which the two passes are split across
 #: threads; below it, starting them costs more than they save.
 _PARALLEL_ROWS = 16
@@ -114,11 +112,11 @@ def _views(dst: np.ndarray, tmp: np.ndarray) -> list[tuple[np.ndarray, ...]]:
 
 
 def _stages(x: np.ndarray, views: list[tuple[np.ndarray, ...]]) -> np.ndarray:
-    """Every constant-geometry stage along axis 0 of x; returns the buffer of the last.
+    """Every constant-geometry stage of x; returns the buffer of the last.
 
     A stage maps y[k] = x[2k] + x[2k+1] and y[k + L/2] = x[2k] - x[2k+1]
-    for the length L of axis 0, alternating between the two buffers of
-    views; x is only read, so it may be the caller's array.
+    for the length L of x, alternating between the two buffers of views;
+    x is only read, so it may be the caller's array.
     """
     even, odd = x[0::2], x[1::2]
     for stage in range(len(x).bit_length() - 1):
@@ -127,6 +125,19 @@ def _stages(x: np.ndarray, views: list[tuple[np.ndarray, ...]]) -> np.ndarray:
         np.subtract(even, odd, high)
         even, odd = next_even, next_odd
     return y
+
+
+def _high_stages(runs: np.ndarray, tmp: np.ndarray, scale: float) -> None:
+    """Stride-doubling stages over the rows of runs, in place, the last one scaling its results."""
+    for h in (1 << s for s in range(len(runs).bit_length() - 1)):
+        for a, b in ((runs[j], runs[j + h]) for j in range(len(runs)) if not j & h):
+            np.add(a, b, tmp)
+            np.subtract(a, b, b)
+            if 2 * h < len(runs):
+                a[...] = tmp
+            else:
+                np.multiply(b, scale, b)
+                np.multiply(tmp, scale, a)
 
 
 #: Per thread, in the dict "by_size": the _views of two buffers for each size up to _BLOCK it ran.
@@ -160,7 +171,7 @@ def wht_naive(v, count: OpCount | None = None) -> np.ndarray:
 
 
 def fwht(v, count: OpCount | None = None) -> np.ndarray:
-    """Fast transform: constant-geometry butterfly with the scaling fused in.
+    """Fast transform: butterfly with the scaling fused in.
 
     ``v`` is only read, never modified or aliased: the result is a fresh
     array.  Its output is bit-identical to the plain stride-doubling
@@ -179,30 +190,28 @@ def fwht(v, count: OpCount | None = None) -> np.ndarray:
     else:
         out = np.empty(N)
         rows = N // _BLOCK
-        width = max(1, _TILE // rows)
         grid = out.reshape(rows, _BLOCK)
         workers = min(_cpu_count(), rows) if rows >= _PARALLEL_ROWS else 1
+        width = min(_RUN, _BLOCK >> (workers - 1).bit_length())
 
         def blocks(w: int) -> None:
             scratch = np.empty(_BLOCK)
             for row in range(w, rows, workers):
                 _stages(v[row * _BLOCK: (row + 1) * _BLOCK], _views(grid[row], scratch))
 
-        def tiles(w: int) -> None:
-            scratch = np.empty(max(_BLOCK, 2 * rows * width))
+        def high(w: int) -> None:
+            tmp = np.empty(width)
             for col in range(w * width, _BLOCK, workers * width):
-                tile = grid[:, col: col + width]
-                a, b = scratch[: 2 * tile.size].reshape(2, *tile.shape)
-                np.multiply(_stages(tile, _views(a, b)), scale, out=tile)
+                _high_stages(grid[:, col: col + width], tmp, scale)
 
         if workers == 1:
             blocks(0)
-            tiles(0)
+            high(0)
         else:
             # Each worker runs in a copy of the caller's context, which holds numpy's error state.
             contexts = [copy_context() for _ in range(workers)]
             with ThreadPoolExecutor(workers) as pool:
-                for task in (blocks, tiles):
+                for task in (blocks, high):
                     list(pool.map(Context.run, contexts, [task] * workers, range(workers)))
     if count is not None:
         count.additions += N * n

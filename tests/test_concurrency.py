@@ -52,8 +52,8 @@ def test_transforms_reentrant_under_threads():
 
 
 def test_blocked_fwht_shares_no_scratch_across_threads():
-    # n=17 spans two blocks and a tiled top stage, so every call uses its
-    # scratch for several passes while other threads run theirs.
+    # n=17 spans two blocks and a top stage run over four column chunks, so
+    # every call uses its scratch for several passes while other threads run theirs.
     rng = np.random.default_rng(1717)
     vectors = [rng.standard_normal(1 << 17) for _ in range(16)]
     expected = [fwht(v) for v in vectors]

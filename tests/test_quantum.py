@@ -107,6 +107,16 @@ def test_measure_exact_is_float64_on_integer_amplitudes():
     assert p.dtype == np.float64 and np.array_equal(p, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("amplitude, largest", [
+    (1e200, "inf"), (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf"),
+], ids=["square-overflows", "nan", "inf", "-inf"])
+def test_measure_exact_refuses_squares_that_are_not_finite(amplitude, largest):
+    # Refused by name, with no numpy warning (the suite turns warnings into errors).
+    message = f"squared amplitudes must be finite, got a largest of {largest}"
+    with pytest.raises(ValueError, match=message):
+        measure_exact(np.array([amplitude, 0.0]))
+
+
 def test_hadamard_on_single_qubit_states():
     plus = apply_hadamard_all(prepare_state([1.0, 0.0]))
     assert np.allclose(plus, [1 / math.sqrt(2)] * 2, rtol=0, atol=1e-15)

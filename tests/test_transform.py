@@ -17,10 +17,11 @@ from walshode import OpCount, ResourceLimitError, fwht, transform, wht_naive
 def _radix2_fwht(v) -> np.ndarray:
     """Reference: one stride-doubling radix-2 pass over the whole vector per stage.
 
-    fwht runs the same stages in constant geometry (sums to the first
-    half, differences to the second; blocks, then column tiles) but must
-    give every element the same operations on the same operands, so it
-    has to agree with this reference bit for bit.
+    fwht runs the low stages in constant geometry (sums to the first
+    half, differences to the second) block by block, then this loop
+    itself over column chunks, but must give every element the same
+    operations on the same operands, so it has to agree with this
+    reference bit for bit.
     """
     a = np.array(v, dtype=float)
     h = 1
@@ -125,8 +126,9 @@ def test_rejects_bad_lengths():
 
 
 # Odd and even stage counts; up to one block (2^16), transformed and scaled
-# whole; above it, 1, 2, 4 and 5 high stages run over column tiles.
-@pytest.mark.parametrize("n", [*range(1, 19), 20, 21])
+# whole; above it, 1 to 6 high stages run in place over column chunks, on
+# one thread up to 8 rows (2^19) and from 16 rows on split across workers.
+@pytest.mark.parametrize("n", range(1, 23))
 def test_fwht_bit_identical_to_radix2_reference(n):
     v = np.random.default_rng(1000 + n).standard_normal(1 << n)
     assert fwht(v).tobytes() == _radix2_fwht(v).tobytes()
@@ -140,12 +142,12 @@ def test_fwht_bit_identical_on_signed_zeros_and_ties():
 
 def _small_block_cases(monkeypatch, block, workers):
     # Blocks of 16 (4 low stages) and 32 (5).  Above one block: several
-    # blocks and tiles, odd and even high stage counts and, from 2^8 or
-    # 2^10 points, more rows than a tile holds, so tiles are one column.
-    # From 16 blocks (2^8 or 2^9 points) on, the passes are split across
-    # the workers, unevenly when 3 share 16 or 32 rows.
+    # blocks, odd and even high stage counts, and chunks of a quarter
+    # block, 4 of them.  From 16 blocks (2^8 or 2^9 points) on, the passes
+    # are split across the workers, unevenly when 3 share 16 or 32 rows
+    # and 4 chunks, and 5 workers share 8 chunks of an eighth block.
     monkeypatch.setattr(transform, "_BLOCK", block)
-    monkeypatch.setattr(transform, "_TILE", block // 2)
+    monkeypatch.setattr(transform, "_RUN", block // 4)
     monkeypatch.setattr(transform, "_cpu_count", lambda: workers)
     for n in range(1, 13):
         v = np.random.default_rng(2000 + n).standard_normal(1 << n)
@@ -159,13 +161,13 @@ def test_fwht_blocked_paths_bit_identical_at_small_block(monkeypatch, block):
     _small_block_cases(monkeypatch, block, workers=1)
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("workers", [2, 3, 5])
 @pytest.mark.parametrize("block", [16, 32])
 def test_fwht_threaded_paths_bit_identical_at_small_block(monkeypatch, block, workers):
     _small_block_cases(monkeypatch, block, workers)
 
 
-@pytest.mark.parametrize("n", [20, 21])
+@pytest.mark.parametrize("n", [20, 21, 22])
 def test_fwht_threaded_bit_identical_with_exact_count(monkeypatch, n):
     N = 1 << n
     v = np.random.default_rng(3000 + n).standard_normal(N)
@@ -222,19 +224,20 @@ class _Boom(RuntimeError):
     pass
 
 
-@pytest.mark.parametrize("ndim", [1, 2], ids=["block-pass", "tile-pass"])
-def test_fwht_worker_failure_reaches_the_caller(monkeypatch, ndim):
+@pytest.mark.parametrize("name", ["_stages", "_high_stages"], ids=["block-pass", "high-pass"])
+def test_fwht_worker_failure_reaches_the_caller(monkeypatch, name):
     # The failing worker's exception is the caller's, and every thread the
-    # call started has ended when it returns.
-    real = transform._stages
+    # call started has ended when it returns.  The fourth call fails: 16
+    # blocks and 4 column chunks, taken by 3 workers.
+    real = getattr(transform, name)
     calls = itertools.count()
 
-    def failing(x, views):
-        if x.ndim == ndim and next(calls) == 3:
+    def failing(*args):
+        if next(calls) == 3:
             raise _Boom("stage failed")
-        return real(x, views)
+        return real(*args)
 
-    monkeypatch.setattr(transform, "_stages", failing)
+    monkeypatch.setattr(transform, name, failing)
     monkeypatch.setattr(transform, "_cpu_count", lambda: 3)
     before = threading.active_count()
     with pytest.raises(_Boom, match="stage failed"):
