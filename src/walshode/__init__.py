@@ -16,13 +16,7 @@ from .calculus import (
 )
 from .errors import DivergenceError, ExprError, ExprEvalError, ResourceLimitError
 from .hybrid import HybridConfig, HybridTrace, classical_side_opcount, hybrid_wht, sign_safe
-from .quantum import (
-    DEFAULT_SEED,
-    apply_hadamard_all,
-    measure_exact,
-    measure_sampled,
-    prepare_state,
-)
+from .quantum import apply_hadamard_all, measure_exact, measure_sampled, prepare_state
 from .solver import (
     IVProblem,
     SolutionTrace,
@@ -49,7 +43,6 @@ from .walsh import (
 )
 
 __all__ = [
-    "DEFAULT_SEED",
     "DivergenceError",
     "ExprError",
     "ExprEvalError",

@@ -137,7 +137,8 @@ def integrate_sampled(values: np.ndarray, domain: tuple[float, float] = (0.0, 1.
                       cfg: HybridConfig | None = None) -> np.ndarray:
     """Antiderivative of midpoint samples, a fresh array vanishing at ``domain``'s left end.
 
-    Samples and domain are checked as ``SampledFunction`` checks them.  With ``cfg`` None both
+    Shape and domain are checked as ``SampledFunction`` checks them, not finiteness (a solve
+    checks its right-hand sides' values).  With ``cfg`` None both
     transforms are fwht; else hybrid_wht, drawing from ``cfg.child(0)`` and ``cfg.child(1)``."""
     matrix = integration_matrix(1 << _require_vector(np.asarray(values), "samples"))
     lo, hi = _require_domain(domain)

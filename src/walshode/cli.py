@@ -3,8 +3,8 @@
 Vector files hold one decimal value per line; blank lines and lines
 starting with '#' are ignored.  `transform` and `solve` print a JSON run
 report to stdout; `table` and `bench` print CSV to stdout unless -o names
-a file.  Every command is deterministic given its flags (the sampled
-backend refuses to run without an explicit --seed).
+a file.  Every command is deterministic given its flags: the sampled
+backend needs --seed, as ``hybrid.backend_config`` does for the library.
 
 Exit codes, by exception family: 0 success, 2 usage (ValueError,
 ResourceLimitError), 3 numeric/divergence (ArithmeticError,
@@ -111,15 +111,8 @@ def _write_csv(path: str | None, header: list[str], blocks: Iterable[list]) -> N
     _write_text(path, itertools.chain([",".join(header) + "\n"], chunks))
 
 
-def _require_seed(args) -> None:
-    """The CLI's own rule: a sampled run needs an explicit --seed to replay from."""
-    if args.backend == "hybrid-sampled" and args.seed is None:
-        raise ValueError("backend hybrid-sampled requires --seed")
-
-
 def cmd_transform(args) -> int:
     hybrid = backend_config(args.backend, args.epsilon, args.shots, args.seed)
-    _require_seed(args)
     v = read_vector(args.input)
     count = OpCount()
     started = time.perf_counter()
@@ -193,7 +186,6 @@ def _rhs_callable(node):
 def cmd_solve(args) -> int:
     config = SolverConfig(n_max=args.nmax, tol=args.tol, backend=args.backend,
                           epsilon=args.epsilon, shots=args.shots, seed=args.seed)
-    _require_seed(args)
     problem, known_name = _problem_from_args(args)
     started = time.perf_counter()
     solution, trace = picard_solve(problem, config)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import (DEFAULT_SEED, apply_hadamard_all, measure_exact, measure_sampled,
-                      prepare_state, require_seed, require_shots)
+from .quantum import (apply_hadamard_all, measure_exact, measure_sampled, prepare_state,
+                      require_seed, require_shots)
 from .transform import OpCount
 from .walsh import _require_vector
 
@@ -44,21 +44,24 @@ class HybridConfig:
     ``epsilon`` is the finite, strictly positive shift margin; None selects
     1e-3 * (1 + sum|a_k|), large enough for strict positivity without
     concentrating amplitude on the shifted slot.  ``shots`` None reads the
-    exact probabilities; an integer in [1, 2^63) draws that many from stream
-    ``spawn_key`` of ``seed``: non-negative integers (not None, which draws OS entropy, nor bools).
+    exact probabilities and needs no seed; an integer in [1, 2^63) draws that
+    many from stream ``spawn_key`` of ``seed``, which must then be given:
+    non-negative integers (not bools), so every sampled run is replayable.
     """
 
     epsilon: float | None = None
     shots: int | None = None
-    seed: int = DEFAULT_SEED
+    seed: int | None = None
     spawn_key: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+        if self.epsilon is not None and (isinstance(self.epsilon, bool)
+                                         or not 0.0 < self.epsilon < math.inf):
             raise ValueError(f"epsilon must be strictly positive and finite, got {self.epsilon}")
         if self.shots is not None:
             require_shots(self.shots)
-        require_seed(self.seed, self.spawn_key)
+        # An exact run draws nothing, so its seed may be None; its key is checked all the same.
+        require_seed(0 if self.shots is None and self.seed is None else self.seed, self.spawn_key)
 
     @property
     def mode(self) -> str:
@@ -79,7 +82,7 @@ def backend_config(backend, epsilon=None, shots=None, seed=None) -> HybridConfig
     """The HybridConfig of a backend's settings (None: not given); None if not hybrid.
 
     hybrid-exact takes ``epsilon``, hybrid-sampled takes all three and needs
-    ``shots``, any other backend none; a setting it would ignore raises ValueError.
+    ``shots`` and ``seed``, any other backend none; a setting it would ignore raises ValueError.
     """
     takes = _SETTINGS.get(backend, ())
     for name, value in (("epsilon", epsilon), ("shots", shots), ("seed", seed)):
@@ -87,7 +90,7 @@ def backend_config(backend, epsilon=None, shots=None, seed=None) -> HybridConfig
             raise ValueError(f"{name} does not apply to backend {backend}")
     if "shots" in takes and shots is None:
         raise ValueError(f"backend {backend} requires a shot count")
-    return HybridConfig(epsilon, shots, DEFAULT_SEED if seed is None else seed) if takes else None
+    return HybridConfig(epsilon, shots, seed) if takes else None
 
 
 @dataclass

@@ -12,6 +12,8 @@ cross-check each other.  ``measure_exact`` returns the Born-rule
 probabilities, ``measure_sampled`` the int64 outcome counts, which come
 from one multinomial draw: O(N) whatever the shots, from the stream of
 ``SeedSequence(seed, spawn_key=spawn_key)``; the empty key is ``default_rng(seed)``'s.
+There is no default seed: a sampled run names its own, so two runs share
+noise only when they name the same seed and key.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from functools import reduce
 import numpy as np
 
 from .walsh import _require_vector
-
-#: Seed used when callers do not supply one; fixed so runs are replayable.
-DEFAULT_SEED = 12345
 
 #: Qubits per fused gate; a group costs 2^k multiply-adds per amplitude.
 _GROUP = 5
@@ -92,8 +91,7 @@ def require_seed(seed: int, spawn_key: tuple[int, ...] = ()) -> None:
             raise ValueError(f"{name} must be a non-negative integer, got {value}")
 
 
-def measure_sampled(state, shots: int, seed: int = DEFAULT_SEED,
-                    spawn_key: tuple[int, ...] = ()) -> np.ndarray:
+def measure_sampled(state, shots: int, seed: int, spawn_key: tuple[int, ...] = ()) -> np.ndarray:
     """Int64 counts of ``shots`` shots (they sum to it) from stream ``spawn_key`` of ``seed``."""
     require_shots(shots)
     require_seed(seed, spawn_key)

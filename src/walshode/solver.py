@@ -84,7 +84,7 @@ class SolverConfig:
     ``hybrid`` is derived by ``hybrid.backend_config``: None for classical,
     else the root HybridConfig, whose ``child(sweep, i)`` integrates x_i in that sweep.
     Frozen, so it always matches the other fields.  A setting the backend would ignore
-    is refused, ``seed`` included; a sampled run without one uses ``quantum.DEFAULT_SEED``.
+    is refused; hybrid-sampled requires ``shots`` and ``seed``.  ``tol`` is not a bool.
     """
 
     n_max: int
@@ -98,7 +98,7 @@ class SolverConfig:
     def __post_init__(self):
         if isinstance(self.n_max, bool) or not hasattr(self.n_max, "__index__") or self.n_max < 1:
             raise ValueError(f"n_max must be an integer >= 1, got {self.n_max}")
-        if not 0.0 <= self.tol < math.inf:
+        if isinstance(self.tol, bool) or not 0.0 <= self.tol < math.inf:
             raise ValueError(f"tol must be >= 0 and finite, got {self.tol}")
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")

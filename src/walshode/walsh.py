@@ -49,10 +49,12 @@ class WalshOrdering(enum.Enum):
 
 
 def _require_qubits(n: int) -> int:
-    """Return N = 2^n, or raise before shifting unless 1 <= n <= 62 (int64 indices)."""
-    if not 1 <= n <= 62:
+    """Return N = 2^n, or raise before shifting unless n is an integer (no bool) in [1, 62]."""
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise ValueError(f"qubit count must be an integer, got {n!r}")
+    if not 1 <= n <= 62:  # int64 indices
         raise ValueError(f"qubit count must be in [1, 62], got {n}")
-    return 1 << n
+    return 1 << int(n)
 
 
 def _cell(t: float, N: int) -> int | None:
@@ -207,7 +209,7 @@ def cal_index(j: int) -> int:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Real samples of a function at the N = 2^n cell midpoints of a domain."""
+    """Finite real samples of a function at the N = 2^n cell midpoints of a domain."""
 
     values: np.ndarray
     domain: tuple[float, float] = (0.0, 1.0)
@@ -216,6 +218,8 @@ class SampledFunction:
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
         n = _require_vector(vals, "samples")
+        if not np.isfinite(vals).all():
+            raise ValueError(f"samples must be finite, got {vals[~np.isfinite(vals)][0]}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "domain", _require_domain(self.domain))
@@ -248,8 +252,8 @@ def convert_ordering(sv: SpectralVector, target: WalshOrdering) -> SpectralVecto
 
 
 def discretize(f, n: int, domain: tuple[float, float] = (0.0, 1.0)) -> SampledFunction:
-    """Sample a callable at the N midpoints of the domain."""
-    mids = midpoints(_require_qubits(n), domain)
+    """Sample a callable at the N midpoints of the domain, checked before the first call."""
+    mids = midpoints(_require_qubits(n), _require_domain(domain))
     vals = np.array([float(f(t)) for t in mids])
     if not np.all(np.isfinite(vals)):
         bad = mids[~np.isfinite(vals)][0]

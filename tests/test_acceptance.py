@@ -38,7 +38,9 @@ from walshode import (
     time_integration_operator,
     wht_naive,
 )
-from walshode.quantum import DEFAULT_SEED
+
+#: The seed of every sampled run below that pins no seed of its own.
+SEED = 12345
 
 
 @contextmanager
@@ -235,9 +237,9 @@ def test_criterion_09_sampled_mode():
     with criterion("criterion 9: sampled error bound at 1e6 shots and shot monotonicity"):
         v = np.array([1 / 8, 3 / 8, 5 / 8, 7 / 8])
         reference = fwht(v)
-        out, trace = hybrid_wht(v, HybridConfig(shots=10**6))
+        out, trace = hybrid_wht(v, HybridConfig(shots=10**6, seed=SEED))
         assert np.max(np.abs(out - reference)) <= 5e-3 * trace.norm
-        seeds = range(DEFAULT_SEED, DEFAULT_SEED + 8)
+        seeds = range(SEED, SEED + 8)
         means = []
         for shots in (10**2, 10**6):
             errs = []

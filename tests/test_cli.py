@@ -22,7 +22,8 @@ from walshode import (
     walsh,
 )
 from walshode.cli import main, read_vector, write_vector
-from walshode.hybrid import backend_config
+from walshode.hybrid import HybridConfig, backend_config
+from walshode.quantum import measure_sampled, prepare_state
 
 
 def run(capsys, *argv):
@@ -129,7 +130,7 @@ def test_transform_sampled_requires_shots_and_seed(tmp_path, capsys):
     code, _, err = run(capsys, "transform", str(src), "-o", dst,
                        "--backend", "hybrid-sampled", "--shots", "1000")
     assert code == 2
-    assert err == "walshode: error: backend hybrid-sampled requires --seed\n"
+    assert err == "walshode: error: seed must be a non-negative integer, got None\n"
     code, _, err = run(capsys, "transform", str(src), "-o", dst,
                        "--backend", "hybrid-sampled", "--seed", "3")
     assert code == 2
@@ -759,7 +760,7 @@ def test_solve_sampled_requires_shots_and_seed(tmp_path, capsys):
             "--output-dir", str(tmp_path), "--backend", "hybrid-sampled")
     code, _, err = run(capsys, *base, "--shots", "1000")
     assert code == 2
-    assert err == "walshode: error: backend hybrid-sampled requires --seed\n"
+    assert err == "walshode: error: seed must be a non-negative integer, got None\n"
     code, _, err = run(capsys, *base, "--seed", "3")
     assert code == 2
     assert err == "walshode: error: backend hybrid-sampled requires a shot count\n"
@@ -828,8 +829,6 @@ def test_cli_and_library_agree_on_settings(tmp_path, capsys, command, backend, g
         expected = None
     except ValueError as exc:
         expected = str(exc)
-    if expected is None and backend == "hybrid-sampled" and "seed" not in given:
-        expected = "backend hybrid-sampled requires --seed"  # the CLI's own rule
 
     flags = [str(x) for name, value in settings.items() for x in (f"--{name}", value)]
     code, out, err = run(capsys, *_command_argv(tmp_path, command), "--backend", backend, *flags)
@@ -838,6 +837,29 @@ def test_cli_and_library_agree_on_settings(tmp_path, capsys, command, backend, g
     else:
         assert (code, out, err) == (2, "", f"walshode: error: {expected}\n")
         assert not (tmp_path / "out").exists()
+
+
+def test_every_entry_point_refuses_an_unseeded_sampled_run(tmp_path, capsys):
+    # There is no default seed: unseeded runs used to share the noise of seed 12345.
+    message = "seed must be a non-negative integer, got None"
+    for refuse in (lambda: HybridConfig(shots=100),
+                   lambda: backend_config("hybrid-sampled", shots=100),
+                   lambda: SolverConfig(n_max=1, backend="hybrid-sampled", shots=100),
+                   lambda: measure_sampled(prepare_state([0.6, 0.8]), 100, None)):
+        with pytest.raises(ValueError) as info:
+            refuse()
+        assert str(info.value) == message
+    with pytest.raises(TypeError, match="seed"):
+        measure_sampled(prepare_state([0.6, 0.8]), 100)
+    for command in ("solve", "transform"):
+        code, out, err = run(capsys, *_command_argv(tmp_path, command),
+                             "--backend", "hybrid-sampled", "--shots", "100")
+        assert (code, out, err) == (2, "", f"walshode: error: {message}\n")
+        assert not (tmp_path / "out").exists()
+    # An exact run draws nothing, so it needs no seed; a seed it is given is still checked.
+    assert HybridConfig().seed is backend_config("hybrid-exact").seed is None
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        HybridConfig(seed=-1)
 
 
 def _command_argv(tmp_path, command):

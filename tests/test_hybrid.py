@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from walshode import (
-    DEFAULT_SEED,
     HybridConfig,
     OpCount,
     SolverConfig,
@@ -19,6 +18,9 @@ from walshode import (
 )
 from walshode.hybrid import backend_config
 from walshode.quantum import measure_sampled, prepare_state
+
+#: The seed of every sampled run below that pins no seed of its own.
+SEED = 12345
 
 
 def test_sign_safe_pinned_cases():
@@ -148,6 +150,12 @@ def test_rejects_input_that_is_not_one_vector():
 def test_config_validation():
     with pytest.raises(ValueError, match="epsilon must be strictly positive"):
         HybridConfig(epsilon=0.0)
+    # True used to be taken as a margin of 1.0.
+    message = "epsilon must be strictly positive and finite, got True"
+    for build in (lambda: HybridConfig(epsilon=True), lambda: backend_config("hybrid-exact", True)):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
     with pytest.raises(ValueError, match=re.escape("shots must be in [1, 2^63), got 0")):
         HybridConfig(shots=0)
 
@@ -158,28 +166,28 @@ def test_shot_count_must_be_an_integer(shots):
     with pytest.raises(ValueError, match=message):
         HybridConfig(shots=shots)
     with pytest.raises(ValueError, match=message):
-        measure_sampled(prepare_state([1.0, 0.0]), shots)
+        measure_sampled(prepare_state([1.0, 0.0]), shots, SEED)
 
 
 def test_numpy_integer_shot_count_is_taken():
-    cfg = HybridConfig(shots=np.int64(5))
+    cfg = HybridConfig(shots=np.int64(5), seed=SEED)
     assert cfg.shots == 5
-    assert int(measure_sampled(prepare_state([0.6, 0.8]), cfg.shots).sum()) == 5
+    assert int(measure_sampled(prepare_state([0.6, 0.8]), cfg.shots, cfg.seed).sum()) == 5
 
 
 @pytest.mark.parametrize("entry", [True, -1])
 def test_spawn_key_entries_must_be_non_negative_integers(entry):
     message = f"spawn_key entry must be a non-negative integer, got {entry}"
     with pytest.raises(ValueError, match=message):
-        HybridConfig(shots=1000, spawn_key=(0, entry))
+        HybridConfig(shots=1000, seed=SEED, spawn_key=(0, entry))
     with pytest.raises(ValueError, match=message):
-        HybridConfig(shots=1000).child(1, entry)
+        HybridConfig(shots=1000, seed=SEED).child(1, entry)
 
 
 def test_spawn_key_must_be_a_tuple():
     # A list would neither extend by child nor hash as a frozen field.
     with pytest.raises(ValueError, match=re.escape("spawn_key must be a tuple of non-negative")):
-        HybridConfig(shots=1000, spawn_key=[0])
+        HybridConfig(shots=1000, seed=SEED, spawn_key=[0])
 
 
 def test_numpy_integer_spawn_key_is_taken():
@@ -230,9 +238,10 @@ def test_non_finite_epsilon_refused_when_the_config_is_built(epsilon):
 def test_one_shot_bound_for_every_config():
     # The counts are int64, so 2^63 - 1 is the largest budget any config takes.
     builders = [
-        lambda shots: HybridConfig(shots=shots),
-        lambda shots: backend_config("hybrid-sampled", shots=shots),
-        lambda shots: SolverConfig(n_max=1, backend="hybrid-sampled", shots=shots).hybrid,
+        lambda shots: HybridConfig(shots=shots, seed=SEED),
+        lambda shots: backend_config("hybrid-sampled", shots=shots, seed=SEED),
+        lambda shots: SolverConfig(n_max=1, backend="hybrid-sampled", shots=shots,
+                                   seed=SEED).hybrid,
     ]
     for build in builders:
         with pytest.raises(ValueError) as info:
@@ -259,8 +268,8 @@ def test_backend_config_takes_each_setting_where_it_applies():
     assert backend_config("classical") is None
     assert backend_config("fast") is None
     assert backend_config("hybrid-exact", epsilon=0.5) == HybridConfig(epsilon=0.5)
-    assert backend_config("hybrid-sampled", shots=10) == HybridConfig(
-        shots=10, seed=DEFAULT_SEED)
+    assert backend_config("hybrid-sampled", shots=10, seed=SEED) == HybridConfig(
+        shots=10, seed=SEED)
     assert backend_config("hybrid-sampled", 0.5, 10, 3) == HybridConfig(0.5, 10, 3)
     with pytest.raises(ValueError, match="^backend hybrid-sampled requires a shot count$"):
         backend_config("hybrid-sampled", seed=3)
@@ -273,9 +282,9 @@ def test_backend_config_takes_each_setting_where_it_applies():
 def test_sampled_mode_accuracy_and_monotonicity():
     v = np.array([1 / 8, 3 / 8, 5 / 8, 7 / 8])
     reference = fwht(v)
-    big, trace = hybrid_wht(v, HybridConfig(shots=10**6))
+    big, trace = hybrid_wht(v, HybridConfig(shots=10**6, seed=SEED))
     assert np.max(np.abs(big - reference)) <= 5e-3 * trace.norm
-    small, _ = hybrid_wht(v, HybridConfig(shots=10**2))
+    small, _ = hybrid_wht(v, HybridConfig(shots=10**2, seed=SEED))
     assert np.max(np.abs(small - reference)) > np.max(np.abs(big - reference))
 
 
@@ -290,7 +299,7 @@ def test_sampled_mode_seed_replay():
 def test_sampled_mode_flags_sub_resolution_components():
     # Component 3 of the ramp transform is exactly 0: always below noise.
     v = np.array([1 / 8, 3 / 8, 5 / 8, 7 / 8])
-    _, trace = hybrid_wht(v, HybridConfig(shots=10**4))
+    _, trace = hybrid_wht(v, HybridConfig(shots=10**4, seed=SEED))
     assert trace.sub_resolution is not None
     assert bool(trace.sub_resolution[3])
 
@@ -309,7 +318,7 @@ def test_sampled_mode_counts_one_more_multiplication_per_component():
     rng = np.random.default_rng(17)
     for N in (2, 8, 64):
         count = OpCount()
-        hybrid_wht(rng.standard_normal(N), HybridConfig(shots=1000), count)
+        hybrid_wht(rng.standard_normal(N), HybridConfig(shots=1000, seed=SEED), count)
         assert count.multiplications == 4 * N
         assert count.total == 8 * N
 

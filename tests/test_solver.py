@@ -319,11 +319,34 @@ def test_config_rejects_nan_and_negative_tol(tol):
         SolverConfig(n_max=1, tol=tol)
 
 
+@pytest.mark.parametrize("tol", [True, False])
+def test_config_refuses_a_bool_tol(tol):
+    # True used to be taken as a tolerance of 1.0.
+    with pytest.raises(ValueError) as info:
+        SolverConfig(n_max=1, tol=tol)
+    assert str(info.value) == f"tol must be >= 0 and finite, got {tol}"
+
+
 @pytest.mark.parametrize("tol", [math.inf, -math.inf])
 def test_config_rejects_infinite_tol(tol):
     with pytest.raises(ValueError) as info:
         SolverConfig(n_max=1, tol=tol)
     assert str(info.value) == f"tol must be >= 0 and finite, got {tol}"
+
+
+@pytest.mark.parametrize("n", [True, 2.0, 2.5, "2"])
+def test_problem_refuses_a_qubit_count_that_is_not_an_integer(n):
+    # True used to solve at N = 2; 2.0 raised TypeError from 1 << 2.0.
+    with pytest.raises(ValueError) as info:
+        IVProblem(rhs=[lambda x, t: 0.0], initial=[0.0], n=n)
+    assert str(info.value) == f"qubit count must be an integer, got {n!r}"
+
+
+def test_problem_takes_a_numpy_integer_qubit_count():
+    config = SolverConfig(n_max=3, tol=0.0)
+    solution, _ = picard_solve(builtin_problem("riccati", n=np.int64(3)), config)
+    expected, _ = picard_solve(builtin_problem("riccati", n=3), config)
+    assert np.array_equal(solution[0].values, expected[0].values)
 
 
 @pytest.mark.parametrize("initial", [[math.inf], [-math.inf], [math.nan]])

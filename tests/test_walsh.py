@@ -95,6 +95,27 @@ def test_character_table_resource_cap():
         character_table(63)
 
 
+@pytest.mark.parametrize("call", [
+    character_table,
+    lambda n: character_eval(0, 0, n),
+    lambda n: ordering_permutation(n, NAT, SEQ),
+    lambda n: walsh_value(0, 0.5, n),
+    lambda n: discretize(np.cos, n),
+], ids=["character_table", "character_eval", "ordering_permutation", "walsh_value", "discretize"])
+@pytest.mark.parametrize("n", [True, 3.0, 2.5, None])
+def test_qubit_count_must_be_an_integer(call, n):
+    # 3.0 used to raise TypeError from 1 << 3.0, and True to run at n = 1.
+    with pytest.raises(ValueError) as info:
+        call(n)
+    assert str(info.value) == f"qubit count must be an integer, got {n!r}"
+
+
+def test_numpy_integer_qubit_count_is_taken():
+    # In uint8, 1 << 8 would wrap to 0: N is computed from the Python integer.
+    assert np.array_equal(character_table(np.uint8(8)), character_table(8))
+    assert np.array_equal(discretize(np.cos, np.int64(3)).values, discretize(np.cos, 3).values)
+
+
 @pytest.mark.parametrize("n", [8, 10, 11])
 def test_character_table_peak_within_its_byte_charge(monkeypatch, n):
     charged = []
@@ -312,6 +333,16 @@ def test_discretize_rejects_non_finite():
         discretize(lambda t: float("nan"), 2)
 
 
+@pytest.mark.parametrize("domain", [(0.0, math.inf), (math.nan, 1.0), (1.0, 0.0)])
+def test_discretize_checks_the_domain_before_the_first_sample(domain):
+    # (0, inf) used to call f(inf) and blame the function for its non-finite sample.
+    def f(t):
+        raise AssertionError(f"sampled at t={t}")
+
+    with pytest.raises(ValueError, match="^domain must be finite with t_lo < t_hi"):
+        discretize(f, 2, domain)
+
+
 def test_discretize_custom_domain_midpoints():
     sf = discretize(lambda t: t, 1, domain=(2.0, 4.0))
     assert np.array_equal(sf.values, [2.5, 3.5])
@@ -328,6 +359,14 @@ def test_sampled_function_validation():
     # Both ends finite, but t_hi - t_lo is inf: every integral would be inf.
     with pytest.raises(ValueError, match="a finite width"):
         SampledFunction(np.ones(4), domain=(-1e308, 1e308))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sampled_function_refuses_non_finite_samples(bad):
+    # discretize and IVProblem.initial already refused these; the constructor let them in.
+    with pytest.raises(ValueError) as info:
+        SampledFunction([0.5, bad, 1.0, bad])
+    assert str(info.value) == f"samples must be finite, got {bad}"
 
 
 def test_midpoints_of_a_wide_domain_do_not_overflow():
