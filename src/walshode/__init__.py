@@ -28,16 +28,12 @@ from .solver import (
 from .transform import OpCount, fwht, wht_naive
 from .walsh import (
     SampledFunction,
-    SpectralVector,
     WalshOrdering,
-    cal_index,
     character_eval,
     character_table,
-    convert_ordering,
     discretize,
     ordering_permutation,
     reconstruct,
-    sal_index,
     sequency_walsh_recursive,
     walsh_value,
 )
@@ -55,16 +51,13 @@ __all__ = [
     "SampledFunction",
     "SolutionTrace",
     "SolverConfig",
-    "SpectralVector",
     "WalshOrdering",
     "analytic_reference",
     "apply_hadamard_all",
     "builtin_problem",
-    "cal_index",
     "character_eval",
     "character_table",
     "classical_side_opcount",
-    "convert_ordering",
     "differentiation_matrix",
     "discretize",
     "fwht",
@@ -77,7 +70,6 @@ __all__ = [
     "picard_solve",
     "prepare_state",
     "reconstruct",
-    "sal_index",
     "sequency_walsh_recursive",
     "sign_safe",
     "time_integration_operator",

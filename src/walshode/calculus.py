@@ -43,7 +43,7 @@ import numpy as np
 from .errors import require_bytes
 from .hybrid import HybridConfig, hybrid_wht
 from .transform import fwht
-from .walsh import _require_domain, _require_power_of_two, _require_vector
+from .walsh import _require_domain, _require_finite, _require_power_of_two, _require_vector
 
 _cache: dict[tuple[str, int], "OperationalMatrix"] = {}
 _cache_lock = threading.Lock()
@@ -137,10 +137,11 @@ def integrate_sampled(values: np.ndarray, domain: tuple[float, float] = (0.0, 1.
                       cfg: HybridConfig | None = None) -> np.ndarray:
     """Antiderivative of midpoint samples, a fresh array vanishing at ``domain``'s left end.
 
-    Shape and domain are checked as ``SampledFunction`` checks them, not finiteness (a solve
-    checks its right-hand sides' values).  With ``cfg`` None both
-    transforms are fwht; else hybrid_wht, drawing from ``cfg.child(0)`` and ``cfg.child(1)``."""
-    matrix = integration_matrix(1 << _require_vector(np.asarray(values), "samples"))
+    Shape, finiteness and domain are checked as ``SampledFunction`` checks them.  With ``cfg``
+    None both transforms are fwht; else hybrid_wht, drawing from ``cfg.child(0)`` and ``cfg.child(1)``."""
+    values = np.asarray(values, dtype=float)
+    matrix = integration_matrix(1 << _require_vector(values, "samples"))
+    _require_finite(values, "samples")
     lo, hi = _require_domain(domain)
     if cfg is None:
         out = fwht(matrix.apply(fwht(values)))

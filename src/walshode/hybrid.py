@@ -31,7 +31,7 @@ import numpy as np
 from .quantum import (apply_hadamard_all, measure_exact, measure_sampled, prepare_state,
                       require_seed, require_shots)
 from .transform import OpCount
-from .walsh import _require_vector
+from .walsh import _require_finite, _require_vector
 
 #: The settings each hybrid backend takes; any other backend takes none.
 _SETTINGS = {"hybrid-exact": ("epsilon",), "hybrid-sampled": ("epsilon", "shots", "seed")}
@@ -145,8 +145,7 @@ def hybrid_wht(
         cfg = HybridConfig()
     a = np.asarray(v, dtype=float)
     _require_vector(a)
-    if not np.isfinite(a).all():
-        raise ValueError("input vector must be finite")
+    _require_finite(a, "input vector")
     N = a.size
 
     with np.errstate(over="ignore"):  # an overflowing sum makes norm_sq inf, refused below

@@ -12,7 +12,7 @@ each pair (x_j, x_{j+h}) with j & h == 0 becomes
 them in Pease's constant geometry (M. C. Pease, J. ACM 15(2), 1968),
 where every stage maps y[k] = x[2k] + x[2k+1] and y[k + L/2] =
 x[2k] - x[2k+1]: two numpy calls, on views sliced once whatever the
-stage (N=1024: 24.7 -> 19.5 us a call, 2-CPU x86_64, best of 5000).
+stage.
 
 Why the output is bit-identical.  A stage combines the two elements
 whose indices differ only in bit 0, as (even, odd), and moves the bit

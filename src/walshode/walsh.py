@@ -57,6 +57,31 @@ def _require_qubits(n: int) -> int:
     return 1 << int(n)
 
 
+def _require_index(k: int, N: int | None, what: str) -> int:
+    """Return k as an int, or raise unless it is an integer (no bool) in [0, N) (N None: >= 0)."""
+    if isinstance(k, bool) or not hasattr(k, "__index__"):
+        raise ValueError(f"{what} must be an integer, got {k!r}")
+    if N is None:
+        if k < 0:
+            raise ValueError(f"{what} must be >= 0, got {k}")
+    elif not 0 <= k < N:
+        raise IndexError(f"{what}={k} out of range for n={N.bit_length() - 1}")
+    return int(k)
+
+
+def _require_ordering(ordering: WalshOrdering) -> WalshOrdering:
+    """Return the ordering, or raise unless it is a WalshOrdering member (not its name)."""
+    if not isinstance(ordering, WalshOrdering):
+        raise ValueError(f"ordering must be a WalshOrdering, got {ordering!r}")
+    return ordering
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """Raise unless every entry of a is finite, naming the first that is not."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite, got {a[~np.isfinite(a)][0]}")
+
+
 def _cell(t: float, N: int) -> int | None:
     """Index of the cell of [0,1] holding t (t = 1 in the last); None outside."""
     if np.isnan(t):
@@ -111,10 +136,8 @@ def _binary_to_gray(v):
 def character_eval(k: int, x: int, n: int) -> int:
     """chi_k(x) = (-1)^popcount(k AND x) for the group {0,1}^n."""
     N = _require_qubits(n)
-    if not 0 <= k < N:
-        raise IndexError(f"character index k={k} out of range for n={n}")
-    if not 0 <= x < N:
-        raise IndexError(f"group element x={x} out of range for n={n}")
+    k = _require_index(k, N, "character index k")
+    x = _require_index(x, N, "group element x")
     return -1 if (k & x).bit_count() & 1 else 1
 
 
@@ -142,8 +165,7 @@ def sequency_walsh_recursive(j: int, x: float) -> int:
     evaluation at cell midpoints, where the recursion never lands on a
     jump point.
     """
-    if j < 0:
-        raise ValueError(f"function index must be >= 0, got {j}")
+    j = _require_index(j, None, "function index")
     if x < 0.0 or x > 1.0:
         return 0
     if j == 0:
@@ -165,17 +187,13 @@ def ordering_permutation(
     sequency -> natural is its inverse.
     """
     N = _require_qubits(n)
+    _require_ordering(source)
+    _require_ordering(target)
     idx = np.arange(N, dtype=np.int64)
     if source == target:
         return idx
     forward = _bit_reverse(_binary_to_gray(idx), n)
-    if source == WalshOrdering.NATURAL and target == WalshOrdering.SEQUENCY:
-        return forward
-    if source == WalshOrdering.SEQUENCY and target == WalshOrdering.NATURAL:
-        inverse = np.empty_like(forward)
-        inverse[forward] = idx
-        return inverse
-    raise ValueError(f"unsupported ordering pair {source} -> {target}")
+    return forward if target == WalshOrdering.SEQUENCY else np.argsort(forward)
 
 
 def walsh_value(
@@ -183,28 +201,11 @@ def walsh_value(
 ) -> int:
     """Value of the k-th Walsh function at t; 0 outside [0,1], ValueError for NaN."""
     N = _require_qubits(n)
-    if not 0 <= k < N:
-        raise IndexError(f"function index k={k} out of range for n={n}")
-    cell = _cell(t, N)
-    if cell is None:
-        return 0
-    if ordering == WalshOrdering.SEQUENCY:
+    k = _require_index(k, N, "function index k")
+    if _require_ordering(ordering) == WalshOrdering.SEQUENCY:
         k = int(_bit_reverse(_binary_to_gray(k), n))
-    return character_eval(k, cell, n)
-
-
-def sal_index(j: int) -> int:
-    """Sequency-ordering index of sal_j (odd-symmetric family): 2j - 1."""
-    if j < 1:
-        raise ValueError(f"sal index must be >= 1, got {j}")
-    return 2 * j - 1
-
-
-def cal_index(j: int) -> int:
-    """Sequency-ordering index of cal_j (even-symmetric family): 2j."""
-    if j < 0:
-        raise ValueError(f"cal index must be >= 0, got {j}")
-    return 2 * j
+    cell = _cell(t, N)
+    return 0 if cell is None else character_eval(k, cell, n)
 
 
 @dataclass(frozen=True)
@@ -218,8 +219,7 @@ class SampledFunction:
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
         n = _require_vector(vals, "samples")
-        if not np.isfinite(vals).all():
-            raise ValueError(f"samples must be finite, got {vals[~np.isfinite(vals)][0]}")
+        _require_finite(vals, "samples")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "domain", _require_domain(self.domain))
@@ -228,27 +228,6 @@ class SampledFunction:
     @property
     def midpoints(self) -> np.ndarray:
         return midpoints(self.values.size, self.domain)
-
-
-@dataclass(frozen=True)
-class SpectralVector:
-    """Walsh-domain coefficients tagged with their ordering."""
-
-    coeffs: np.ndarray
-    ordering: WalshOrdering = WalshOrdering.NATURAL
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=float)
-        n = _require_vector(coeffs, "coefficients")
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "n", n)
-
-
-def convert_ordering(sv: SpectralVector, target: WalshOrdering) -> SpectralVector:
-    perm = ordering_permutation(sv.n, sv.ordering, target)
-    return SpectralVector(sv.coeffs[perm], target)
 
 
 def discretize(f, n: int, domain: tuple[float, float] = (0.0, 1.0)) -> SampledFunction:
@@ -261,17 +240,18 @@ def discretize(f, n: int, domain: tuple[float, float] = (0.0, 1.0)) -> SampledFu
     return SampledFunction(vals, domain)
 
 
-def reconstruct(sv: SpectralVector, t: float) -> float:
+def reconstruct(coeffs, t: float) -> float:
     """Pointwise synthesis (1/sqrt(N)) * sum_k coeffs[k] * W_k(t).
 
     Piecewise constant on the N cells of [0,1]; 0 outside; ValueError for
-    NaN t.  One signed sum of the natural-ordered coefficients over the
+    NaN t.  ``coeffs`` is in natural order: gather a sequency spectrum with
+    ordering_permutation(n, SEQUENCY, NATURAL) first.  One signed sum over the
     character row of t's cell; walsh_value, one term at a time, is its oracle.
     """
-    N = sv.coeffs.size
+    coeffs = np.array(coeffs, dtype=float)
+    N = 1 << _require_vector(coeffs, "coefficients")
     cell = _cell(t, N)
     if cell is None:
         return 0.0
-    coeffs = convert_ordering(sv, WalshOrdering.NATURAL).coeffs
     odd = np.bitwise_count(np.arange(N) & cell) & 1
     return float(coeffs @ (1 - 2 * odd.astype(np.int8))) / np.sqrt(N)

@@ -372,15 +372,19 @@ def test_domain_rescaling():
     assert np.max(np.abs(out - expected)) < 1e-14
 
 
+@pytest.mark.parametrize("cfg", [None, HybridConfig()], ids=["fwht", "hybrid"])
 @pytest.mark.parametrize("values, domain, message", [
     (np.ones((2, 4)), (0.0, 1.0), "samples must form a 1-D vector, got shape (2, 4)"),
     (np.ones(3), (0.0, 1.0), "vector length must be a power of two >= 2, got 3"),
     (np.ones(4), (1.0, 1.0), "domain must be finite with t_lo < t_hi and a finite width, "
                              "got (1.0, 1.0)"),
+    (np.array([np.nan, 1.0, 1.0, 1.0]), (0.0, 1.0), "samples must be finite, got nan"),
+    (np.array([1.0, 1.0, np.inf, 1.0]), (0.0, 1.0), "samples must be finite, got inf"),
 ])
-def test_integrate_refuses_what_a_sampled_function_refuses(values, domain, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        integrate_sampled(values, domain)
+def test_integrate_refuses_what_a_sampled_function_refuses(values, domain, message, cfg):
+    with pytest.raises(ValueError) as info:
+        integrate_sampled(values, domain, cfg)
+    assert str(info.value) == message
 
 
 def test_backend_equivalence_classical_vs_hybrid_exact():

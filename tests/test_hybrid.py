@@ -125,8 +125,10 @@ def test_trace_fields_are_consistent():
 
 
 def test_rejects_non_finite_input():
-    with pytest.raises(ValueError):
-        hybrid_wht([1.0, float("inf"), 0.0, 0.0])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError) as info:
+            hybrid_wht([1.0, bad, 0.0, bad])
+        assert str(info.value) == f"input vector must be finite, got {bad}"
 
 
 def test_overflowing_shifted_norm_is_named():

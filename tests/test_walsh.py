@@ -10,17 +10,13 @@ from walshode import walsh
 from walshode import (
     ResourceLimitError,
     SampledFunction,
-    SpectralVector,
     WalshOrdering,
-    cal_index,
     character_eval,
     character_table,
-    convert_ordering,
     discretize,
     fwht,
     ordering_permutation,
     reconstruct,
-    sal_index,
     sequency_walsh_recursive,
     walsh_value,
 )
@@ -108,6 +104,27 @@ def test_qubit_count_must_be_an_integer(call, n):
     with pytest.raises(ValueError) as info:
         call(n)
     assert str(info.value) == f"qubit count must be an integer, got {n!r}"
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda i: character_eval(i, 0, 2), "character index k"),
+    (lambda i: character_eval(0, i, 2), "group element x"),
+    (lambda i: walsh_value(i, 0.3, 2), "function index k"),
+    (lambda i: walsh_value(i, 0.3, 2, SEQ), "function index k"),
+    (lambda i: sequency_walsh_recursive(i, 0.3), "function index"),
+], ids=["character_eval-k", "character_eval-x", "walsh_value", "walsh_value-sequency",
+        "sequency_walsh_recursive"])
+@pytest.mark.parametrize("index", [1.5, 1.0, True, None])
+def test_index_must_be_an_integer(call, what, index):
+    with pytest.raises(ValueError) as info:
+        call(index)
+    assert str(info.value) == f"{what} must be an integer, got {index!r}"
+
+
+def test_numpy_integer_index_is_taken():
+    assert character_eval(np.int64(1), np.int64(1), 1) == character_eval(1, 1, 1) == -1
+    assert walsh_value(np.int64(5), 0.9, 3, SEQ) == walsh_value(5, 0.9, 3, SEQ)
+    assert sequency_walsh_recursive(np.int64(6), 0.1) == sequency_walsh_recursive(6, 0.1)
 
 
 def test_numpy_integer_qubit_count_is_taken():
@@ -219,16 +236,25 @@ def test_recursive_oracle_outside_unit_interval():
 def test_index_helpers_refuse_out_of_range_indices():
     with pytest.raises(ValueError, match="function index must be >= 0"):
         sequency_walsh_recursive(-1, 0.5)
-    with pytest.raises(ValueError, match="cal index must be >= 0"):
-        cal_index(-1)
     with pytest.raises(IndexError, match="k=4 out of range for n=2"):
         walsh_value(4, 0.5, 2)
 
 
 def test_ordering_permutation_refuses_names_for_orderings():
     # Only WalshOrdering members name an ordering; their string values do not.
-    with pytest.raises(ValueError, match="unsupported ordering pair"):
+    with pytest.raises(ValueError) as info:
         ordering_permutation(2, "natural", "sequency")
+    assert str(info.value) == "ordering must be a WalshOrdering, got 'natural'"
+    with pytest.raises(ValueError) as info:
+        ordering_permutation(2, NAT, "sequency")
+    assert str(info.value) == "ordering must be a WalshOrdering, got 'sequency'"
+
+
+@pytest.mark.parametrize("ordering", ["sequency", "natural", None])
+def test_walsh_value_refuses_names_for_orderings(ordering):
+    with pytest.raises(ValueError) as info:
+        walsh_value(1, 0.3, 2, ordering)
+    assert str(info.value) == f"ordering must be a WalshOrdering, got {ordering!r}"
 
 
 def test_sequency_symmetry_about_half():
@@ -268,7 +294,7 @@ def test_nan_t_is_rejected_by_name():
     with pytest.raises(ValueError, match="t must be a number, got nan"):
         walsh_value(1, float("nan"), 2)
     with pytest.raises(ValueError, match="t must be a number, got nan"):
-        reconstruct(SpectralVector(np.ones(4)), float("nan"))
+        reconstruct(np.ones(4), float("nan"))
 
 
 def test_walsh_value_endpoint_uses_last_cell():
@@ -285,22 +311,6 @@ def test_walsh_value_agrees_with_recursive_oracle_at_midpoints():
         for k in range(N):
             for x in mids:
                 assert walsh_value(k, x, n, SEQ) == sequency_walsh_recursive(k, x)
-
-
-def test_sal_cal_index_helpers():
-    assert sal_index(1) == 1
-    assert sal_index(3) == 5
-    assert cal_index(0) == 0
-    assert cal_index(2) == 4
-    with pytest.raises(ValueError):
-        sal_index(0)
-    # cal_j is the even-symmetric family, sal_j the odd-symmetric one.
-    assert sequency_walsh_recursive(cal_index(2), 0.3) == sequency_walsh_recursive(
-        cal_index(2), 0.7
-    )
-    assert sequency_walsh_recursive(sal_index(2), 0.3) == -sequency_walsh_recursive(
-        sal_index(2), 0.7
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +385,16 @@ def test_midpoints_of_a_wide_domain_do_not_overflow():
     assert np.array_equal(t, [1.25e307, 3.75e307, 6.25e307, 8.75e307])
 
 
-@pytest.mark.parametrize("make", [SampledFunction, SpectralVector])
+@pytest.mark.parametrize("make", [
+    SampledFunction, pytest.param(lambda c: reconstruct(c, 0.5), id="reconstruct")])
 @pytest.mark.parametrize("shape", [(2, 4), (1, 8), ()])
 def test_sample_and_spectrum_reject_input_that_is_not_one_vector(make, shape):
     with pytest.raises(ValueError, match="must form a 1-D vector"):
         make(np.ones(shape))
 
 
-@pytest.mark.parametrize("make", [SampledFunction, SpectralVector])
+@pytest.mark.parametrize("make", [
+    SampledFunction, pytest.param(lambda c: reconstruct(c, 0.5), id="reconstruct")])
 @pytest.mark.parametrize("size", [0, 1, 3, 6])
 def test_sample_and_spectrum_reject_non_power_of_two_length(make, size):
     with pytest.raises(ValueError, match="power of two"):
@@ -391,50 +403,40 @@ def test_sample_and_spectrum_reject_non_power_of_two_length(make, size):
 
 def test_reconstruct_roundtrip_with_transform():
     sf = discretize(lambda t: math.cos(math.pi * t), 2)
-    sv = SpectralVector(fwht(sf.values))
-    assert abs(reconstruct(sv, 0.1) - math.cos(math.pi / 8)) < 1e-12
+    assert abs(reconstruct(fwht(sf.values), 0.1) - math.cos(math.pi / 8)) < 1e-12
 
 
 def test_reconstruct_zero_everywhere():
-    sv = SpectralVector(np.zeros(8))
     for t in (0.0, 0.3, 0.99, 1.0):
-        assert reconstruct(sv, t) == 0.0
+        assert reconstruct(np.zeros(8), t) == 0.0
 
 
 def test_reconstruct_pinned_combination():
     coeffs = 0.5 * np.array([0.0, 1.08, 2.61, 0.0])
-    sv = SpectralVector(coeffs)
     w1 = walsh_value(1, 0.3, 2)
     w2 = walsh_value(2, 0.3, 2)
     expected = 0.25 * (1.08 * w1 + 2.61 * w2)
-    assert abs(reconstruct(sv, 0.3) - expected) < 1e-15
+    assert abs(reconstruct(coeffs, 0.3) - expected) < 1e-15
 
 
-def walsh_value_sum(sv, t):
+def walsh_value_sum(coeffs, t, n, ordering):
     """The term-by-term synthesis: one walsh_value call per coefficient."""
     total = 0.0
-    for k in range(sv.coeffs.size):
-        total += sv.coeffs[k] * walsh_value(k, t, sv.n, sv.ordering)
-    return total / math.sqrt(sv.coeffs.size)
+    for k in range(coeffs.size):
+        total += coeffs[k] * walsh_value(k, t, n, ordering)
+    return total / math.sqrt(coeffs.size)
 
 
 @pytest.mark.parametrize("ordering", [NAT, SEQ])
 def test_reconstruct_matches_walsh_value_oracle(ordering):
+    # reconstruct takes natural order: a sequency spectrum is gathered first.
     rng = np.random.default_rng(2024)
     for n in range(1, 9):
-        sv = SpectralVector(rng.standard_normal(1 << n), ordering)
+        coeffs = rng.standard_normal(1 << n)
+        natural = coeffs[ordering_permutation(n, ordering, NAT)]
         points = [0.0, 1.0, -0.25, 1.5, float("inf"), float("-inf"), *rng.random(8)]
         for t in points:
-            assert abs(reconstruct(sv, t) - walsh_value_sum(sv, t)) <= 1e-14
-
-
-def test_reconstruct_respects_ordering_tag():
-    rng = np.random.default_rng(42)
-    values = rng.standard_normal(8)
-    nat = SpectralVector(fwht(values))
-    seq = convert_ordering(nat, SEQ)
-    for t in (0.1, 0.4, 0.55, 0.9):
-        assert abs(reconstruct(nat, t) - reconstruct(seq, t)) < 1e-12
+            assert abs(reconstruct(natural, t) - walsh_value_sum(coeffs, t, n, ordering)) <= 1e-14
 
 
 def test_spectral_roundtrip_reproduces_samples():
