@@ -5,6 +5,8 @@ starting with '#' are ignored.  `transform` and `solve` print a JSON run
 report to stdout; `table` and `bench` print CSV to stdout unless -o names
 a file.  Every command is deterministic given its flags: the sampled
 backend needs --seed, as ``hybrid.backend_config`` does for the library.
+Each `solve --rhs` expression is parsed once and evaluated by
+``expr.evaluate`` over the whole grid, once per sweep.
 
 Exit codes, by exception family: 0 success, 2 usage (ValueError,
 ResourceLimitError), 3 numeric/divergence (ArithmeticError,
@@ -32,7 +34,7 @@ import numpy as np
 from . import __version__
 from .calculus import differentiation_matrix, integration_matrix
 from .errors import DivergenceError, ResourceLimitError, require_bytes
-from .expr import evaluate, evaluate_grid, parse
+from .expr import evaluate, parse
 from .hybrid import backend_config, hybrid_wht
 from .solver import (
     _BACKENDS,
@@ -166,21 +168,9 @@ def _problem_from_args(args) -> tuple[IVProblem, str | None]:
         raise ValueError("provide either --problem or at least one --rhs")
     if args.init is None or len(args.init) != len(args.rhs):
         raise ValueError("--init must supply one value per --rhs expression")
-    rhs = [_rhs_callable(parse(src, len(args.rhs))) for src in args.rhs]
-    problem = IVProblem(rhs=rhs, initial=list(args.init), domain=domain,
-                        n=args.n, vectorized=True)
+    rhs = [functools.partial(evaluate, parse(src, len(args.rhs))) for src in args.rhs]
+    problem = IVProblem(rhs=rhs, initial=list(args.init), domain=domain, n=args.n)
     return problem, None
-
-
-def _rhs_callable(node):
-    """One rhs for both forms: the whole grid, or one point (scalar t)."""
-
-    def rhs(x, t):
-        if np.ndim(t) == 0:
-            return evaluate(node, x, t)
-        return evaluate_grid(node, x, t)
-
-    return rhs
 
 
 def cmd_solve(args) -> int:

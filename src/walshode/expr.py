@@ -12,21 +12,19 @@ error at its offset.
 
 One table, ``_PREC``, ranks the operators, tightest first: ^, unary -,
 * /, + -.  The parser reads it by precedence climbing (Pratt's top-down
-operator precedence, POPL 1973) and ``to_source`` reads it to place
-parentheses.  Binary operators group to the left except ^, which groups
-to the right, and a unary - may open any operand.  So ``-x1^2`` is
--(x1^2), ``2^3^2`` is 2^(3^2) = 512 and ``2^-3^2`` is 2^(-(3^2)).
-Parse errors carry the byte offset of the offending token.
+operator precedence, POPL 1973).  Binary operators group to the left
+except ^, which groups to the right, and a unary - may open any operand.
+So ``-x1^2`` is -(x1^2), ``2^3^2`` is 2^(3^2) = 512 and ``2^-3^2`` is
+2^(-(3^2)).  Parse errors carry the byte offset of the offending token,
+an expression nested deeper than ``MAX_DEPTH`` levels included.
 
-Two evaluators walk the same tree: ``evaluate`` at one point with Python
-floats and ``math`` (the scalar oracle, which names domain errors), and
-``evaluate_grid`` over a whole grid with numpy.
+One evaluator, ``evaluate``, walks the tree with numpy, at one point or
+over a whole grid: a division by zero or an invalid operation raises
+ExprEvalError naming it, and an overflow gives inf.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 import re
 from dataclasses import dataclass
 
@@ -34,25 +32,19 @@ import numpy as np
 
 from .errors import ExprError, ExprEvalError
 
-FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-}
+FUNCTIONS = {name: getattr(np, name)
+             for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")}
 
-_GRID_FUNCTIONS = {name: getattr(np, name) for name in FUNCTIONS}
-
-_SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-               "/": operator.truediv, "^": math.pow}
-
-_GRID_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
-             "^": np.power}
+_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+#: Deepest nesting ``parse`` accepts: the parentheses, function calls, unary
+#: minus signs and binary operators on one root-to-leaf path.  Parsing and
+#: evaluating recurse once per level, at most three frames a level, so 100
+#: keeps both far inside Python's default recursion limit of 1000, with room
+#: for the caller's own frames (a test runner's included).
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -142,57 +134,68 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Expr:
-        node = self.expr()
+        node, _ = self.expr(0)
         tail = self.peek()
         if tail.kind != "end":
             raise ExprError(f"unexpected token {tail.text!r}", tail.pos)
         return node
 
-    def expr(self, min_prec: int = 0) -> Expr:
+    def nest(self, depth: int, tok: _Token) -> int:
+        """``depth`` plus the level that ``tok`` opens; refused past MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            raise ExprError(f"expression nested deeper than {MAX_DEPTH} levels", tok.pos)
+        return depth + 1
+
+    def expr(self, depth: int, min_prec: int = 0) -> tuple[Expr, int]:
         """An operand, then every binary operator that binds at least ``min_prec``.
 
-        A binary operator parses its right operand one level tighter than
-        itself, so it groups to the left; ``^`` parses it at its own level,
-        so it groups to the right.
+        ``depth`` levels enclose the expression.  Returns the node and its
+        height, the levels on its longest path down; depth + height never
+        passes MAX_DEPTH.  A binary operator parses its right operand one
+        level tighter than itself, so it groups to the left; ``^`` parses it
+        at its own level, so it groups to the right.
         """
         if self.peek_op() == "-":
-            self.advance()
-            node = Neg(self.expr(_PREC["neg"]))
+            tok = self.advance()
+            operand, height = self.expr(self.nest(depth, tok), _PREC["neg"])
+            node, height = Neg(operand), height + 1
         else:
-            node = self.atom()
-        while (op := self.peek_op()) in _SCALAR_OPS and _PREC[op] >= min_prec:
-            self.advance()
-            node = BinOp(op, node, self.expr(_PREC[op] + (op != "^")))
-        return node
+            node, height = self.atom(depth)
+        while (op := self.peek_op()) in _OPS and _PREC[op] >= min_prec:
+            tok = self.advance()
+            self.nest(depth + height, tok)  # the left operand sinks one level
+            right, right_height = self.expr(depth + 1, _PREC[op] + (op != "^"))
+            node, height = BinOp(op, node, right), 1 + max(height, right_height)
+        return node, height
 
-    def atom(self) -> Expr:
+    def atom(self, depth: int) -> tuple[Expr, int]:
         tok = self.advance()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 0
         if tok.kind == "ident":
-            return self.ident(tok)
+            return self.ident(tok, depth)
         if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
+            node, height = self.expr(self.nest(depth, tok))
             self.expect_op(")")
-            return node
+            return node, height + 1
         raise ExprError(f"expected a value, got {tok.text or 'end of input'!r}", tok.pos)
 
-    def ident(self, tok: _Token) -> Expr:
+    def ident(self, tok: _Token, depth: int) -> tuple[Expr, int]:
         name = tok.text
         if name == "t":
-            return Var(None)
+            return Var(None), 0
         if name in FUNCTIONS:
             self.expect_op("(")
-            arg = self.expr()
+            arg, height = self.expr(self.nest(depth, tok))
             self.expect_op(")")
-            return Call(name, arg)
+            return Call(name, arg), height + 1
         if name.startswith("x") and name[1:].isdigit():
             index = int(name[1:])
             if not 1 <= index <= self.m:
                 raise ExprError(
                     f"variable {name!r} out of range (system has m={self.m})", tok.pos
                 )
-            return Var(index)
+            return Var(index), 0
         raise ExprError(f"unknown identifier {name!r}", tok.pos)
 
 
@@ -201,84 +204,36 @@ def parse(src: str, m: int) -> Expr:
     return _Parser(src, m).parse()
 
 
-def evaluate(node: Expr, x, t: float) -> float:
-    """Evaluate with state vector x (length m) at time t."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return float(t) if node.index is None else float(x[node.index - 1])
-    if isinstance(node, Neg):
-        return -evaluate(node.operand, x, t)
-    if isinstance(node, Call):
-        arg = evaluate(node.arg, x, t)
-        try:
-            return float(FUNCTIONS[node.func](arg))
-        except (ValueError, OverflowError) as exc:
-            raise ExprEvalError(f"{node.func}({arg}) is undefined") from exc
-    left = evaluate(node.left, x, t)
-    right = evaluate(node.right, x, t)
-    try:
-        return _SCALAR_OPS[node.op](left, right)
-    except (ZeroDivisionError, ValueError, OverflowError) as exc:
-        raise ExprEvalError(f"{left} {node.op} {right} is undefined") from exc
+def evaluate(node: Expr, x, t):
+    """Evaluate at one point (x of shape (m,), scalar t) or over a grid.
 
-
-def evaluate_grid(node: Expr, x, t):
-    """Evaluate over a grid: x of shape (m, N), t of shape (N,).
-
-    Returns an array of shape (N,), or a scalar for a constant expression.
-    Domain errors are not named here: they raise FloatingPointError under
-    ``np.errstate(..., "raise")`` or leave non-finite values, and
-    ``evaluate`` at the failing point says which.
+    Over a grid, x has shape (m, N), t has shape (N,) and the result N
+    values; a constant expression gives one number either way.  A
+    division by zero or an invalid operation (log of <= 0, sqrt of < 0, a
+    negative base to a fractional power) raises ExprEvalError naming the
+    operation and its operands; an overflow gives inf, for the caller to
+    refuse.
     """
+    with np.errstate(divide="raise", invalid="raise", over="ignore"):
+        return _walk(node, x, t)
+
+
+def _walk(node: Expr, x, t):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return t if node.index is None else x[node.index - 1]
     if isinstance(node, Neg):
-        return -evaluate_grid(node.operand, x, t)
+        return -_walk(node.operand, x, t)
     if isinstance(node, Call):
-        return _GRID_FUNCTIONS[node.func](evaluate_grid(node.arg, x, t))
-    return _GRID_OPS[node.op](
-        evaluate_grid(node.left, x, t), evaluate_grid(node.right, x, t)
-    )
-
-
-def _prec(node: Expr) -> int:
-    if isinstance(node, BinOp):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return _PREC["neg"]
-    if isinstance(node, Num) and node.value < 0:
-        return _PREC["neg"]
-    return 5
-
-
-def to_source(node: Expr) -> str:
-    """Render an expression; the output re-parses to an identical tree."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return "t" if node.index is None else f"x{node.index}"
-    if isinstance(node, Neg):
-        inner = to_source(node.operand)
-        if _prec(node.operand) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Call):
-        return f"{node.func}({to_source(node.arg)})"
-    lhs, rhs = to_source(node.left), to_source(node.right)
-    prec = _PREC[node.op]
-    if node.op == "^":
-        # Right-associative: parenthesize an operator-left operand and a
-        # looser right operand.
-        if _prec(node.left) <= prec:
-            lhs = f"({lhs})"
-        if _prec(node.right) < prec:
-            rhs = f"({rhs})"
-    else:
-        if _prec(node.left) < prec:
-            lhs = f"({lhs})"
-        if _prec(node.right) <= prec:
-            rhs = f"({rhs})"
-    return f"{lhs} {node.op} {rhs}"
+        arg = _walk(node.arg, x, t)
+        try:
+            return FUNCTIONS[node.func](arg)
+        except FloatingPointError as exc:
+            raise ExprEvalError(f"{node.func}({arg}) is undefined") from exc
+    left = _walk(node.left, x, t)
+    right = _walk(node.right, x, t)
+    try:
+        return _OPS[node.op](left, right)
+    except FloatingPointError as exc:
+        raise ExprEvalError(f"{left} {node.op} {right} is undefined") from exc

@@ -7,10 +7,11 @@ Each sweep rewrites the integral form of the system
 with the right-hand sides evaluated at the grid midpoints against the
 *previous* sweep's iterates for every variable (Jacobi-style
 simultaneous update), and the integral taken through the Walsh-domain
-integration matrix.  A vectorized right-hand side is one numpy call over
-the whole grid per sweep; a failing or non-finite one is re-run point by
-point, so errors name the first bad sample either way.  Iteration stops after ``n_max`` sweeps or when the
-largest componentwise update drops below ``tol``.
+integration matrix.  Each right-hand side is one numpy call over the
+whole grid per sweep; a failing or non-finite one is re-run point by
+point, so errors name the first bad sample.  Iteration stops after
+``n_max`` sweeps or when the largest componentwise update drops below
+``tol``.
 
 Picard iteration is not guaranteed to converge for stiff problems or
 long intervals.  Every numeric failure of a solve raises DivergenceError
@@ -31,7 +32,7 @@ import numpy as np
 from .calculus import integrate_sampled
 from .errors import DivergenceError, require_bytes
 from .hybrid import HybridConfig, backend_config
-from .walsh import SampledFunction, _require_domain, _require_qubits, midpoints
+from .walsh import SampledFunction, _require_domain, _require_finite, _require_qubits, midpoints
 
 _BACKENDS = ("classical", "hybrid-exact", "hybrid-sampled")
 
@@ -43,20 +44,17 @@ MAGNITUDE_CAP = 1e12
 class IVProblem:
     """System dx_i/dt = f_i(x_1..x_m, t) with x_i(t_lo) = initial[i].
 
-    Each rhs takes one of two forms.  By default it is called once per
-    grid point with the m state values (shape (m,)) and the time, and
-    returns one derivative value.  With ``vectorized=True`` it is called
-    once per sweep with the whole grid, x of shape (m, N) and t of shape
-    (N,), and returns N values (a scalar is broadcast); a vectorized rhs
-    must also accept the one-point form, which the solver uses to name the
-    first failing point when a grid call fails or yields non-finite values.
+    Each rhs is a grid callable, written in numpy: it is called once per
+    sweep with the whole grid, x of shape (m, N) and t of shape (N,), and
+    returns N values (a scalar is broadcast).  When that call fails or
+    yields a non-finite value, the solver calls it once per point, x of
+    shape (m,) and a scalar t, to name the first failing point.
     """
 
-    rhs: Sequence[Callable[[np.ndarray, float], float]]
+    rhs: Sequence[Callable[[np.ndarray, np.ndarray], np.ndarray]]
     initial: Sequence[float]
     domain: tuple[float, float] = (0.0, 1.0)
     n: int = 2
-    vectorized: bool = False
 
     @property
     def m(self) -> int:
@@ -71,8 +69,7 @@ class IVProblem:
                 f"need one initial value per right-hand side (m={self.m}), "
                 f"got {len(self.initial)}"
             )
-        if not np.all(np.isfinite(self.initial)):
-            raise ValueError(f"initial values must be finite, got {list(self.initial)}")
+        _require_finite(np.asarray(self.initial, dtype=float), "initial values")
         _require_domain(self.domain)
         _require_qubits(self.n)
 
@@ -120,35 +117,30 @@ class SolutionTrace:
         return len(self.snapshots)
 
 
-def _rhs_at_each_sample(f_i, state, t, trace) -> np.ndarray:
-    """One call per grid point; names the first point that fails."""
-    vals = np.empty(t.size)
-    for s in range(t.size):
-        try:
-            vals[s] = f_i(state[:, s], t[s])
-        except ArithmeticError as exc:
-            raise DivergenceError(
-                f"right-hand side failed at t={t[s]}: {exc}", trace
-            ) from exc
-    if not np.all(np.isfinite(vals)):
-        raise DivergenceError("right-hand side produced a non-finite value", trace)
-    return vals
-
-
 def _rhs_values(problem: IVProblem, state, t, trace) -> np.ndarray:
-    """Every right-hand side on the whole grid, shape (m, N)."""
+    """Every right-hand side on the whole grid, shape (m, N).
+
+    A grid call that fails or yields a non-finite value is rerun once per
+    point, under the same errstate, to name the first point that fails.
+    """
     derivs = np.empty(state.shape)
-    for i, f_i in enumerate(problem.rhs):
-        if problem.vectorized:
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for i, f_i in enumerate(problem.rhs):
             try:
-                with np.errstate(divide="raise", over="raise", invalid="raise"):
-                    derivs[i] = f_i(state, t)
-            except ArithmeticError:
-                pass
-            else:
+                derivs[i] = f_i(state, t)
                 if np.isfinite(derivs[i]).all():
                     continue
-        derivs[i] = _rhs_at_each_sample(f_i, state, t, trace)
+            except ArithmeticError:
+                pass
+            for s in range(t.size):
+                try:
+                    derivs[i, s] = f_i(state[:, s], t[s])
+                except ArithmeticError as exc:
+                    raise DivergenceError(
+                        f"right-hand side failed at t={t[s]}: {exc}", trace
+                    ) from exc
+            if not np.isfinite(derivs[i]).all():
+                raise DivergenceError("right-hand side produced a non-finite value", trace)
     return derivs
 
 
@@ -202,24 +194,24 @@ def picard_solve(
     return [SampledFunction(x, problem.domain) for x in xs], trace
 
 
-def _riccati_rhs(x: np.ndarray, t: float) -> float:
+def _riccati_rhs(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return x[0] * x[0] + x[0] + 1.0
 
 
-def _beer_rhs_1(x: np.ndarray, t: float) -> float:
+def _beer_rhs_1(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return x[1]
 
 
-def _beer_rhs_2(x: np.ndarray, t: float) -> float:
+def _beer_rhs_2(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return -(3.0 * x[0] * x[1] + x[0] ** 3)
 
 
 def builtin_problem(name: str, n: int = 2) -> IVProblem:
     """Ready-made demonstration problems with known analytic solutions."""
     if name == "riccati":
-        return IVProblem(rhs=[_riccati_rhs], initial=[-0.5], n=n, vectorized=True)
+        return IVProblem(rhs=[_riccati_rhs], initial=[-0.5], n=n)
     if name == "beer_system":
-        return IVProblem(rhs=[_beer_rhs_1, _beer_rhs_2], initial=[0.0, 1.0], n=n, vectorized=True)
+        return IVProblem(rhs=[_beer_rhs_1, _beer_rhs_2], initial=[0.0, 1.0], n=n)
     raise ValueError(f"unknown builtin problem {name!r}")
 
 

@@ -472,6 +472,38 @@ def test_solve_expression_domain_error_names_first_point(tmp_path, capsys, rhs, 
     assert err == f"walshode: numeric failure: {message}\n"
 
 
+def test_solve_expression_overflow_is_a_non_finite_value(tmp_path, capsys):
+    # An overflow in the expression is inf, which the solver refuses by name.
+    code, out, err = run(capsys, "solve", "--rhs", "exp(1000*x1)", "--init", "1",
+                         "--output-dir", str(tmp_path / "out"))
+    assert (code, out) == (3, "")
+    assert err == "walshode: numeric failure: right-hand side produced a non-finite value\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("levels, code", [(100, 0), (3000, 2)])
+@pytest.mark.parametrize("nest", [
+    lambda k: "(" * k + "x1" + ")" * k,
+    lambda k: "abs(" * k + "x1" + ")" * k,
+    lambda k: "-" * k + "x1",
+    lambda k: "+".join(["x1"] * (k + 1)),
+    lambda k: "^".join(["x1"] * (k + 1)),
+], ids=["parentheses", "calls", "unary-minus", "flat-sum", "power-chain"])
+def test_solve_expression_nesting_is_bounded(tmp_path, capsys, nest, levels, code):
+    # 100 levels solve; 3000 would pass Python's recursion limit, so parse refuses them.
+    got, out, err = run(capsys, "solve", f"--rhs={nest(levels)}", "--init", "1",
+                        "--nmax", "1", "--output-dir", str(tmp_path / "out"))
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith("walshode: error: expression nested deeper than 100 levels")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+    else:
+        assert err == ""
+        assert (tmp_path / "out" / "x1.csv").exists()
+
+
 def test_solve_large_grid_uses_no_dense_operator(tmp_path, capsys, monkeypatch):
     def forbidden(self):
         raise AssertionError("dense operator built on the solve path")
@@ -593,10 +625,10 @@ def test_negative_values_with_an_exponent_are_values(tmp_path, capsys, flag, spe
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--rhs", "x1", "--init", "-inf"], "initial values must be finite, got [-inf]"),
-    (["--rhs", "x1", "--init", "-Infinity"], "initial values must be finite, got [-inf]"),
-    (["--rhs", "x1", "--init", "-NaN"], "initial values must be finite, got [nan]"),
-    (["--rhs", "x1", "--init", "inf"], "initial values must be finite, got [inf]"),
+    (["--rhs", "x1", "--init", "-inf"], "initial values must be finite, got -inf"),
+    (["--rhs", "x1", "--init", "-Infinity"], "initial values must be finite, got -inf"),
+    (["--rhs", "x1", "--init", "-NaN"], "initial values must be finite, got nan"),
+    (["--rhs", "x1", "--init", "inf"], "initial values must be finite, got inf"),
     (["--problem", "riccati", "--tol", "-inf"], "tol must be >= 0 and finite, got -inf"),
     (["--problem", "riccati", "--tol", "-nan"], "tol must be >= 0 and finite, got nan"),
     (["--problem", "riccati", "--backend", "hybrid-exact", "--epsilon", "-INF"],

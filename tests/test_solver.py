@@ -1,7 +1,9 @@
 """Picard sweeps against published iterates and analytic solutions."""
 
 import dataclasses
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from walshode import (
     picard_solve,
     time_integration_operator,
 )
-from walshode.expr import evaluate, evaluate_grid, parse
+from walshode.expr import evaluate, parse
 
 from trapezoid_march import trapezoid_march
 
@@ -132,7 +134,7 @@ def test_constant_problem_is_fixed_point():
 def test_time_only_rhs_single_sweep_is_exact_quadrature():
     # With an x-independent right-hand side, one sweep returns
     # q + the midpoint running integral of g, whatever the initial iterate.
-    g = lambda x, t: math.cos(3.0 * t)
+    g = lambda x, t: np.cos(3.0 * t)
     problem = IVProblem(rhs=[g], initial=[2.0], n=3)
     solution, _ = picard_solve(problem, SolverConfig(n_max=1))
     N = 8
@@ -261,7 +263,7 @@ def test_divergence_cap_raises_with_trace():
 
 def test_non_finite_rhs_raises_divergence():
     problem = IVProblem(
-        rhs=[lambda x, t: float("nan") if t > 0.5 else 1.0], initial=[0.0], n=2
+        rhs=[lambda x, t: np.where(t > 0.5, np.nan, 1.0)], initial=[0.0], n=2
     )
     with pytest.raises(DivergenceError):
         picard_solve(problem, SolverConfig(n_max=2))
@@ -269,12 +271,17 @@ def test_non_finite_rhs_raises_divergence():
 
 def test_rhs_arithmetic_error_becomes_divergence():
     # Evaluation failures (here 1/x at x=0) surface as divergence, not as a
-    # raw arithmetic exception, and still carry the trace.
+    # raw arithmetic exception or a numpy warning, and still carry the trace.
+    # The point-by-point rerun names the first point; numpy words the cause.
     problem = IVProblem(
-        rhs=[lambda x, t: 1.0 / float(x[0])], initial=[0.0], n=2
+        rhs=[lambda x, t: 1.0 / x[0]], initial=[0.0], n=2
     )
-    with pytest.raises(DivergenceError) as info:
-        picard_solve(problem, SolverConfig(n_max=3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError) as info:
+            picard_solve(problem, SolverConfig(n_max=3))
+    assert caught == []
+    assert str(info.value).startswith("right-hand side failed at t=0.125: ")
     assert info.value.trace is not None
     assert info.value.trace.iterations_run == 0
 
@@ -414,52 +421,15 @@ def test_nonunit_domain_solution():
 # whole-grid right-hand sides
 
 
-def expression_problem(sources, initial, n, vectorized):
-    """The same expressions, per point or (when vectorized) per grid too."""
-    nodes = [parse(src, len(sources)) for src in sources]
-
-    def both_forms(e):
-        def rhs(x, t):
-            if np.ndim(t) == 0:
-                return evaluate(e, x, t)
-            return evaluate_grid(e, x, t)
-        return rhs
-
-    rhs = [both_forms(e) for e in nodes]
-    return IVProblem(rhs=rhs, initial=initial, n=n, vectorized=vectorized)
-
-
-def snapshots_of(sources, initial, n=6, sweeps=18, vectorized=False):
-    problem = expression_problem(sources, initial, n, vectorized)
-    _, trace = picard_solve(problem, SolverConfig(n_max=sweeps, tol=0.0))
-    return np.array(trace.snapshots)
-
-
-def test_grid_rhs_bit_identical_to_scalar_for_field_operations():
-    # + - * / round the same in numpy as in Python floats.
-    sources = ["x2", "-(3*x1*x2 + x1*x1*x1)"]
-    scalar = snapshots_of(sources, [0.0, 1.0])
-    grid = snapshots_of(sources, [0.0, 1.0], vectorized=True)
-    assert scalar.shape == (18, 2, 64)
-    assert np.array_equal(grid, scalar)
-
-
-@pytest.mark.parametrize("sources, initial", [
-    (["x2", "-(3*x1*x2 + x1^3)"], [0.0, 1.0]),
-    (["sin(x1)*exp(-t) + sqrt(abs(x1) + 1)", "cos(x2)^2 - log(1 + t) + tan(x1/4)"],
-     [0.3, -0.2]),
-])
-def test_grid_rhs_within_ulps_of_scalar_for_power_and_functions(sources, initial):
-    # numpy's power and transcendental functions may round differently from
-    # math's in the last bit.
-    scalar = snapshots_of(sources, initial)
-    grid = snapshots_of(sources, initial, vectorized=True)
-    assert np.max(np.abs(grid - scalar)) <= 1e-13
+def expression_problem(sources, initial, n):
+    """The expressions as grid callables, as ``solve --rhs`` builds them."""
+    rhs = [functools.partial(evaluate, parse(src, len(sources))) for src in sources]
+    return IVProblem(rhs=rhs, initial=initial, n=n)
 
 
 def test_grid_rhs_scalar_result_is_broadcast():
     _, trace = picard_solve(
-        IVProblem(rhs=[lambda x, t: 0.75], initial=[0.0], n=2, vectorized=True),
+        IVProblem(rhs=[lambda x, t: 0.75], initial=[0.0], n=2),
         SolverConfig(n_max=1),
     )
     assert np.array_equal(trace.snapshots[0][0], 0.75 * np.array([1, 3, 5, 7]) / 8)
@@ -473,12 +443,11 @@ def test_grid_rhs_scalar_result_is_broadcast():
 ])
 def test_grid_rhs_failure_reports_like_scalar_path(source, message):
     initial = [1e200] if source == "x1*x1*x1" else [0.0]
-    for vectorized in (False, True):
-        problem = expression_problem([source], initial, 2, vectorized)
-        with pytest.raises(DivergenceError) as info:
-            picard_solve(problem, SolverConfig(n_max=3))
-        assert str(info.value) == message
-        assert info.value.trace.iterations_run == 0
+    problem = expression_problem([source], initial, 2)
+    with pytest.raises(DivergenceError) as info:
+        picard_solve(problem, SolverConfig(n_max=3))
+    assert str(info.value) == message
+    assert info.value.trace.iterations_run == 0
 
 
 def test_grid_rhs_failure_reruns_only_that_variable():
@@ -493,8 +462,7 @@ def test_grid_rhs_failure_reruns_only_that_variable():
             return np.log(x[0] - x[0])  # -inf: a divide flag on the grid
         return 1.0
 
-    problem = IVProblem(rhs=[x1, failing], initial=[1.0, 0.0], n=2,
-                        vectorized=True)
+    problem = IVProblem(rhs=[x1, failing], initial=[1.0, 0.0], n=2)
     _, trace = picard_solve(problem, SolverConfig(n_max=1))
     assert calls == [1]
     assert np.array_equal(trace.snapshots[0][1], [0.125, 0.375, 0.625, 0.875])
@@ -517,7 +485,7 @@ def test_solve_is_charged_for_the_sweeps_it_keeps(monkeypatch):
         calls.append(t.size)
         return 1.0 + x[0]
 
-    problem = IVProblem(rhs=[rhs], initial=[0.0], n=4, vectorized=True)
+    problem = IVProblem(rhs=[rhs], initial=[0.0], n=4)
     _, trace = picard_solve(problem, SolverConfig(n_max=3, tol=0.0))
     assert trace.iterations_run == 3
     calls.clear()
@@ -548,8 +516,7 @@ def test_overflowing_integral_is_divergence_with_trace(backend, message):
 MARCH_PROBLEMS = {
     "riccati": lambda n: builtin_problem("riccati", n=n),
     "beer_system": lambda n: builtin_problem("beer_system", n=n),
-    "expression": lambda n: expression_problem(["x2", "-x1", "x1*x2"], [0.0, 1.0, 0.0], n,
-                                               vectorized=True),
+    "expression": lambda n: expression_problem(["x2", "-x1", "x1*x2"], [0.0, 1.0, 0.0], n),
 }
 
 
