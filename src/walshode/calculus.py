@@ -31,6 +31,7 @@ tests, and never kept.
 integrate_sampled(values, domain) integrates sample arrays entirely through
 transforms: WHT(I_N * WHT(values)) times the domain width, with WHT = fwht,
 or the simulated quantum route hybrid_wht when a HybridConfig cfg is passed.
+Through fwht it equals (cumsum(values) - values/2) * width/N to roundoff.
 """
 
 from __future__ import annotations

@@ -166,10 +166,8 @@ def _problem_from_args(args) -> tuple[IVProblem, str | None]:
         return replace(builtin_problem(args.problem, n=args.n), domain=domain), args.problem
     if not args.rhs:
         raise ValueError("provide either --problem or at least one --rhs")
-    if args.init is None or len(args.init) != len(args.rhs):
-        raise ValueError("--init must supply one value per --rhs expression")
     rhs = [functools.partial(evaluate, parse(src, len(args.rhs))) for src in args.rhs]
-    problem = IVProblem(rhs=rhs, initial=list(args.init), domain=domain, n=args.n)
+    problem = IVProblem(rhs=rhs, initial=list(args.init or ()), domain=domain, n=args.n)
     return problem, None
 
 

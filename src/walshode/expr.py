@@ -211,11 +211,15 @@ def evaluate(node: Expr, x, t):
     values; a constant expression gives one number either way.  A
     division by zero or an invalid operation (log of <= 0, sqrt of < 0, a
     negative base to a fractional power) raises ExprEvalError naming the
-    operation and its operands; an overflow gives inf, for the caller to
-    refuse.
+    operation and its operands, a grid operand by its size ("<N values>");
+    an overflow gives inf, for the caller to refuse.
     """
     with np.errstate(divide="raise", invalid="raise", over="ignore"):
         return _walk(node, x, t)
+
+
+def _shown(operand) -> str:
+    return str(operand) if np.ndim(operand) == 0 else f"<{np.size(operand)} values>"
 
 
 def _walk(node: Expr, x, t):
@@ -230,10 +234,10 @@ def _walk(node: Expr, x, t):
         try:
             return FUNCTIONS[node.func](arg)
         except FloatingPointError as exc:
-            raise ExprEvalError(f"{node.func}({arg}) is undefined") from exc
+            raise ExprEvalError(f"{node.func}({_shown(arg)}) is undefined") from exc
     left = _walk(node.left, x, t)
     right = _walk(node.right, x, t)
     try:
         return _OPS[node.op](left, right)
     except FloatingPointError as exc:
-        raise ExprEvalError(f"{left} {node.op} {right} is undefined") from exc
+        raise ExprEvalError(f"{_shown(left)} {node.op} {_shown(right)} is undefined") from exc

@@ -40,7 +40,7 @@ _GATES = tuple(_fused_gate(k) for k in range(_GROUP + 1))
 
 
 def prepare_state(v) -> np.ndarray:
-    """Load a unit-norm real vector into a register (amplitude encoding): a fresh float64 copy."""
+    """Amplitude-encode a real vector of unit norm (to 1e-9): a fresh float64 register."""
     a = np.array(v, dtype=float)
     _require_vector(a, "state vector")
     norm = float(np.linalg.norm(a))

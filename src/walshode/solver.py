@@ -7,18 +7,20 @@ Each sweep rewrites the integral form of the system
 with the right-hand sides evaluated at the grid midpoints against the
 *previous* sweep's iterates for every variable (Jacobi-style
 simultaneous update), and the integral taken through the Walsh-domain
-integration matrix.  Each right-hand side is one numpy call over the
-whole grid per sweep; a failing or non-finite one is re-run point by
-point, so errors name the first bad sample.  Iteration stops after
-``n_max`` sweeps or when the largest componentwise update drops below
-``tol``.
+integration matrix.  Iteration stops after ``n_max`` sweeps or when the
+largest componentwise update drops below ``tol``.  A converged classical
+solve is the implicit trapezoidal rule on the midpoint grid, after an
+implicit half-step from t_lo to the first midpoint, because the classical
+integral is (cumsum(f) - f/2) * h (see ``calculus``; on operational
+integration, G. P. Rao, Lecture Notes in Control and Inf. Sci. 55, 1983).
 
 Picard iteration is not guaranteed to converge for stiff problems or
 long intervals.  Every numeric failure of a solve raises DivergenceError
 carrying the partial trace, and no numpy warning: an iterate past a
-magnitude cap or not finite, or a hybrid integral whose norm overflows.
-Before sweep k, its k kept snapshots plus state, derivatives and update,
-(k + 3) float64 grids of m x N, are charged against the byte cap.
+magnitude cap or not finite, a right-hand side that fails or is not
+finite, or a hybrid integral whose norm overflows.  Before sweep k, its
+k kept snapshots plus state, derivatives and update, (k + 3) float64
+grids of m x N, are charged against the byte cap.
 """
 
 from __future__ import annotations
@@ -45,10 +47,11 @@ class IVProblem:
     """System dx_i/dt = f_i(x_1..x_m, t) with x_i(t_lo) = initial[i].
 
     Each rhs is a grid callable, written in numpy: it is called once per
-    sweep with the whole grid, x of shape (m, N) and t of shape (N,), and
-    returns N values (a scalar is broadcast).  When that call fails or
-    yields a non-finite value, the solver calls it once per point, x of
-    shape (m,) and a scalar t, to name the first failing point.
+    sweep with the whole grid, x of shape (m, N) and t of shape (N,), under
+    np.errstate(divide="raise", over="raise", invalid="raise"), and returns N
+    values (a scalar is broadcast).  When that call fails or yields a
+    non-finite value, the solver calls it once per point, x of shape (m,)
+    and a scalar t, under the same errstate, to name the first failing point.
     """
 
     rhs: Sequence[Callable[[np.ndarray, np.ndarray], np.ndarray]]
@@ -118,11 +121,7 @@ class SolutionTrace:
 
 
 def _rhs_values(problem: IVProblem, state, t, trace) -> np.ndarray:
-    """Every right-hand side on the whole grid, shape (m, N).
-
-    A grid call that fails or yields a non-finite value is rerun once per
-    point, under the same errstate, to name the first point that fails.
-    """
+    """Every right-hand side on the whole grid, shape (m, N); see IVProblem for a failing call."""
     derivs = np.empty(state.shape)
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         for i, f_i in enumerate(problem.rhs):

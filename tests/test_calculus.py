@@ -21,40 +21,6 @@ from walshode import (
 
 from trapezoid_march import trapezoid_integral
 
-I4_EXPECTED = np.array(
-    [
-        [1 / 2, 1 / 8, 1 / 4, 0],
-        [-1 / 8, 0, 0, 0],
-        [-1 / 4, 0, 0, 1 / 8],
-        [0, 0, -1 / 8, 0],
-    ]
-)
-
-I8_EXPECTED = np.array(
-    [
-        [1 / 2, 1 / 16, 1 / 8, 0, 1 / 4, 0, 0, 0],
-        [-1 / 16, 0, 0, 0, 0, 0, 0, 0],
-        [-1 / 8, 0, 0, 1 / 16, 0, 0, 0, 0],
-        [0, 0, -1 / 16, 0, 0, 0, 0, 0],
-        [-1 / 4, 0, 0, 0, 0, 1 / 16, 1 / 8, 0],
-        [0, 0, 0, 0, -1 / 16, 0, 0, 0],
-        [0, 0, 0, 0, -1 / 8, 0, 0, 1 / 16],
-        [0, 0, 0, 0, 0, 0, -1 / 16, 0],
-    ]
-)
-
-D4_EXPECTED = np.array(
-    [
-        [0, -8, 0, 0],
-        [8, 32, 0, 16],
-        [0, 0, 0, -8],
-        [0, -16, 8, 0],
-    ],
-    dtype=float,
-)
-
-
-
 
 def dense_integration_oracle(n):
     """H J H / N with the unnormalized sign table: exact on dyadics."""
@@ -97,22 +63,6 @@ def test_time_operator_square_wave():
     J = time_integration_operator(4)
     row = character_table(2)[1].astype(float)
     assert np.array_equal(J @ row, np.full(4, 1 / 8))
-
-
-def test_integration_matrix_pinned_exactly():
-    assert np.array_equal(integration_matrix(4).entries, I4_EXPECTED)
-    assert np.array_equal(integration_matrix(8).entries, I8_EXPECTED)
-    assert np.array_equal(
-        integration_matrix(2).entries, np.array([[1 / 2, 1 / 4], [-1 / 4, 0]])
-    )
-
-
-def test_differentiation_matrix_pinned_exactly():
-    assert np.array_equal(differentiation_matrix(4).entries, D4_EXPECTED)
-    # 2x2 inverse computed by hand from [[1/2, 1/4], [-1/4, 0]].
-    assert np.array_equal(
-        differentiation_matrix(2).entries, np.array([[0.0, -4.0], [4.0, 8.0]])
-    )
 
 
 def test_sparse_operators_equal_dense_oracle_bit_for_bit():

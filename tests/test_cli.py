@@ -123,24 +123,6 @@ def test_transform_inverse_roundtrip_byte_identical(tmp_path, capsys):
     assert back.read_bytes() == back2.read_bytes()
 
 
-def test_transform_sampled_requires_shots_and_seed(tmp_path, capsys):
-    src = tmp_path / "in.txt"
-    write_input(src, [0.5, 0.5, 0.5, 0.5])
-    dst = str(tmp_path / "o.txt")
-    code, _, err = run(capsys, "transform", str(src), "-o", dst,
-                       "--backend", "hybrid-sampled", "--shots", "1000")
-    assert code == 2
-    assert err == "walshode: error: seed must be a non-negative integer, got None\n"
-    code, _, err = run(capsys, "transform", str(src), "-o", dst,
-                       "--backend", "hybrid-sampled", "--seed", "3")
-    assert code == 2
-    assert err == "walshode: error: backend hybrid-sampled requires a shot count\n"
-    code, _, _ = run(capsys, "transform", str(src), "-o", dst,
-                     "--backend", "hybrid-sampled", "--shots", "1000",
-                     "--seed", "3")
-    assert code == 0
-
-
 def test_transform_non_power_of_two_is_usage_error(tmp_path, capsys):
     src = tmp_path / "in.txt"
     write_input(src, [1.0, 2.0, 3.0])
@@ -559,9 +541,11 @@ def test_solve_shifted_domain_drops_analytic_columns(tmp_path, capsys):
 
 
 def test_solve_rejects_mismatched_init(tmp_path, capsys):
-    code, _, _ = run(capsys, "solve", "--rhs", "x1", "--rhs", "x2",
-                     "--init", "0", "--output-dir", str(tmp_path))
-    assert code == 2
+    # IVProblem's one rule counts the values; a missing --init gives none.
+    for init, counts in ((["--rhs", "x2", "--init", "0"], "(m=2), got 1"), ([], "(m=1), got 0")):
+        code, out, err = run(capsys, "solve", "--rhs", "x1", *init, "--output-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"walshode: error: need one initial value per right-hand side {counts}\n"
 
 
 def test_solve_needs_a_problem_or_an_rhs(tmp_path, capsys):
@@ -787,55 +771,6 @@ def test_bench_rejects_zero_repeats(capsys):
     assert code == 2
 
 
-def test_solve_sampled_requires_shots_and_seed(tmp_path, capsys):
-    base = ("solve", "--problem", "riccati", "--nmax", "1",
-            "--output-dir", str(tmp_path), "--backend", "hybrid-sampled")
-    code, _, err = run(capsys, *base, "--shots", "1000")
-    assert code == 2
-    assert err == "walshode: error: seed must be a non-negative integer, got None\n"
-    code, _, err = run(capsys, *base, "--seed", "3")
-    assert code == 2
-    assert err == "walshode: error: backend hybrid-sampled requires a shot count\n"
-    code, _, _ = run(capsys, *base, "--shots", "1000", "--seed", "3")
-    assert code == 0
-
-
-@pytest.mark.parametrize("backend, flag", [
-    ("hybrid-exact", "--shots"),
-    ("hybrid-exact", "--seed"),
-    ("classical", "--shots"),
-    ("classical", "--seed"),
-    ("classical", "--epsilon"),
-])
-def test_solve_rejects_flags_the_backend_ignores(tmp_path, capsys, backend, flag):
-    code, out, err = run(capsys, "solve", "--problem", "riccati", "--backend", backend,
-                         flag, "0.5" if flag == "--epsilon" else "5",
-                         "--output-dir", str(tmp_path))
-    assert code == 2
-    assert out == ""
-    assert err == f"walshode: error: {flag[2:]} does not apply to backend {backend}\n"
-    assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("backend, flag", [
-    ("hybrid-exact", "--shots"),
-    ("hybrid-exact", "--seed"),
-    ("fast", "--shots"),
-    ("naive", "--seed"),
-    ("fast", "--epsilon"),
-    ("naive", "--epsilon"),
-])
-def test_transform_rejects_flags_the_backend_ignores(tmp_path, capsys, backend, flag):
-    src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
-    write_input(src, [0.5, 0.25, -1.0, 2.0])
-    code, out, err = run(capsys, "transform", str(src), "-o", str(dst),
-                         "--backend", backend, flag, "0.5" if flag == "--epsilon" else "7")
-    assert code == 2
-    assert out == ""
-    assert err == f"walshode: error: {flag[2:]} does not apply to backend {backend}\n"
-    assert not dst.exists()
-
-
 SETTINGS = {"epsilon": 0.5, "shots": 1000, "seed": 3}
 
 
@@ -936,18 +871,6 @@ def test_shot_count_bound_is_the_int64_counts(tmp_path, capsys, command):
     assert (code, err) == (0, "")
 
 
-def test_epsilon_applies_to_both_hybrid_backends(tmp_path, capsys):
-    src = tmp_path / "in.txt"
-    write_input(src, [0.5, 0.25, -1.0, 2.0])
-    code, _, _ = run(capsys, "transform", str(src), "-o", str(tmp_path / "o.txt"),
-                     "--backend", "hybrid-exact", "--epsilon", "0.5")
-    assert code == 0
-    code, _, _ = run(capsys, "solve", "--problem", "riccati", "--nmax", "1",
-                     "--backend", "hybrid-sampled", "--shots", "1000", "--seed", "3",
-                     "--epsilon", "0.5", "--output-dir", str(tmp_path))
-    assert code == 0
-
-
 def test_solve_problem_and_rhs_are_exclusive(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["solve", "--problem", "riccati", "--rhs", "x1",
@@ -972,11 +895,17 @@ def test_usage_error_exit_code_from_argparse(capsys):
 
 
 def readme_examples():
-    """Each ``walshode ...`` command of README's command-line block, as argv."""
+    """Each ``walshode ...`` command of README's command-line block, as argv.
+
+    Every line of the block but blanks and ``#`` comments must be such a command.
+    """
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```", 2)[1]
-    commands = block.replace("\\\n", " ").splitlines()
-    return [shlex.split(line)[1:] for line in commands if line.startswith("walshode ")]
+    lines = [line.strip() for line in block.replace("\\\n", " ").splitlines()]
+    commands = [line for line in lines if line and not line.startswith("#")]
+    strays = [line for line in commands if not line.startswith("walshode ")]
+    assert not strays, f"README command lines that are not walshode commands: {strays}"
+    return [shlex.split(line)[1:] for line in commands]
 
 
 def test_readme_examples_run(tmp_path, capsys, monkeypatch):

@@ -196,6 +196,18 @@ def test_evaluation_domain_errors():
         ev("(-2)^0.5")
 
 
+@pytest.mark.parametrize("src, message", [
+    ("1/x1", "1.0 / <512 values> is undefined"),
+    ("log(x1)", "log(<512 values>) is undefined"),
+])
+def test_grid_evaluation_error_shows_a_grid_by_its_size(src, message):
+    x = np.ones((1, 512))
+    x[0, 300] = 0.0
+    with pytest.raises(ExprEvalError) as info:
+        evaluate(parse(src, 1), x, np.zeros(512))
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # one point against the whole grid
 
