@@ -44,7 +44,8 @@ import numpy as np
 from .errors import require_bytes
 from .hybrid import HybridConfig, hybrid_wht
 from .transform import fwht
-from .walsh import _require_domain, _require_finite, _require_power_of_two, _require_vector
+from .walsh import (_require_domain, _require_finite, _require_int, _require_power_of_two,
+                    _require_vector)
 
 _cache: dict[tuple[str, int], "OperationalMatrix"] = {}
 _cache_lock = threading.Lock()
@@ -84,6 +85,7 @@ class OperationalMatrix:
 
 def time_integration_operator(N: int) -> np.ndarray:
     """Midpoint running-integration operator J (time domain, exact)."""
+    N = _require_int(N, "vector length")  # a Python int: the byte count cannot wrap
     _require_power_of_two(N)
     require_bytes(8 * N * N, f"time integration operator at N={N}")
     J = np.tril(np.full((N, N), 1.0 / N), k=-1)
@@ -111,6 +113,7 @@ def _differentiation_nonzeros(N: int):
 
 
 def _operator(kind: str, N: int, nonzeros) -> OperationalMatrix:
+    N = _require_int(N, "vector length")  # a Python int: the byte count cannot wrap
     n = _require_power_of_two(N)
     key = (kind, N)
     with _cache_lock:

@@ -11,8 +11,7 @@ Each `solve --rhs` expression is parsed once and evaluated by
 Exit codes, by exception family: 0 success, 2 usage (ValueError,
 ResourceLimitError), 3 numeric/divergence (ArithmeticError,
 DivergenceError), 4 I/O (OSError).  A failure prints one stderr line and
-no report, and a failed solve writes no file.  A hybrid `transform` of an
-input whose norm overflows exits 2 (ValueError), where fast and naive exit 3.
+no report, and a failed solve writes no file.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from .expr import evaluate, parse
 from .hybrid import backend_config, hybrid_wht
 from .solver import (
     _BACKENDS,
+    _BUILTINS,
     IVProblem,
     SolverConfig,
     analytic_reference,
@@ -45,7 +45,7 @@ from .solver import (
     picard_solve,
 )
 from .transform import OpCount, _require_naive_bytes, fwht, wht_naive
-from .walsh import _require_power_of_two, _require_qubits, character_table
+from .walsh import _require_int, _require_power_of_two, _require_qubits, character_table
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -221,10 +221,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.repeats < 1:
-        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    _require_int(args.repeats, "--repeats", 1)
     for N in args.sizes:
-        n = _require_power_of_two(N)
+        n = _require_power_of_two(_require_int(N, "vector length"))
         require_bytes(16 * N, f"bench input and transform output at N={N}")
         if "naive" in args.backends:
             _require_naive_bytes(n)
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[hybrid], help="solve an initial-value problem")
     spec = p.add_mutually_exclusive_group()
-    spec.add_argument("--problem", choices=["riccati", "beer_system"], default=None)
+    spec.add_argument("--problem", choices=list(_BUILTINS), default=None)
     spec.add_argument("--rhs", action="append", default=None,
                       help="right-hand side over t, x1..xm; repeat per variable. "
                       "Grammar: + - * / ^ (right-assoc), unary -, sin cos tan exp "

@@ -17,7 +17,8 @@ The pipeline for an arbitrary real input a of length N = 2^n:
 Replacing slot 0 moves every transform component by the same constant,
 because the shifted and original vectors differ in one component only;
 subtracting ``offset`` therefore recovers the transform of the original
-vector.  Any epsilon > 0 works, zero input too, unless the squared norm underflows.
+vector.  Any epsilon > 0 works, zero input too, unless the squared norm
+underflows; that, or its overflow, raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import (apply_hadamard_all, measure_exact, measure_sampled, prepare_state,
-                      require_seed, require_shots)
+from .quantum import (_MAX_SHOTS, _require_key, apply_hadamard_all, measure_exact,
+                      measure_sampled, prepare_state)
 from .transform import OpCount
-from .walsh import _require_finite, _require_vector
+from .walsh import _require_finite, _require_int, _require_real, _require_vector
 
 #: The settings each hybrid backend takes; any other backend takes none.
 _SETTINGS = {"hybrid-exact": ("epsilon",), "hybrid-sampled": ("epsilon", "shots", "seed")}
@@ -41,12 +42,12 @@ _SETTINGS = {"hybrid-exact": ("epsilon",), "hybrid-sampled": ("epsilon", "shots"
 class HybridConfig:
     """Knobs for one transform run; a shot count makes it sampled.
 
-    ``epsilon`` is the finite, strictly positive shift margin; None selects
-    1e-3 * (1 + sum|a_k|), large enough for strict positivity without
-    concentrating amplitude on the shifted slot.  ``shots`` None reads the
-    exact probabilities and needs no seed; an integer in [1, 2^63) draws that
-    many from stream ``spawn_key`` of ``seed``, which must then be given:
-    non-negative integers (not bools), so every sampled run is replayable.
+    ``epsilon`` is the shift margin, > 0 and finite by ``walsh``'s real-number rule;
+    None selects 1e-3 * (1 + sum|a_k|), large enough for strict positivity without
+    concentrating amplitude on the shifted slot.  ``shots`` None reads the exact
+    probabilities and needs no seed; otherwise it draws that many from stream
+    ``spawn_key`` of ``seed``, which must then be given, by the integer rule that
+    ``quantum.measure_sampled`` states, so every sampled run is replayable.
     """
 
     epsilon: float | None = None
@@ -55,13 +56,14 @@ class HybridConfig:
     spawn_key: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.epsilon is not None and (isinstance(self.epsilon, bool)
-                                         or not 0.0 < self.epsilon < math.inf):
-            raise ValueError(f"epsilon must be strictly positive and finite, got {self.epsilon}")
+        if self.epsilon is not None:
+            _require_real(self.epsilon, "epsilon", 0, strict=True)
         if self.shots is not None:
-            require_shots(self.shots)
+            _require_int(self.shots, "shots", 1, _MAX_SHOTS)
         # An exact run draws nothing, so its seed may be None; its key is checked all the same.
-        require_seed(0 if self.shots is None and self.seed is None else self.seed, self.spawn_key)
+        if self.shots is not None or self.seed is not None:
+            _require_int(self.seed, "seed", 0)
+        _require_key(self.spawn_key)
 
     @property
     def mode(self) -> str:
@@ -154,10 +156,10 @@ def hybrid_wht(
     epsilon = cfg.epsilon if cfg.epsilon is not None else 1e-3 * (1.0 + abs_sum)
     shift = epsilon + abs_sum
     norm_sq = shift * shift + rest_sq
-    if not math.isfinite(norm_sq):
-        raise ValueError(f"the shifted vector's squared norm overflows float64 (shift {shift!r})")
-    if norm_sq < sys.float_info.min:
-        raise ValueError(f"the shifted vector's squared norm underflows float64 (shift {shift!r})")
+    if not sys.float_info.min <= norm_sq < math.inf:
+        way = "overflows" if norm_sq > 1.0 else "underflows"
+        raise FloatingPointError(
+            f"the shifted vector's squared norm {way} float64 (shift {shift!r})")
     norm = math.sqrt(norm_sq)
 
     shifted = a / norm

@@ -22,10 +22,13 @@ from functools import reduce
 
 import numpy as np
 
-from .walsh import _require_vector
+from .walsh import _require_int, _require_vector
 
 #: Qubits per fused gate; a group costs 2^k multiply-adds per amplitude.
 _GROUP = 5
+
+#: The largest shot count: the outcome counts are int64.
+_MAX_SHOTS = 2**63 - 1
 
 
 def _fused_gate(k: int) -> np.ndarray:
@@ -76,25 +79,22 @@ def measure_exact(state) -> np.ndarray:
     return p
 
 
-def require_shots(shots: int) -> None:
-    """Refuse all but an integer (not a bool) in [1, 2^63): the outcome counts are int64."""
-    if isinstance(shots, bool) or not hasattr(shots, "__index__") or not 1 <= shots < 2**63:
-        raise ValueError(f"shots must be in [1, 2^63), got {shots}")
-
-
-def require_seed(seed: int, spawn_key: tuple[int, ...] = ()) -> None:
-    """Only non-negative integers as seed and tuple-key entries: no bool, no None (OS entropy)."""
+def _require_key(spawn_key: tuple[int, ...]) -> None:
+    """Refuse a spawn key other than a tuple of integers >= 0, each by the integer rule."""
     if not isinstance(spawn_key, tuple):
         raise ValueError(f"spawn_key must be a tuple of non-negative integers, got {spawn_key!r}")
-    for name, value in (("seed", seed), *(("spawn_key entry", k) for k in spawn_key)):
-        if isinstance(value, bool) or not hasattr(value, "__index__") or value < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {value}")
+    for entry in spawn_key:
+        _require_int(entry, "spawn_key entry", 0)
 
 
 def measure_sampled(state, shots: int, seed: int, spawn_key: tuple[int, ...] = ()) -> np.ndarray:
-    """Int64 counts of ``shots`` shots (they sum to it) from stream ``spawn_key`` of ``seed``."""
-    require_shots(shots)
-    require_seed(seed, spawn_key)
+    """Int64 counts of ``shots`` shots (they sum to it) from stream ``spawn_key`` of ``seed``.
+
+    By ``walsh``'s integer rule, shots lie in [1, 2^63 - 1] and the seed and key entries are >= 0.
+    """
+    _require_int(shots, "shots", 1, _MAX_SHOTS)
+    _require_int(seed, "seed", 0)  # None would draw OS entropy
+    _require_key(spawn_key)
     a = np.asarray(state, dtype=float)
     _require_vector(a, "state vector")
     with np.errstate(over="ignore"):  # an overflowing square or sum makes the total inf

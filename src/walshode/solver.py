@@ -34,7 +34,8 @@ import numpy as np
 from .calculus import integrate_sampled
 from .errors import DivergenceError, require_bytes
 from .hybrid import HybridConfig, backend_config
-from .walsh import SampledFunction, _require_domain, _require_finite, _require_qubits, midpoints
+from .walsh import (SampledFunction, _require_domain, _require_finite, _require_int,
+                    _require_qubits, _require_real, midpoints)
 
 _BACKENDS = ("classical", "hybrid-exact", "hybrid-sampled")
 
@@ -84,7 +85,8 @@ class SolverConfig:
     ``hybrid`` is derived by ``hybrid.backend_config``: None for classical,
     else the root HybridConfig, whose ``child(sweep, i)`` integrates x_i in that sweep.
     Frozen, so it always matches the other fields.  A setting the backend would ignore
-    is refused; hybrid-sampled requires ``shots`` and ``seed``.  ``tol`` is not a bool.
+    is refused; hybrid-sampled requires ``shots`` and ``seed``.  By ``walsh``'s rules,
+    ``n_max`` is an integer >= 1 and ``tol`` a real number >= 0 and finite.
     """
 
     n_max: int
@@ -96,10 +98,8 @@ class SolverConfig:
     hybrid: HybridConfig | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.n_max, bool) or not hasattr(self.n_max, "__index__") or self.n_max < 1:
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max}")
-        if isinstance(self.tol, bool) or not 0.0 <= self.tol < math.inf:
-            raise ValueError(f"tol must be >= 0 and finite, got {self.tol}")
+        _require_int(self.n_max, "n_max", 1)
+        _require_real(self.tol, "tol", 0)
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
         hybrid = backend_config(self.backend, self.epsilon, self.shots, self.seed)
@@ -172,7 +172,7 @@ def picard_solve(
                 cfg = None if config.hybrid is None else config.hybrid.child(sweep, i)
                 try:
                     integral = integrate_sampled(derivs[i], problem.domain, cfg)
-                except ValueError as exc:  # derivs[i] is finite: the hybrid norm left float64 range
+                except ArithmeticError as exc:  # the hybrid norm left float64 range
                     raise DivergenceError(f"the integral of x{i + 1} failed: {exc}", trace) from exc
                 new_xs[i] = initial[i] + integral
 
@@ -205,22 +205,29 @@ def _beer_rhs_2(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return -(3.0 * x[0] * x[1] + x[0] ** 3)
 
 
+#: name -> (right-hand sides, initial values at t = 0, exact solution at an array of times t).
+_BUILTINS = {
+    "riccati": ((_riccati_rhs,), (-0.5,), lambda t: np.array(
+        [0.5 * (math.sqrt(3.0) * np.tan(math.sqrt(3.0) * t / 2.0) - 1.0)])),
+    "beer_system": ((_beer_rhs_1, _beer_rhs_2), (0.0, 1.0), lambda t: np.array(
+        [2.0 * t / (t * t + 2.0), (4.0 - 2.0 * t * t) / (t * t + 2.0) ** 2])),
+}
+
+
+def _builtin(name: str):
+    """The table row of a builtin problem, or ValueError."""
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin problem {name!r}")
+    return _BUILTINS[name]
+
+
 def builtin_problem(name: str, n: int = 2) -> IVProblem:
     """Ready-made demonstration problems with known analytic solutions."""
-    if name == "riccati":
-        return IVProblem(rhs=[_riccati_rhs], initial=[-0.5], n=n)
-    if name == "beer_system":
-        return IVProblem(rhs=[_beer_rhs_1, _beer_rhs_2], initial=[0.0, 1.0], n=n)
-    raise ValueError(f"unknown builtin problem {name!r}")
+    rhs, initial, _ = _builtin(name)
+    return IVProblem(rhs=list(rhs), initial=list(initial), n=n)
 
 
 def analytic_reference(name: str, t) -> np.ndarray:
     """Exact solution values for the builtin problems (for error reporting)."""
-    t = np.asarray(t, dtype=float)
-    if name == "riccati":
-        root3 = math.sqrt(3.0)
-        return np.array([0.5 * (root3 * np.tan(root3 * t / 2.0) - 1.0)])
-    if name == "beer_system":
-        denom = t * t + 2.0
-        return np.array([2.0 * t / denom, (4.0 - 2.0 * t * t) / denom**2])
-    raise ValueError(f"unknown builtin problem {name!r}")
+    _, _, exact = _builtin(name)
+    return exact(np.asarray(t, dtype=float))

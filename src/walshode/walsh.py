@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,25 +50,44 @@ class WalshOrdering(enum.Enum):
     SEQUENCY = "sequency"
 
 
+def _require_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """Return value as an int, or raise unless it is an integer (no bool) in [lo, hi], if given."""
+    if not isinstance(value, bool) and hasattr(value, "__index__"):
+        k = operator.index(value)
+        if (lo is None or k >= lo) and (hi is None or k <= hi):
+            return k
+    bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+    raise ValueError(f"{what} must be an integer{bounds}, got {value!r}")
+
+
+def _require_real(value, what: str, lo: float | None = None, strict: bool = False) -> float:
+    """Return value as a float, or raise unless it is a real number (no bool, no nan).
+
+    Given ``lo``, it must also be finite and >= lo (> lo if ``strict``); without, +-inf pass.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int past float64's range is as far out as an inf
+        x = math.inf if value > 0 else -math.inf
+    ok = not math.isnan(x) if lo is None else x < math.inf and (x > lo if strict else x >= lo)
+    if ok:
+        return x
+    need = "a real number" if lo is None else f"{'>' if strict else '>='} {lo:g} and finite"
+    raise ValueError(f"{what} must be {need}, got {value!r}")
+
+
 def _require_qubits(n: int) -> int:
-    """Return N = 2^n, or raise before shifting unless n is an integer (no bool) in [1, 62]."""
-    if isinstance(n, bool) or not hasattr(n, "__index__"):
-        raise ValueError(f"qubit count must be an integer, got {n!r}")
-    if not 1 <= n <= 62:  # int64 indices
-        raise ValueError(f"qubit count must be in [1, 62], got {n}")
-    return 1 << int(n)
+    """Return N = 2^n, or raise before shifting unless n is an integer in [1, 62]: int64 indices."""
+    return 1 << _require_int(n, "qubit count", 1, 62)
 
 
-def _require_index(k: int, N: int | None, what: str) -> int:
-    """Return k as an int, or raise unless it is an integer (no bool) in [0, N) (N None: >= 0)."""
-    if isinstance(k, bool) or not hasattr(k, "__index__"):
-        raise ValueError(f"{what} must be an integer, got {k!r}")
-    if N is None:
-        if k < 0:
-            raise ValueError(f"{what} must be >= 0, got {k}")
-    elif not 0 <= k < N:
+def _require_index(k: int, N: int, what: str) -> int:
+    """Return k as an int by the integer rule, or raise IndexError outside [0, N)."""
+    k = _require_int(k, what)
+    if not 0 <= k < N:
         raise IndexError(f"{what}={k} out of range for n={N.bit_length() - 1}")
-    return int(k)
+    return k
 
 
 def _require_ordering(ordering: WalshOrdering) -> WalshOrdering:
@@ -83,9 +104,8 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 
 
 def _cell(t: float, N: int) -> int | None:
-    """Index of the cell of [0,1] holding t (t = 1 in the last); None outside."""
-    if np.isnan(t):
-        raise ValueError(f"t must be a number, got {t}")
+    """Index of the cell of [0,1] holding the real t (t = 1 in the last); None outside, as +-inf."""
+    t = _require_real(t, "t")
     if t < 0.0 or t > 1.0:
         return None
     return N - 1 if t >= 1.0 else int(t * N)
@@ -106,8 +126,8 @@ def _require_vector(a: np.ndarray, what: str = "input") -> int:
 
 
 def _require_domain(domain: tuple[float, float]) -> tuple[float, float]:
-    """Return the domain as floats, or raise unless t_lo < t_hi with a finite width."""
-    lo, hi = map(float, domain)
+    """Return the domain as floats, or raise unless its ends are real, t_lo < t_hi, width finite."""
+    lo, hi = (_require_real(end, "domain end") for end in domain)
     if not (lo < hi and math.isfinite(hi - lo)):  # a finite width needs finite ends
         raise ValueError(f"domain must be finite with t_lo < t_hi and a finite width, got {domain}")
     return lo, hi
@@ -165,8 +185,8 @@ def sequency_walsh_recursive(j: int, x: float) -> int:
     evaluation at cell midpoints, where the recursion never lands on a
     jump point.
     """
-    j = _require_index(j, None, "function index")
-    if x < 0.0 or x > 1.0:
+    j = _require_int(j, "function index", 0)
+    if not 0.0 <= _require_real(x, "x") <= 1.0:
         return 0
     if j == 0:
         return 1
@@ -199,7 +219,7 @@ def ordering_permutation(
 def walsh_value(
     k: int, t: float, n: int, ordering: WalshOrdering = WalshOrdering.NATURAL
 ) -> int:
-    """Value of the k-th Walsh function at t; 0 outside [0,1], ValueError for NaN."""
+    """Value of the k-th Walsh function at t; 0 outside [0,1], ValueError for non-real or nan t."""
     N = _require_qubits(n)
     k = _require_index(k, N, "function index k")
     if _require_ordering(ordering) == WalshOrdering.SEQUENCY:
@@ -244,7 +264,7 @@ def reconstruct(coeffs, t: float) -> float:
     """Pointwise synthesis (1/sqrt(N)) * sum_k coeffs[k] * W_k(t).
 
     Piecewise constant on the N cells of [0,1]; 0 outside; ValueError for
-    NaN t.  ``coeffs`` is in natural order: gather a sequency spectrum with
+    nan or a non-real t.  ``coeffs`` is in natural order: gather a sequency spectrum with
     ordering_permutation(n, SEQUENCY, NATURAL) first.  One signed sum over the
     character row of t's cell; walsh_value, one term at a time, is its oracle.
     """

@@ -138,7 +138,7 @@ def test_transform_of_comments_only_is_usage_error(tmp_path, capsys):
     assert err == f"walshode: error: {src}: no values found\n"
 
 
-def test_transform_hybrid_norm_overflow_is_usage_error(tmp_path, capsys):
+def test_transform_hybrid_norm_overflow_is_numeric_failure(tmp_path, capsys):
     # With 1e160 in a[1:], a numpy overflow warning on squaring it would escape
     # main as an exception under the suite's filterwarnings = error.
     src = tmp_path / "in.txt"
@@ -146,8 +146,8 @@ def test_transform_hybrid_norm_overflow_is_usage_error(tmp_path, capsys):
         write_input(src, v)
         code, out, err = run(capsys, "transform", str(src), "-o", str(tmp_path / "o.txt"),
                              "--backend", "hybrid-exact")
-        assert code == 2 and out == ""
-        assert err == ("walshode: error: the shifted vector's squared norm overflows "
+        assert code == 3 and out == ""
+        assert err == ("walshode: numeric failure: the shifted vector's squared norm overflows "
                        "float64 (shift 1.001e+160)\n")
         assert not (tmp_path / "o.txt").exists()
 
@@ -165,13 +165,13 @@ def test_transform_overflow_is_numeric_failure(tmp_path, capsys, backend, invers
     assert not (tmp_path / "o.txt").exists()
 
 
-def test_transform_hybrid_absolute_sum_overflow_is_usage_error(tmp_path, capsys):
+def test_transform_hybrid_absolute_sum_overflow_is_numeric_failure(tmp_path, capsys):
     src = tmp_path / "in.txt"
     write_input(src, [1e308, 1e308])
     code, out, err = run(capsys, "transform", str(src), "-o", str(tmp_path / "o.txt"),
                          "--backend", "hybrid-exact")
-    assert (code, out) == (2, "")
-    assert err == ("walshode: error: the shifted vector's squared norm overflows "
+    assert (code, out) == (3, "")
+    assert err == ("walshode: numeric failure: the shifted vector's squared norm overflows "
                    "float64 (shift inf)\n")
 
 
@@ -185,7 +185,7 @@ def test_hybrid_squared_norm_underflow_is_refused_by_name(tmp_path, capsys):
         warnings.simplefilter("error")
         code, out, err = run(capsys, "transform", str(src), "-o", str(dst),
                              "--backend", "hybrid-exact", "--epsilon", "1e-200")
-        assert (code, out, err) == (2, "", f"walshode: error: {message}\n")
+        assert (code, out, err) == (3, "", f"walshode: numeric failure: {message}\n")
         code, out, err = run(capsys, "solve", "--rhs", "0", "--init", "0",
                              "--backend", "hybrid-exact", "--epsilon", "1e-200",
                              "--output-dir", str(out_dir))
@@ -306,7 +306,7 @@ def test_qubit_count_outside_int64_range_is_usage_error(tmp_path, capsys, argv, 
         ["--output-dir", str(tmp_path)] if argv[0] == "solve" else []))
     assert code == 2
     assert out == ""
-    assert f"qubit count must be in [1, 62], got {n}" in err
+    assert f"qubit count must be an integer in [1, 62], got {n}" in err
     assert not list(tmp_path.iterdir())
 
 
@@ -568,7 +568,7 @@ def test_solve_rejects_init_for_builtin_problem(tmp_path, capsys):
     (("--rhs", "x1", "--init", "nan"), "initial values must be finite"),
     (("--rhs", "x1", "--init", "1", "--domain", "0", "inf"), "domain must be finite"),
     (("--problem", "riccati", "--domain", "0", "inf"), "domain must be finite"),
-    (("--problem", "riccati", "--domain", "nan", "1"), "domain must be finite"),
+    (("--problem", "riccati", "--domain", "nan", "1"), "domain end must be a real number"),
     (("--problem", "riccati", "--domain", "1", "0"), "t_lo < t_hi"),
     (("--problem", "riccati", "--tol", "nan"), "tol must be >= 0"),
     # argparse takes "-1e308" for an option; the digits spell the same float.
@@ -616,7 +616,7 @@ def test_negative_values_with_an_exponent_are_values(tmp_path, capsys, flag, spe
     (["--problem", "riccati", "--tol", "-inf"], "tol must be >= 0 and finite, got -inf"),
     (["--problem", "riccati", "--tol", "-nan"], "tol must be >= 0 and finite, got nan"),
     (["--problem", "riccati", "--backend", "hybrid-exact", "--epsilon", "-INF"],
-     "epsilon must be strictly positive and finite, got -inf"),
+     "epsilon must be > 0 and finite, got -inf"),
     (["--problem", "riccati", "--domain", "-inf", "1"],
      "domain must be finite with t_lo < t_hi and a finite width, got (-inf, 1.0)"),
 ])
@@ -767,8 +767,9 @@ def test_bench_oversized_size_refused_before_any_size_runs(capsys, monkeypatch):
 
 
 def test_bench_rejects_zero_repeats(capsys):
-    code, _, _ = run(capsys, "bench", "--sizes", "16", "--repeats", "0")
-    assert code == 2
+    code, out, err = run(capsys, "bench", "--sizes", "16", "--repeats", "0")
+    assert (code, out) == (2, "")
+    assert err == "walshode: error: --repeats must be an integer >= 1, got 0\n"
 
 
 SETTINGS = {"epsilon": 0.5, "shots": 1000, "seed": 3}
@@ -808,7 +809,7 @@ def test_cli_and_library_agree_on_settings(tmp_path, capsys, command, backend, g
 
 def test_every_entry_point_refuses_an_unseeded_sampled_run(tmp_path, capsys):
     # There is no default seed: unseeded runs used to share the noise of seed 12345.
-    message = "seed must be a non-negative integer, got None"
+    message = "seed must be an integer >= 0, got None"
     for refuse in (lambda: HybridConfig(shots=100),
                    lambda: backend_config("hybrid-sampled", shots=100),
                    lambda: SolverConfig(n_max=1, backend="hybrid-sampled", shots=100),
@@ -825,7 +826,7 @@ def test_every_entry_point_refuses_an_unseeded_sampled_run(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
     # An exact run draws nothing, so it needs no seed; a seed it is given is still checked.
     assert HybridConfig().seed is backend_config("hybrid-exact").seed is None
-    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -1$"):
         HybridConfig(seed=-1)
 
 
@@ -846,7 +847,7 @@ def test_non_finite_epsilon_is_usage_error(tmp_path, capsys, command, backend, e
     code, out, err = run(capsys, *_command_argv(tmp_path, command), "--backend", backend,
                          f"--epsilon={epsilon}", *sampled)
     assert (code, out) == (2, "")
-    assert err == f"walshode: error: epsilon must be strictly positive and finite, got {epsilon}\n"
+    assert err == f"walshode: error: epsilon must be > 0 and finite, got {epsilon}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -855,7 +856,7 @@ def test_negative_seed_is_named(tmp_path, capsys, command):
     code, out, err = run(capsys, *_command_argv(tmp_path, command), "--backend",
                          "hybrid-sampled", "--shots", "1000", "--seed", "-1")
     assert (code, out) == (2, "")
-    assert err == "walshode: error: seed must be a non-negative integer, got -1\n"
+    assert err == "walshode: error: seed must be an integer >= 0, got -1\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -865,7 +866,8 @@ def test_shot_count_bound_is_the_int64_counts(tmp_path, capsys, command):
     for shots in (0, 2**63):
         code, out, err = run(capsys, *argv, "--shots", str(shots))
         assert (code, out) == (2, "")
-        assert err == f"walshode: error: shots must be in [1, 2^63), got {shots}\n"
+        assert err == (f"walshode: error: shots must be an integer in [1, {2**63 - 1}], "
+                       f"got {shots}\n")
         assert not (tmp_path / "out").exists()
     code, _, err = run(capsys, *argv, "--shots", str(2**63 - 1))
     assert (code, err) == (0, "")

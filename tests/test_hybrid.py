@@ -75,7 +75,8 @@ def test_zero_vector_maps_to_zero():
 def test_squared_norm_below_normal_range_is_refused(epsilon):
     # shift^2 underflows to 0 (1e-200) or to a subnormal (1e-160); 1e-150
     # squares to a normal 1e-300 and still maps zero to zero.
-    with pytest.raises(ValueError, match=r"squared norm underflows float64 \(shift 1e-(200|160)\)"):
+    with pytest.raises(FloatingPointError,
+                       match=r"squared norm underflows float64 \(shift 1e-(200|160)\)"):
         hybrid_wht(np.zeros(4), HybridConfig(epsilon=epsilon))
     out, _ = hybrid_wht(np.zeros(4), HybridConfig(epsilon=1e-150))
     assert not out.any()
@@ -138,7 +139,7 @@ def test_overflowing_shifted_norm_is_named():
     # warning, which the suite's filterwarnings = error turns into a failure.
     for v in ([1e160, 1.0, 0.0, 0.0], [1.0, 1e160, 0.0, 0.0]):
         count = OpCount()
-        with pytest.raises(ValueError, match="shifted vector's squared norm overflows"):
+        with pytest.raises(FloatingPointError, match="shifted vector's squared norm overflows"):
             hybrid_wht(v, count=count)
         assert count.additions == count.multiplications == count.square_roots == 0
 
@@ -150,21 +151,22 @@ def test_rejects_input_that_is_not_one_vector():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="epsilon must be strictly positive"):
+    with pytest.raises(ValueError, match="^epsilon must be > 0 and finite, got 0.0$"):
         HybridConfig(epsilon=0.0)
     # True used to be taken as a margin of 1.0.
-    message = "epsilon must be strictly positive and finite, got True"
+    message = "epsilon must be > 0 and finite, got True"
     for build in (lambda: HybridConfig(epsilon=True), lambda: backend_config("hybrid-exact", True)):
         with pytest.raises(ValueError) as info:
             build()
         assert str(info.value) == message
-    with pytest.raises(ValueError, match=re.escape("shots must be in [1, 2^63), got 0")):
+    message = f"shots must be an integer in [1, {2**63 - 1}], got 0"
+    with pytest.raises(ValueError, match=re.escape(message)):
         HybridConfig(shots=0)
 
 
 @pytest.mark.parametrize("shots", [1.5, True, 5.0])
 def test_shot_count_must_be_an_integer(shots):
-    message = re.escape(f"shots must be in [1, 2^63), got {shots}")
+    message = re.escape(f"shots must be an integer in [1, {2**63 - 1}], got {shots}")
     with pytest.raises(ValueError, match=message):
         HybridConfig(shots=shots)
     with pytest.raises(ValueError, match=message):
@@ -179,7 +181,7 @@ def test_numpy_integer_shot_count_is_taken():
 
 @pytest.mark.parametrize("entry", [True, -1])
 def test_spawn_key_entries_must_be_non_negative_integers(entry):
-    message = f"spawn_key entry must be a non-negative integer, got {entry}"
+    message = f"^spawn_key entry must be an integer >= 0, got {entry}$"
     with pytest.raises(ValueError, match=message):
         HybridConfig(shots=1000, seed=SEED, spawn_key=(0, entry))
     with pytest.raises(ValueError, match=message):
@@ -204,7 +206,7 @@ def test_seed_must_be_a_non_negative_integer(seed):
     # None would draw OS entropy, so two runs of one config would differ.
     with pytest.raises(ValueError) as info:
         HybridConfig(shots=1000, seed=seed)
-    assert str(info.value) == f"seed must be a non-negative integer, got {seed}"
+    assert str(info.value) == f"seed must be an integer >= 0, got {seed}"
 
 
 def test_numpy_integer_seed_is_taken():
@@ -213,17 +215,17 @@ def test_numpy_integer_seed_is_taken():
     assert np.array_equal(hybrid_wht(v, cfg)[0], hybrid_wht(v, HybridConfig(shots=1000, seed=7))[0])
 
 
-def test_overflowing_absolute_sum_raises_only_the_value_error():
+def test_overflowing_absolute_sum_raises_only_the_floating_point_error():
     # np.sum(np.abs(a)) is inf here; under filterwarnings = error numpy's
-    # overflow warning would reach the caller instead of the ValueError.
-    with pytest.raises(ValueError) as info:
+    # overflow warning would reach the caller instead of the FloatingPointError.
+    with pytest.raises(FloatingPointError) as info:
         hybrid_wht(np.array([1e308, 1e308]))
     assert str(info.value) == "the shifted vector's squared norm overflows float64 (shift inf)"
 
 
 @pytest.mark.parametrize("epsilon", [math.inf, -math.inf, math.nan])
 def test_non_finite_epsilon_refused_when_the_config_is_built(epsilon):
-    message = f"epsilon must be strictly positive and finite, got {epsilon}"
+    message = f"epsilon must be > 0 and finite, got {epsilon}"
     for backend, shots in (("hybrid-exact", None), ("hybrid-sampled", 1000)):
         with pytest.raises(ValueError) as info:
             backend_config(backend, epsilon=epsilon, shots=shots)
@@ -248,7 +250,7 @@ def test_one_shot_bound_for_every_config():
     for build in builders:
         with pytest.raises(ValueError) as info:
             build(2**63)
-        assert str(info.value) == f"shots must be in [1, 2^63), got {2**63}"
+        assert str(info.value) == f"shots must be an integer in [1, {2**63 - 1}], got {2**63}"
         assert build(2**63 - 1).shots == 2**63 - 1
     out, _ = hybrid_wht([0.5, -0.25, 1.0, 0.0], HybridConfig(shots=2**63 - 1, seed=3))
     assert np.allclose(out, fwht([0.5, -0.25, 1.0, 0.0]), atol=1e-6)

@@ -286,7 +286,7 @@ def test_measure_sampled_refuses_amplitudes_without_a_positive_finite_total(ampl
 @pytest.mark.parametrize("seed", [None, -1, True, 1.5])
 def test_measure_sampled_refuses_a_seed_that_does_not_replay(seed):
     # None would draw fresh OS entropy on every call.
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
         measure_sampled(prepare_state([0.6, 0.8]), 1000, seed)
 
 
@@ -317,7 +317,7 @@ def test_keyed_measure_sampled_draws_the_spawned_stream():
 
 @pytest.mark.parametrize("entry", [True, -1])
 def test_measure_sampled_refuses_a_spawn_key_entry_that_does_not_replay(entry):
-    message = f"spawn_key entry must be a non-negative integer, got {entry}"
+    message = f"^spawn_key entry must be an integer >= 0, got {entry}$"
     with pytest.raises(ValueError, match=message):
         measure_sampled(prepare_state([0.6, 0.8]), 1000, 7, (1, entry))
 
