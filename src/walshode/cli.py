@@ -223,7 +223,8 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     _require_int(args.repeats, "--repeats", 1)
     for N in args.sizes:
-        n = _require_power_of_two(_require_int(N, "vector length"))
+        N = _require_int(N, "vector length")  # a Python int: the byte count cannot wrap
+        n = _require_power_of_two(N)
         require_bytes(16 * N, f"bench input and transform output at N={N}")
         if "naive" in args.backends:
             _require_naive_bytes(n)

@@ -29,10 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_bytes
 from .quantum import (_MAX_SHOTS, _require_key, apply_hadamard_all, measure_exact,
                       measure_sampled, prepare_state)
 from .transform import OpCount
-from .walsh import _require_finite, _require_int, _require_real, _require_vector
+from .walsh import (_require_finite, _require_int, _require_power_of_two, _require_real,
+                    _require_vector)
 
 #: The settings each hybrid backend takes; any other backend takes none.
 _SETTINGS = {"hybrid-exact": ("epsilon",), "hybrid-sampled": ("epsilon", "shots", "seed")}
@@ -186,8 +188,12 @@ def hybrid_wht(
 def classical_side_opcount(N: int) -> OpCount:
     """The classical work of one exact-mode ``hybrid_wht`` on a length-N input.
 
-    The tally is data-independent: exactly 7N (see ``hybrid_wht``).
+    The tally is data-independent: exactly 7N (see ``hybrid_wht``).  N must be a power of
+    two >= 2; the run's arrays, under 56N bytes, are charged to errors.require_bytes first.
     """
+    N = _require_int(N, "vector length")  # a Python int: the byte count cannot wrap
+    _require_power_of_two(N)
+    require_bytes(56 * N, f"classical side op count at N={N}")
     count = OpCount()
     hybrid_wht(np.zeros(N), HybridConfig(), count)
     return count

@@ -147,7 +147,7 @@ def picard_solve(
     problem: IVProblem, config: SolverConfig
 ) -> tuple[list[SampledFunction], SolutionTrace]:
     """Run Picard sweeps; returns the final iterates and the full trace."""
-    N = 1 << problem.n
+    N = _require_qubits(problem.n)  # a Python int: 1 << np.uint8(8) would wrap to 0
 
     def charge(kept: int) -> None:
         """The kept snapshots, plus three grids: state, derivatives and update."""

@@ -204,11 +204,13 @@ def ordering_permutation(
 
     natural -> sequency:  p[s] = bit_reverse(s XOR (s >> 1), n), so the
     permuted character table has exactly s sign changes in row s;
-    sequency -> natural is its inverse.
+    sequency -> natural is its inverse.  Its working arrays, under seven int64
+    arrays of N (56N bytes), are charged to errors.require_bytes first.
     """
     N = _require_qubits(n)
     _require_ordering(source)
     _require_ordering(target)
+    require_bytes(56 * N, f"ordering permutation for n={n}")
     idx = np.arange(N, dtype=np.int64)
     if source == target:
         return idx
@@ -251,8 +253,12 @@ class SampledFunction:
 
 
 def discretize(f, n: int, domain: tuple[float, float] = (0.0, 1.0)) -> SampledFunction:
-    """Sample a callable at the N midpoints of the domain, checked before the first call."""
-    mids = midpoints(_require_qubits(n), _require_domain(domain))
+    """Sample a callable at the N midpoints of the domain, checked before the first call.
+
+    Its arrays and Python floats, under 56N bytes, are charged to errors.require_bytes first."""
+    N = _require_qubits(n)
+    require_bytes(56 * N, f"samples for n={n}")
+    mids = midpoints(N, _require_domain(domain))
     vals = np.array([float(f(t)) for t in mids])
     if not np.all(np.isfinite(vals)):
         bad = mids[~np.isfinite(vals)][0]

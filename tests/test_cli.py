@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import shlex
 import tracemalloc
 import warnings
@@ -22,7 +23,7 @@ from walshode import (
     walsh,
 )
 from walshode.cli import main, read_vector, write_vector
-from walshode.hybrid import HybridConfig, backend_config
+from walshode.hybrid import _SETTINGS, HybridConfig, backend_config
 from walshode.quantum import measure_sampled, prepare_state
 
 
@@ -773,11 +774,16 @@ def test_bench_rejects_zero_repeats(capsys):
 
 
 SETTINGS = {"epsilon": 0.5, "shots": 1000, "seed": 3}
+#: Each combination of the good values, then each bound of one setting given with the
+#: good values of the others the backend takes.
+GIVEN = [pytest.param(names, {}, id="+".join(names) or "none")
+         for r in range(4) for names in itertools.combinations(SETTINGS, r)]
+GIVEN += [pytest.param(None, {name: value}, id=f"{name}={value}")
+          for name, value in [("epsilon", math.inf), ("epsilon", -math.inf), ("epsilon", math.nan),
+                              ("seed", -1), ("shots", 0), ("shots", 2**63), ("shots", 2**63 - 1)]]
 
 
-@pytest.mark.parametrize("given", [
-    names for r in range(4) for names in itertools.combinations(SETTINGS, r)
-], ids=lambda names: "+".join(names) or "none")
+@pytest.mark.parametrize("given, bound", GIVEN)
 @pytest.mark.parametrize("command, backend", [
     ("solve", "classical"),
     ("solve", "hybrid-exact"),
@@ -787,8 +793,9 @@ SETTINGS = {"epsilon": 0.5, "shots": 1000, "seed": 3}
     ("transform", "hybrid-exact"),
     ("transform", "hybrid-sampled"),
 ])
-def test_cli_and_library_agree_on_settings(tmp_path, capsys, command, backend, given):
-    settings = {name: SETTINGS[name] for name in given}
+def test_cli_and_library_agree_on_settings(tmp_path, capsys, command, backend, given, bound):
+    names = _SETTINGS.get(backend, ()) if given is None else given
+    settings = {**{name: SETTINGS[name] for name in names}, **bound}
     try:
         if command == "solve":
             SolverConfig(n_max=1, backend=backend, **settings)
@@ -837,40 +844,6 @@ def _command_argv(tmp_path, command):
                 "--output-dir", str(tmp_path / "out")]
     write_input(tmp_path / "in.txt", [0.5, 0.25, -1.0, 2.0])
     return ["transform", str(tmp_path / "in.txt"), "-o", str(tmp_path / "out")]
-
-
-@pytest.mark.parametrize("command", ["solve", "transform"])
-@pytest.mark.parametrize("backend", ["hybrid-exact", "hybrid-sampled"])
-@pytest.mark.parametrize("epsilon", ["inf", "-inf", "nan"])
-def test_non_finite_epsilon_is_usage_error(tmp_path, capsys, command, backend, epsilon):
-    sampled = ["--shots", "1000", "--seed", "3"] if backend == "hybrid-sampled" else []
-    code, out, err = run(capsys, *_command_argv(tmp_path, command), "--backend", backend,
-                         f"--epsilon={epsilon}", *sampled)
-    assert (code, out) == (2, "")
-    assert err == f"walshode: error: epsilon must be > 0 and finite, got {epsilon}\n"
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("command", ["solve", "transform"])
-def test_negative_seed_is_named(tmp_path, capsys, command):
-    code, out, err = run(capsys, *_command_argv(tmp_path, command), "--backend",
-                         "hybrid-sampled", "--shots", "1000", "--seed", "-1")
-    assert (code, out) == (2, "")
-    assert err == "walshode: error: seed must be an integer >= 0, got -1\n"
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("command", ["solve", "transform"])
-def test_shot_count_bound_is_the_int64_counts(tmp_path, capsys, command):
-    argv = [*_command_argv(tmp_path, command), "--backend", "hybrid-sampled", "--seed", "3"]
-    for shots in (0, 2**63):
-        code, out, err = run(capsys, *argv, "--shots", str(shots))
-        assert (code, out) == (2, "")
-        assert err == (f"walshode: error: shots must be an integer in [1, {2**63 - 1}], "
-                       f"got {shots}\n")
-        assert not (tmp_path / "out").exists()
-    code, _, err = run(capsys, *argv, "--shots", str(2**63 - 1))
-    assert (code, err) == (0, "")
 
 
 def test_solve_problem_and_rhs_are_exclusive(tmp_path, capsys):

@@ -261,11 +261,6 @@ def test_measure_sampled_huge_shot_budget_allocates_nothing_per_shot():
     assert np.max(np.abs(res / 10**12 - exact)) < 1e-5
 
 
-def test_measure_sampled_rejects_zero_shots():
-    with pytest.raises(ValueError):
-        measure_sampled(prepare_state([1.0, 0.0]), shots=0, seed=SEED)
-
-
 def test_measure_sampled_shot_budget_bounded_by_int64_counts():
     s = prepare_state([1.0, 0.0])
     assert measure_sampled(s, shots=2**63 - 1, seed=SEED)[0] == 2**63 - 1
@@ -281,18 +276,6 @@ def test_measure_sampled_refuses_amplitudes_without_a_positive_finite_total(ampl
     # Refused by name, with no numpy warning (the suite turns warnings into errors).
     with pytest.raises(ValueError, match="squared amplitudes must sum to a positive finite number"):
         measure_sampled(np.array(amplitudes), 10, 1)
-
-
-@pytest.mark.parametrize("seed", [None, -1, True, 1.5])
-def test_measure_sampled_refuses_a_seed_that_does_not_replay(seed):
-    # None would draw fresh OS entropy on every call.
-    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
-        measure_sampled(prepare_state([0.6, 0.8]), 1000, seed)
-
-
-def test_measure_sampled_takes_a_numpy_integer_seed():
-    s = prepare_state([0.6, 0.8])
-    assert np.array_equal(measure_sampled(s, 1000, np.int64(7)), measure_sampled(s, 1000, 7))
 
 
 def test_unkeyed_measure_sampled_is_the_default_rng_stream():
@@ -313,13 +296,6 @@ def test_keyed_measure_sampled_draws_the_spawned_stream():
     assert np.array_equal(keyed, rng.multinomial(10**6, p / p.sum()))
     assert not np.array_equal(keyed, measure_sampled(s, 10**6, 7))
     assert np.array_equal(measure_sampled(s, 10**6, 7, (np.int64(2), 0, np.uint16(1))), keyed)
-
-
-@pytest.mark.parametrize("entry", [True, -1])
-def test_measure_sampled_refuses_a_spawn_key_entry_that_does_not_replay(entry):
-    message = f"^spawn_key entry must be an integer >= 0, got {entry}$"
-    with pytest.raises(ValueError, match=message):
-        measure_sampled(prepare_state([0.6, 0.8]), 1000, 7, (1, entry))
 
 
 def test_sampled_frequencies_converge_to_exact():

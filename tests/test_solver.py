@@ -278,53 +278,6 @@ def test_problem_without_right_hand_sides_is_refused():
         IVProblem(rhs=[], initial=[])
 
 
-@pytest.mark.parametrize("n_max", [2.5, 3.0, True])
-def test_config_refuses_a_sweep_count_that_is_not_an_integer(n_max):
-    # 2.5 and 3.0 used to fail later in range(); True ran one sweep.
-    with pytest.raises(ValueError, match=f"n_max must be an integer >= 1, got {n_max}"):
-        SolverConfig(n_max=n_max)
-
-
-def test_config_takes_a_numpy_integer_sweep_count():
-    assert SolverConfig(n_max=np.int64(3)).n_max == 3
-
-
-@pytest.mark.parametrize("tol", [float("nan"), -1e-300])
-def test_config_rejects_nan_and_negative_tol(tol):
-    with pytest.raises(ValueError, match="tol must be >= 0"):
-        SolverConfig(n_max=1, tol=tol)
-
-
-@pytest.mark.parametrize("tol", [True, False])
-def test_config_refuses_a_bool_tol(tol):
-    # True used to be taken as a tolerance of 1.0.
-    with pytest.raises(ValueError) as info:
-        SolverConfig(n_max=1, tol=tol)
-    assert str(info.value) == f"tol must be >= 0 and finite, got {tol}"
-
-
-@pytest.mark.parametrize("tol", [math.inf, -math.inf])
-def test_config_rejects_infinite_tol(tol):
-    with pytest.raises(ValueError) as info:
-        SolverConfig(n_max=1, tol=tol)
-    assert str(info.value) == f"tol must be >= 0 and finite, got {tol}"
-
-
-@pytest.mark.parametrize("n", [True, 2.0, 2.5, "2"])
-def test_problem_refuses_a_qubit_count_that_is_not_an_integer(n):
-    # True used to solve at N = 2; 2.0 raised TypeError from 1 << 2.0.
-    with pytest.raises(ValueError) as info:
-        IVProblem(rhs=[lambda x, t: 0.0], initial=[0.0], n=n)
-    assert str(info.value) == f"qubit count must be an integer in [1, 62], got {n!r}"
-
-
-def test_problem_takes_a_numpy_integer_qubit_count():
-    config = SolverConfig(n_max=3, tol=0.0)
-    solution, _ = picard_solve(builtin_problem("riccati", n=np.int64(3)), config)
-    expected, _ = picard_solve(builtin_problem("riccati", n=3), config)
-    assert np.array_equal(solution[0].values, expected[0].values)
-
-
 @pytest.mark.parametrize("initial", [[math.inf], [-math.inf], [math.nan]])
 def test_problem_rejects_non_finite_initial_value(initial):
     with pytest.raises(ValueError, match="initial values must be finite"):
