@@ -44,8 +44,7 @@ import numpy as np
 from .errors import require_bytes
 from .hybrid import HybridConfig, hybrid_wht
 from .transform import fwht
-from .walsh import (_require_domain, _require_finite, _require_int, _require_power_of_two,
-                    _require_vector)
+from .walsh import _require_domain, _require_finite, _require_length, _require_vector
 
 _cache: dict[tuple[str, int], "OperationalMatrix"] = {}
 _cache_lock = threading.Lock()
@@ -74,9 +73,9 @@ class OperationalMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """Read-only dense N x N array, for tables and tests."""
+        """Read-only dense N x N array, for tables and tests: 8N^2 bytes and a 3 KiB scatter."""
         N = 1 << self.n
-        require_bytes(8 * N * N, f"dense {self.kind} matrix at n={self.n}")
+        require_bytes(8 * N * N + 4096, f"dense {self.kind} matrix at n={self.n}")
         dense = np.zeros((N, N))
         dense[self.rows, self.cols] = self.values
         dense.flags.writeable = False
@@ -84,57 +83,69 @@ class OperationalMatrix:
 
 
 def time_integration_operator(N: int) -> np.ndarray:
-    """Midpoint running-integration operator J (time domain, exact)."""
-    N = _require_int(N, "vector length")  # a Python int: the byte count cannot wrap
-    _require_power_of_two(N)
-    require_bytes(8 * N * N, f"time integration operator at N={N}")
-    J = np.tril(np.full((N, N), 1.0 / N), k=-1)
+    """Midpoint running-integration operator J (time domain, exact); charged 9N^2: mask and J."""
+    N, _ = _require_length(N)
+    require_bytes(9 * N * N, f"time integration operator at N={N}")
+    J = np.tri(N, N, -1)
+    J /= N
     np.fill_diagonal(J, 1.0 / (2.0 * N))
     return J
 
 
-def _integration_nonzeros(N: int):
-    m = np.arange(1, N)
-    low = m & -m
-    k = m - low
-    rows = np.concatenate(([0], k, m))
-    cols = np.concatenate(([0], m, k))
-    values = np.concatenate(([0.5], low / (2.0 * N), -low / (2.0 * N)))
-    return rows, cols, values
+def _write_integration(N: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
+    """Write I_N's 2N-1 nonzeros (module docstring) into slots [0, 2N-1), with no temporary."""
+    rows[0], cols[0], values[0] = 0, 0, 0.5
+    m, k = cols[1:N], rows[1:N]
+    m[...] = 1
+    np.add.accumulate(m, out=m)  # 1, ..., N-1
+    np.negative(m, out=k)
+    k &= m  # low(m)
+    values[1:N] = k  # cast here: np.divide(k, ...) would buffer the cast
+    values[1:N] /= 2.0 * N
+    np.subtract(m, k, out=k)
+    rows[N:2 * N - 1], cols[N:2 * N - 1] = m, k
+    np.negative(values[1:N], out=values[N:2 * N - 1])
 
 
-def _differentiation_nonzeros(N: int):
-    rows, cols, values = _integration_nonzeros(N // 2)
-    even = np.arange(0, N, 2)
-    pair = np.full(even.size, 2.0 * N)
-    return (np.concatenate((2 * rows + 1, even, even + 1)),
-            np.concatenate((2 * cols + 1, even + 1, even)),
-            np.concatenate((4.0 * N * N * values, -pair, pair)))
+def _write_differentiation(N: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
+    """Write D_N's 2N-1 nonzeros: 4N^2 I_{N/2} at odd indices, then D[k, k+1] and D[k+1, k]."""
+    _write_integration(N // 2, rows, cols, values)
+    for index in rows[:N - 1], cols[:N - 1]:
+        np.add(np.multiply(index, 2, out=index), 1, out=index)
+    np.multiply(values[:N - 1], 4.0 * N * N, out=values[:N - 1])
+    mid = 3 * N // 2 - 1  # slots [N-1, mid) hold D[k, k+1], slots [mid, 2N-1) D[k+1, k]
+    k, k1 = rows[N - 1:mid], rows[mid:]
+    k[...] = 2
+    k[0] = 0
+    np.add.accumulate(k, out=k)  # 0, 2, ..., N-2
+    np.add(k, 1, out=k1)
+    cols[N - 1:mid], cols[mid:] = k1, k
+    values[N - 1:mid], values[mid:] = -2.0 * N, 2.0 * N
 
 
-def _operator(kind: str, N: int, nonzeros) -> OperationalMatrix:
-    N = _require_int(N, "vector length")  # a Python int: the byte count cannot wrap
-    n = _require_power_of_two(N)
+def _operator(kind: str, N: int, write) -> OperationalMatrix:
+    N, n = _require_length(N)
     key = (kind, N)
     with _cache_lock:
         if key not in _cache:
-            # Three arrays of 2N-1 eight-byte items.
-            require_bytes(48 * N, f"sparse {kind} matrix at n={n}")
-            arrays = nonzeros(N)
+            # Three arrays of 2N-1 eight-byte items, and 1 KiB for the objects holding them.
+            require_bytes(48 * N + 1024, f"sparse {kind} matrix at n={n}")
+            arrays = [np.empty(2 * N - 1, dtype) for dtype in (np.int64, np.int64, float)]
+            write(N, *arrays)
             for array in arrays:
-                array.flags.writeable = False
+                array.setflags(write=False)  # unlike .flags, caches no flags object
             _cache[key] = OperationalMatrix(kind, n, *arrays)
         return _cache[key]
 
 
 def integration_matrix(N: int) -> OperationalMatrix:
-    """Walsh-domain integration matrix I_N (cached per size)."""
-    return _operator("integration", N, _integration_nonzeros)
+    """Walsh-domain integration matrix I_N (cached per size); a build is charged 48N + 1 KiB."""
+    return _operator("integration", N, _write_integration)
 
 
 def differentiation_matrix(N: int) -> OperationalMatrix:
-    """Walsh-domain differentiation matrix, the exact inverse of I_N."""
-    return _operator("differentiation", N, _differentiation_nonzeros)
+    """Walsh-domain differentiation matrix, the exact inverse of I_N; charged as I_N is."""
+    return _operator("differentiation", N, _write_differentiation)
 
 
 def integrate_sampled(values: np.ndarray, domain: tuple[float, float] = (0.0, 1.0),

@@ -45,7 +45,7 @@ from .solver import (
     picard_solve,
 )
 from .transform import OpCount, _require_naive_bytes, fwht, wht_naive
-from .walsh import _require_int, _require_power_of_two, _require_qubits, character_table
+from .walsh import _require_int, _require_length, _require_qubits, character_table
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -223,8 +223,7 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     _require_int(args.repeats, "--repeats", 1)
     for N in args.sizes:
-        N = _require_int(N, "vector length")  # a Python int: the byte count cannot wrap
-        n = _require_power_of_two(N)
+        N, n = _require_length(N)
         require_bytes(16 * N, f"bench input and transform output at N={N}")
         if "naive" in args.backends:
             _require_naive_bytes(n)

@@ -1,7 +1,7 @@
 """Exception types and the allocation cap shared across the package."""
 
-#: Largest single allocation, in bytes, that a grid, trace or dense
-#: operator may request; larger requests raise ResourceLimitError first.
+#: The most bytes one call may hold at once: a sized call charges its peak, in
+#: closed form, to require_bytes, which raises ResourceLimitError before it allocates.
 MAX_ALLOC_BYTES = 1 << 30
 
 

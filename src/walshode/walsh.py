@@ -118,6 +118,12 @@ def _require_power_of_two(size: int) -> int:
     return size.bit_length() - 1
 
 
+def _require_length(N) -> tuple[int, int]:
+    """Return (N, log2 N) for a vector length, N as a Python int: its byte counts cannot wrap."""
+    N = _require_int(N, "vector length")
+    return N, _require_power_of_two(N)
+
+
 def _require_vector(a: np.ndarray, what: str = "input") -> int:
     """Return n = log2(a.size) for a 1-D array of power-of-two length, else raise."""
     if a.ndim != 1:
@@ -139,17 +145,16 @@ def midpoints(N: int, domain: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
     return lo + (hi - lo) * ((2.0 * np.arange(N) + 1.0) / (2.0 * N))  # exact fraction: no overflow
 
 
-def _bit_reverse(v, n: int):
-    """Reverse the low n bits of v (scalar int or ndarray)."""
-    out = v * 0
-    x = v
+def _bit_reverse(v: int, n: int) -> int:
+    """Reverse the low n bits of v."""
+    out = 0
     for _ in range(n):
-        out = (out << 1) | (x & 1)
-        x = x >> 1
+        out = (out << 1) | (v & 1)
+        v >>= 1
     return out
 
 
-def _binary_to_gray(v):
+def _binary_to_gray(v: int) -> int:
     return v ^ (v >> 1)
 
 
@@ -203,19 +208,26 @@ def ordering_permutation(
     """Gather permutation p with converted[i] = original[p[i]].
 
     natural -> sequency:  p[s] = bit_reverse(s XOR (s >> 1), n), so the
-    permuted character table has exactly s sign changes in row s;
-    sequency -> natural is its inverse.  Its working arrays, under seven int64
-    arrays of N (56N bytes), are charged to errors.require_bytes first.
+    permuted character table has exactly s sign changes in row s; the reflected
+    Gray code doubles p in place as (2 p, 2 reversed(p) + 1).  sequency -> natural
+    is its scattered inverse.  Charged first: 8N bytes, or 24N for the inverse.
     """
     N = _require_qubits(n)
-    _require_ordering(source)
-    _require_ordering(target)
-    require_bytes(56 * N, f"ordering permutation for n={n}")
-    idx = np.arange(N, dtype=np.int64)
+    inverse = (_require_ordering(source), _require_ordering(target)) == (
+        WalshOrdering.SEQUENCY, WalshOrdering.NATURAL)
+    require_bytes((24 if inverse else 8) * N, f"ordering permutation for n={n}")
     if source == target:
-        return idx
-    forward = _bit_reverse(_binary_to_gray(idx), n)
-    return forward if target == WalshOrdering.SEQUENCY else np.argsort(forward)
+        return np.arange(N, dtype=np.int64)
+    p = np.zeros(N, dtype=np.int64)
+    p[1] = 1  # p for 2 points
+    for s in range(1, n):
+        h = 1 << s
+        p[:h] *= 2
+        np.add(p[h - 1::-1], 1, out=p[h:2 * h])
+    if inverse:
+        p, forward = np.empty_like(p), p
+        p[forward] = np.arange(N)
+    return p
 
 
 def walsh_value(
@@ -225,7 +237,7 @@ def walsh_value(
     N = _require_qubits(n)
     k = _require_index(k, N, "function index k")
     if _require_ordering(ordering) == WalshOrdering.SEQUENCY:
-        k = int(_bit_reverse(_binary_to_gray(k), n))
+        k = _bit_reverse(_binary_to_gray(k), n)
     cell = _cell(t, N)
     return 0 if cell is None else character_eval(k, cell, n)
 
@@ -255,11 +267,11 @@ class SampledFunction:
 def discretize(f, n: int, domain: tuple[float, float] = (0.0, 1.0)) -> SampledFunction:
     """Sample a callable at the N midpoints of the domain, checked before the first call.
 
-    Its arrays and Python floats, under 56N bytes, are charged to errors.require_bytes first."""
+    Charged first: midpoints, samples, their checked copy and a mask (25N bytes), plus 2 KiB."""
     N = _require_qubits(n)
-    require_bytes(56 * N, f"samples for n={n}")
+    require_bytes(25 * N + 2048, f"samples for n={n}")
     mids = midpoints(N, _require_domain(domain))
-    vals = np.array([float(f(t)) for t in mids])
+    vals = np.fromiter((float(f(t)) for t in mids), float, N)
     if not np.all(np.isfinite(vals)):
         bad = mids[~np.isfinite(vals)][0]
         raise ValueError(f"function returned a non-finite sample at t={bad}")
@@ -280,4 +292,4 @@ def reconstruct(coeffs, t: float) -> float:
     if cell is None:
         return 0.0
     odd = np.bitwise_count(np.arange(N) & cell) & 1
-    return float(coeffs @ (1 - 2 * odd.astype(np.int8))) / np.sqrt(N)
+    return float(coeffs / np.sqrt(N) @ (1 - 2 * odd.astype(np.int8)))  # scaled, then summed

@@ -9,7 +9,6 @@ import pytest
 
 from walshode import (
     HybridConfig,
-    ResourceLimitError,
     character_table,
     differentiation_matrix,
     discretize,
@@ -136,24 +135,6 @@ def test_classical_integral_is_the_closed_form_trapezoid():
         got = integrate_sampled(f, (lo, hi))
         error = np.max(np.abs(got - trapezoid_integral(f, hi - lo)))
         assert error <= n * 2.0**-52 * h * np.sum(np.abs(f)), n
-    with pytest.raises(ResourceLimitError):
-        time_integration_operator(1 << 20)
-
-
-def test_dense_entries_refused_before_allocation(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("dense allocation attempted")
-
-    matrix = integration_matrix(1 << 16)
-    monkeypatch.setattr(np, "zeros", forbidden)
-    with pytest.raises(ResourceLimitError):
-        matrix.entries
-    monkeypatch.setattr(np, "arange", forbidden)
-    monkeypatch.setattr(np, "full", forbidden)
-    with pytest.raises(ResourceLimitError):
-        integration_matrix(1 << 40)
-    with pytest.raises(ResourceLimitError):
-        time_integration_operator(1 << 16)
 
 
 def test_differentiation_inverts_integration():

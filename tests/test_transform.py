@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from walshode import OpCount, ResourceLimitError, fwht, transform, wht_naive
+from walshode import OpCount, fwht, transform, wht_naive
 
 
 def _radix2_fwht(v) -> np.ndarray:
@@ -294,30 +294,6 @@ def test_naive_count_is_quadratic():
     wht_naive(np.ones(8), count)
     assert count.additions == 8 * 7
     assert count.multiplications == 8 * 8 + 8
-
-
-@pytest.mark.parametrize("n", [8, 10, 11])
-def test_naive_peak_within_its_byte_charge(monkeypatch, n):
-    charged = []
-    real = transform.require_bytes
-
-    def record(nbytes, what):
-        charged.append(nbytes)
-        real(nbytes, what)
-
-    monkeypatch.setattr(transform, "require_bytes", record)
-    v = np.random.default_rng(n).standard_normal(1 << n)
-    _, peak = _traced_peak(wht_naive, v)
-    # The int8 table and its float64 copy; tracemalloc also sees the few
-    # ndarray objects themselves, about 100 bytes each.
-    assert charged == [9 << (2 * n)]
-    assert peak <= charged[0] + 1024
-
-
-def test_naive_refused_before_building_past_the_cap():
-    # n=13 holds 576 MiB, under the 1 GiB cap; n=14 would hold 2.25 GiB.
-    with pytest.raises(ResourceLimitError, match="naive transform at n=14"):
-        wht_naive(np.zeros(1 << 14))
 
 
 def test_fwht_small_results_share_no_memory():
