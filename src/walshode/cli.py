@@ -10,8 +10,10 @@ Each `solve --rhs` expression is parsed once and evaluated by
 
 Exit codes, by exception family: 0 success, 2 usage (ValueError,
 ResourceLimitError), 3 numeric/divergence (ArithmeticError,
-DivergenceError), 4 I/O (OSError).  A failure prints one stderr line and
-no report, and a failed solve writes no file.
+DivergenceError), 4 I/O (OSError).  A failed command prints one
+``walshode: ...`` line to stderr and no report, and a failed solve writes
+no file; ``FAILURES`` in tests/test_cli.py checks this for every failing
+command.
 """
 
 from __future__ import annotations
@@ -186,24 +188,28 @@ def cmd_solve(args) -> int:
     has_reference = known_name is not None and problem.domain[0] == 0.0
     reference = analytic_reference(known_name, t) if has_reference else None
     outputs = []
-    for i, sf in enumerate(solution, start=1):
-        path = os.path.join(args.output_dir, f"x{i}.csv")
-        header, columns = ["t", f"x{i}"], [t_text, sf.values]
-        if reference is not None:
-            header += ["analytic", "error"]
-            columns += [reference[i - 1], sf.values - reference[i - 1]]
-        _write_csv(path, header, [columns])
-        outputs.append(path)
+    try:
+        for i, sf in enumerate(solution, start=1):
+            outputs.append(os.path.join(args.output_dir, f"x{i}.csv"))
+            header, columns = ["t", f"x{i}"], [t_text, sf.values]
+            if reference is not None:
+                header += ["analytic", "error"]
+                columns += [reference[i - 1], sf.values - reference[i - 1]]
+            _write_csv(outputs[-1], header, [columns])
 
-    if args.trace:
-        path = os.path.join(args.output_dir, "trace.csv")
-        # One block per sweep and variable, so no column spans the whole trace.
-        samples = list(map(str, range(t.size)))
-        _write_csv(path, ["iteration", "variable", "sample", "t", "value"], (
-            [[str(k)] * t.size, [f"x{i}"] * t.size, samples, t_text, x]
-            for k, snapshot in enumerate(trace.snapshots, start=1)
-            for i, x in enumerate(snapshot, start=1)))
-        outputs.append(path)
+        if args.trace:
+            outputs.append(os.path.join(args.output_dir, "trace.csv"))
+            # One block per sweep and variable, so no column spans the whole trace.
+            samples = list(map(str, range(t.size)))
+            _write_csv(outputs[-1], ["iteration", "variable", "sample", "t", "value"], (
+                [[str(k)] * t.size, [f"x{i}"] * t.size, samples, t_text, x]
+                for k, snapshot in enumerate(trace.snapshots, start=1)
+                for i, x in enumerate(snapshot, start=1)))
+    except OSError as exc:  # a failed solve writes no file: remove each one it opened
+        for path in outputs:
+            if path != exc.filename:  # the one open() refused is not this call's
+                os.remove(path)
+        raise
 
     _print_report(
         command=args._echo,

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_bytes
 from .quantum import (_MAX_SHOTS, _require_key, apply_hadamard_all, measure_exact,
                       measure_sampled, prepare_state)
 from .transform import OpCount
@@ -175,9 +174,10 @@ def hybrid_wht(
     offset = (shift - a[0]) / math.sqrt(N)
     out = norm * np.sqrt(p) - offset
     if count is not None:
-        count.additions += 3 * N - 1
-        count.multiplications += (4 if sampled else 3) * N
-        count.square_roots += N + 1
+        side = classical_side_opcount(N)
+        count.additions += side.additions
+        count.multiplications += side.multiplications + (N if sampled else 0)
+        count.square_roots += side.square_roots
 
     flags = np.abs(out) < norm / math.sqrt(cfg.shots) if sampled else None
     return out, HybridTrace(shift=shift, norm=norm, offset=offset, probabilities=p,
@@ -187,11 +187,9 @@ def hybrid_wht(
 def classical_side_opcount(N: int) -> OpCount:
     """The classical work of one exact-mode ``hybrid_wht`` on a length-N input.
 
-    The tally is data-independent: exactly 7N (see ``hybrid_wht``).  N must be a power of
-    two >= 2; the run's arrays, under 56N bytes, are charged to errors.require_bytes first.
+    The tally is data-independent, so it is its closed form: 3N-1 additions, 3N
+    multiplications and N+1 square roots, exactly 7N (see ``hybrid_wht``, which tallies
+    it).  N must be a power of two >= 2; nothing is allocated.
     """
     N, _ = _require_length(N)
-    require_bytes(56 * N, f"classical side op count at N={N}")
-    count = OpCount()
-    hybrid_wht(np.zeros(N), HybridConfig(), count)
-    return count
+    return OpCount(3 * N - 1, 3 * N, N + 1)

@@ -36,7 +36,7 @@ stride-doubling loop itself, run in place on one column chunk at a time,
 each ufunc call on one contiguous row run, the last stage scaling its
 results (chunked passes: D. H. Bailey, J. Supercomputing 4, 1990).
 
-From _PARALLEL_ROWS = 16 blocks (N >= 2^20) on, the two passes are
+From _PARALLEL_ROWS = 8 blocks (N >= 2^19) on, the two passes are
 split across W threads, W being the CPUs the process may run on, at
 most one per block: worker w takes blocks w, w+W, ..., and, once every
 block is done, chunks w, w+W, ... of at least W.  Each element still
@@ -92,8 +92,9 @@ _BLOCK = 1 << 16
 #: Most elements per column chunk of the high stages: 128 KiB, a worker's scratch.
 _RUN = _BLOCK // 4
 #: Fewest blocks (N / _BLOCK) at which the two passes are split across
-#: threads; below it, starting them costs more than they save.
-_PARALLEL_ROWS = 16
+#: threads; below it, starting them costs more than they save (on 2 CPUs,
+#: two workers lose at 2 and 4 blocks and win at 8).
+_PARALLEL_ROWS = 8
 
 
 def _cpu_count() -> int:

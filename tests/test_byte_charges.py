@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from walshode import calculus, errors, hybrid, transform, walsh
+from walshode import calculus, errors, transform, walsh
 from walshode import ResourceLimitError, WalshOrdering
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "walshode"
@@ -29,8 +29,6 @@ ROWS = {
     "ordering_permutation-natural-to-sequency": (
         lambda n: (walsh.ordering_permutation, n, NAT, SEQ), lambda n: 8 << n, 27),
     "discretize": (lambda n: (walsh.discretize, np.cos, n), lambda n: (25 << n) + 2048, 25),
-    "classical_side_opcount": (lambda n: (hybrid.classical_side_opcount, 1 << n),
-                               lambda n: 56 << n, 24),
     "integration_matrix": (lambda n: (calculus.integration_matrix, 1 << n),
                            lambda n: (48 << n) + 1024, 24),
     "differentiation_matrix": (lambda n: (calculus.differentiation_matrix, 1 << n),
@@ -45,7 +43,7 @@ ROWS = {
 #: Public functions that charge but have no row, and why.
 UNMEASURED = {
     "picard_solve": "its peak is known to exceed its charge",
-    "cmd_bench": "test_cli's test_bench_oversized_size_refused_before_any_size_runs pins it",
+    "cmd_bench": "test_cli's FAILURES rows bench-over-the-cap and bench-naive-over-the-cap pin it",
 }
 
 

@@ -249,12 +249,17 @@ def test_sampled_mode_flags_sub_resolution_components():
 
 
 def test_classical_side_opcount_formulas():
-    for N in (2, 4, 8, 64, 1024):
+    for n in range(1, 13):
+        N = 1 << n
         count = classical_side_opcount(N)
-        assert count.square_roots == N + 1
-        assert count.additions == 3 * N - 1
-        assert count.multiplications == 3 * N
+        assert (count.additions, count.multiplications, count.square_roots) == (
+            3 * N - 1, 3 * N, N + 1)
         assert count.total == 7 * N
+        tally = OpCount()
+        hybrid_wht(np.zeros(N), HybridConfig(), tally)
+        assert tally == count
+    # A closed form allocates nothing, so no size is refused for its bytes.
+    assert classical_side_opcount(1 << 40).total == 7 << 40
 
 
 def test_sampled_mode_counts_one_more_multiplication_per_component():

@@ -143,8 +143,8 @@ def test_fwht_bit_identical_on_signed_zeros_and_ties():
 def _small_block_cases(monkeypatch, block, workers):
     # Blocks of 16 (4 low stages) and 32 (5).  Above one block: several
     # blocks, odd and even high stage counts, and chunks of a quarter
-    # block, 4 of them.  From 16 blocks (2^8 or 2^9 points) on, the passes
-    # are split across the workers, unevenly when 3 share 16 or 32 rows
+    # block, 4 of them.  From 8 blocks (2^7 or 2^8 points) on, the passes
+    # are split across the workers, unevenly when 3 share 8 to 256 rows
     # and 4 chunks, and 5 workers share 8 chunks of an eighth block.
     monkeypatch.setattr(transform, "_BLOCK", block)
     monkeypatch.setattr(transform, "_RUN", block // 4)
@@ -167,7 +167,7 @@ def test_fwht_threaded_paths_bit_identical_at_small_block(monkeypatch, block, wo
     _small_block_cases(monkeypatch, block, workers)
 
 
-@pytest.mark.parametrize("n", [20, 21, 22])
+@pytest.mark.parametrize("n", [19, 21, 22])  # n=19: 8 blocks, the fewest that take threads
 def test_fwht_threaded_bit_identical_with_exact_count(monkeypatch, n):
     N = 1 << n
     v = np.random.default_rng(3000 + n).standard_normal(N)
