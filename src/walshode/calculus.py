@@ -163,4 +163,4 @@ def integrate_sampled(values: np.ndarray, domain: tuple[float, float] = (0.0, 1.
     else:
         spectrum, _ = hybrid_wht(values, cfg.child(0))
         out, _ = hybrid_wht(matrix.apply(spectrum), cfg.child(1))
-    return out * (hi - lo)
+    return np.multiply(out, hi - lo, out=out)

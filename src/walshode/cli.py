@@ -11,14 +11,15 @@ Each `solve --rhs` expression is parsed once and evaluated by
 Exit codes, by exception family: 0 success, 2 usage (ValueError,
 ResourceLimitError), 3 numeric/divergence (ArithmeticError,
 DivergenceError), 4 I/O (OSError).  A failed command prints one
-``walshode: ...`` line to stderr and no report, and a failed solve writes
-no file; ``FAILURES`` in tests/test_cli.py checks this for every failing
-command.
+``walshode: ...`` line to stderr and no report (``FAILURES`` in tests/test_cli.py
+checks every failing command).  A failed ``-o`` write removes the file it created,
+never a path that existed; a failed solve removes its files and new directories.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -28,7 +29,7 @@ import re
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -88,12 +89,18 @@ _CHUNK_ROWS = 4096
 
 
 def _write_text(path: str | None, chunks: Iterable[str]) -> None:
-    """Write the chunks in turn to the file at path, or to stdout when path is None."""
+    """Write the chunks to path, or stdout if None; a failed write removes the file it created."""
     if path is None:
         sys.stdout.writelines(chunks)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(chunks)
+    created = not os.path.lexists(path)
+    try:  # "x": a file that appears meanwhile is refused, never written or removed
+        with open(path, "x" if created else "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        if created and exc.filename is None:  # the write failed, not the open
+            os.remove(path)
+        raise
 
 
 def _rows(columns: list[np.ndarray | list[str]]) -> Iterator[str]:
@@ -137,7 +144,7 @@ def cmd_transform(args) -> int:
         n=v.size.bit_length() - 1,
         iterations=None,
         elapsed_s=elapsed,
-        op_counts=count.as_dict(),
+        op_counts={**asdict(count), "total": count.total},
         outputs=[args.output],
         inverse=bool(args.inverse),
         length=int(v.size),
@@ -181,7 +188,9 @@ def cmd_solve(args) -> int:
     solution, trace = picard_solve(problem, config)
     elapsed = time.perf_counter() - started
 
-    os.makedirs(args.output_dir, exist_ok=True)
+    created, head = [], args.output_dir  # the directories this solve makes, deepest first
+    while head and not os.path.lexists(head):
+        created, head = created + [head], os.path.dirname(head)
     t = solution[0].midpoints
     t_text = list(map(repr, t.tolist()))  # formatted once for all files
     # Analytic references anchor their initial condition at t=0.
@@ -189,6 +198,7 @@ def cmd_solve(args) -> int:
     reference = analytic_reference(known_name, t) if has_reference else None
     outputs = []
     try:
+        os.makedirs(args.output_dir, exist_ok=True)
         for i, sf in enumerate(solution, start=1):
             outputs.append(os.path.join(args.output_dir, f"x{i}.csv"))
             header, columns = ["t", f"x{i}"], [t_text, sf.values]
@@ -205,10 +215,13 @@ def cmd_solve(args) -> int:
                 [[str(k)] * t.size, [f"x{i}"] * t.size, samples, t_text, x]
                 for k, snapshot in enumerate(trace.snapshots, start=1)
                 for i, x in enumerate(snapshot, start=1)))
-    except OSError as exc:  # a failed solve writes no file: remove each one it opened
-        for path in outputs:
-            if path != exc.filename:  # the one open() refused is not this call's
+    except OSError as exc:  # a failed solve leaves no file it wrote and no directory it made
+        for path in outputs:  # not the one open() refused, nor one _write_text removed
+            if path != exc.filename and os.path.lexists(path):
                 os.remove(path)
+        for directory in created:
+            with contextlib.suppress(OSError):  # rmdir takes only an empty directory
+                os.rmdir(directory)
         raise
 
     _print_report(

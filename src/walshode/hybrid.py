@@ -77,7 +77,10 @@ class HybridConfig:
         """
         if self.shots is None:
             return self
-        return HybridConfig(self.epsilon, self.shots, self.seed, self.spawn_key + key)
+        _require_key(key)  # the rest was checked when this config was built
+        child = object.__new__(HybridConfig)
+        child.__dict__.update(self.__dict__, spawn_key=self.spawn_key + key)
+        return child
 
 
 def backend_config(backend, epsilon=None, shots=None, seed=None) -> HybridConfig | None:
@@ -97,22 +100,24 @@ def backend_config(backend, epsilon=None, shots=None, seed=None) -> HybridConfig
 
 @dataclass
 class HybridTrace:
-    """Intermediate quantities of one run, kept for inspection and tests.
-
-    ``sub_resolution`` flags components whose magnitude fell below the
-    noise scale norm/sqrt(shots) (sampled mode only): their values are
-    reported as-is but cannot be trusted at that shot budget.  The
-    threshold is at least 2 sigma_k, where sigma_k =
-    norm*sqrt(1 - p_k)/(2*sqrt(shots)) is the standard deviation of
-    component k (delta method on the multinomial counts).
-    """
+    """Intermediate quantities of one run, kept for inspection and tests; shots None if exact."""
 
     shift: float
     norm: float
     offset: float
     probabilities: np.ndarray
     output: np.ndarray
-    sub_resolution: np.ndarray | None = None
+    shots: int | None = None
+
+    @property
+    def sub_resolution(self) -> np.ndarray | None:
+        """Components below the noise scale norm/sqrt(shots), untrustworthy at that budget.
+
+        None if exact; computed when read.  The scale is at least 2 sd: sd_k =
+        norm*sqrt(1 - p_k)/(2*sqrt(shots)), the delta method on the multinomial counts."""
+        if self.shots is None:
+            return None
+        return np.abs(self.output) < self.norm / math.sqrt(self.shots)
 
 
 def sign_safe(v) -> bool:
@@ -146,13 +151,14 @@ def hybrid_wht(
     if cfg is None:
         cfg = HybridConfig()
     a = np.asarray(v, dtype=float)
-    _require_vector(a)
-    _require_finite(a, "input vector")
-    N = a.size
+    N = 1 << _require_vector(a)
 
     with np.errstate(over="ignore"):  # an overflowing sum makes norm_sq inf, refused below
-        abs_sum = float(np.abs(a).sum())
-        rest_sq = float((a[1:] ** 2).sum())
+        abs_a = np.abs(a)
+        abs_sum = float(np.add.reduce(abs_a))
+        rest_sq = float(np.add.reduce(np.multiply(abs_a, abs_a, out=abs_a)[1:]))  # |a|^2 = a^2
+    if not abs_sum < math.inf:  # any nan or inf entry makes it so, as a finite overflow can
+        _require_finite(a, "input vector")
     epsilon = cfg.epsilon if cfg.epsilon is not None else 1e-3 * (1.0 + abs_sum)
     shift = epsilon + abs_sum
     norm_sq = shift * shift + rest_sq
@@ -165,23 +171,22 @@ def hybrid_wht(
     shifted = a / norm
     shifted[0] = shift / norm
     state = apply_hadamard_all(prepare_state(shifted))
-    sampled = cfg.shots is not None
-    if sampled:
-        p = measure_sampled(state, cfg.shots, cfg.seed, cfg.spawn_key) / cfg.shots
-    else:
+    if cfg.shots is None:
         p = measure_exact(state)
+    else:
+        p = measure_sampled(state, cfg.shots, cfg.seed, cfg.spawn_key) / cfg.shots
 
     offset = (shift - a[0]) / math.sqrt(N)
-    out = norm * np.sqrt(p) - offset
+    out = np.sqrt(p)
+    np.subtract(np.multiply(out, norm, out=out), offset, out=out)  # norm * sqrt(p) - offset
     if count is not None:
         side = classical_side_opcount(N)
         count.additions += side.additions
-        count.multiplications += side.multiplications + (N if sampled else 0)
+        count.multiplications += side.multiplications + (0 if cfg.shots is None else N)
         count.square_roots += side.square_roots
 
-    flags = np.abs(out) < norm / math.sqrt(cfg.shots) if sampled else None
     return out, HybridTrace(shift=shift, norm=norm, offset=offset, probabilities=p,
-                            output=out.copy(), sub_resolution=flags)
+                            output=out.copy(), shots=cfg.shots)
 
 
 def classical_side_opcount(N: int) -> OpCount:

@@ -18,6 +18,7 @@ noise only when they name the same seed and key.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -46,7 +47,7 @@ def prepare_state(v) -> np.ndarray:
     """Amplitude-encode a real vector of unit norm (to 1e-9): a fresh float64 register."""
     a = np.array(v, dtype=float)
     _require_vector(a, "state vector")
-    norm = float(np.linalg.norm(a))
+    norm = math.sqrt(a.dot(a))  # the dot product np.linalg.norm takes the root of
     if not abs(norm - 1.0) <= 1e-9:  # also True for nan
         raise ValueError(f"state vector must have unit norm, got {norm!r}")
     return a
@@ -73,7 +74,7 @@ def measure_exact(state) -> np.ndarray:
     a = np.asarray(state, dtype=float)
     _require_vector(a, "state vector")
     with np.errstate(over="ignore"):  # a square past the float range is inf, refused below
-        p = a**2
+        p = a * a
     if not np.isfinite(p.max()):  # the largest square is nan or inf if any one is
         raise ValueError(f"squared amplitudes must be finite, got a largest of {float(p.max())}")
     return p
@@ -98,10 +99,10 @@ def measure_sampled(state, shots: int, seed: int, spawn_key: tuple[int, ...] = (
     a = np.asarray(state, dtype=float)
     _require_vector(a, "state vector")
     with np.errstate(over="ignore"):  # an overflowing square or sum makes the total inf
-        p = a**2
-        total = float(p.sum())
+        p = a * a
+        total = float(np.add.reduce(p))
     if not 0.0 < total < np.inf:  # also True for nan
         raise ValueError(f"squared amplitudes must sum to a positive finite number, got {total!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
-    # Normalised so roundoff cannot trip numpy's sum(pvals[:-1]) <= 1 check.
-    return rng.multinomial(shots, p / total)
+    p /= total  # normalised so roundoff cannot trip numpy's sum(pvals[:-1]) <= 1 check
+    return rng.multinomial(shots, p)

@@ -174,15 +174,16 @@ def picard_solve(
                     integral = integrate_sampled(derivs[i], problem.domain, cfg)
                 except ArithmeticError as exc:  # the hybrid norm left float64 range
                     raise DivergenceError(f"the integral of x{i + 1} failed: {exc}", trace) from exc
-                new_xs[i] = initial[i] + integral
+                np.add(initial[i], integral, out=new_xs[i])
 
-        residual = float(abs(new_xs - xs).max())
+        scratch = derivs  # spent once integrated: it takes |update|, then |iterate|
+        residual = float(np.abs(np.subtract(new_xs, xs, out=scratch), out=scratch).max())
         xs = new_xs
         xs.flags.writeable = False
         trace.snapshots.append(xs)
         trace.final_residual = residual
 
-        peak = float(abs(xs).max())
+        peak = float(np.abs(xs, out=scratch).max())
         if not peak <= MAGNITUDE_CAP:  # also True for nan
             what = f"magnitude exceeded {MAGNITUDE_CAP:g}" if peak < math.inf else "is not finite"
             raise DivergenceError(f"iterate {what}", trace)

@@ -78,14 +78,6 @@ class OpCount:
     def total(self) -> int:
         return self.additions + self.multiplications + self.square_roots
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "additions": self.additions,
-            "multiplications": self.multiplications,
-            "square_roots": self.square_roots,
-            "total": self.total,
-        }
-
 
 #: Elements per block of the low stages: 512 KiB, which stays in L2.
 _BLOCK = 1 << 16

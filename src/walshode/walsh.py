@@ -52,7 +52,7 @@ class WalshOrdering(enum.Enum):
 
 def _require_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
     """Return value as an int, or raise unless it is an integer (no bool) in [lo, hi], if given."""
-    if not isinstance(value, bool) and hasattr(value, "__index__"):
+    if type(value) is int or not isinstance(value, bool) and hasattr(value, "__index__"):
         k = operator.index(value)
         if (lo is None or k >= lo) and (hi is None or k <= hi):
             return k
@@ -65,7 +65,7 @@ def _require_real(value, what: str, lo: float | None = None, strict: bool = Fals
 
     Given ``lo``, it must also be finite and >= lo (> lo if ``strict``); without, +-inf pass.
     """
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
         x = float(value) if real else math.nan
     except OverflowError:  # an int past float64's range is as far out as an inf
@@ -143,19 +143,6 @@ def midpoints(N: int, domain: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
     """The N cell midpoints t_m = t_lo + (t_hi - t_lo)(2m+1)/(2N) of the domain."""
     lo, hi = domain
     return lo + (hi - lo) * ((2.0 * np.arange(N) + 1.0) / (2.0 * N))  # exact fraction: no overflow
-
-
-def _bit_reverse(v: int, n: int) -> int:
-    """Reverse the low n bits of v."""
-    out = 0
-    for _ in range(n):
-        out = (out << 1) | (v & 1)
-        v >>= 1
-    return out
-
-
-def _binary_to_gray(v: int) -> int:
-    return v ^ (v >> 1)
 
 
 def character_eval(k: int, x: int, n: int) -> int:
@@ -237,7 +224,7 @@ def walsh_value(
     N = _require_qubits(n)
     k = _require_index(k, N, "function index k")
     if _require_ordering(ordering) == WalshOrdering.SEQUENCY:
-        k = _bit_reverse(_binary_to_gray(k), n)
+        k = int(f"{k ^ (k >> 1):0{n}b}"[::-1], 2)  # binary -> Gray -> reversed n bits
     cell = _cell(t, N)
     return 0 if cell is None else character_eval(k, cell, n)
 

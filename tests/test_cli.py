@@ -1,8 +1,10 @@
 """Command-line behavior: file formats, reports, exit codes, determinism."""
 
+import errno
 import itertools
 import json
 import math
+import os
 import shlex
 import tracemalloc
 from pathlib import Path
@@ -730,6 +732,73 @@ def test_a_failed_command_prints_one_line_and_writes_nothing(
     else:
         assert err == line + "\n"
     assert _tree(tmp_path) == given
+
+
+def _disk_full_after_one_chunk(monkeypatch, whole_files=0):
+    """After ``whole_files`` files, the next file cli writes takes one chunk and fails as a
+    full disk does."""
+    real_open = open
+    opened = itertools.count()
+
+    class Full:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def writelines(self, chunks):
+            self.fh.write(next(iter(chunks)))
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def full_open(path, mode="r", **kwargs):
+        fh = real_open(path, mode, **kwargs)
+        return fh if mode == "r" or next(opened) < whole_files else Full(fh)
+
+    monkeypatch.setattr(cli, "open", full_open, raising=False)
+
+
+DISK_FULL = f"walshode: i/o error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("argv", ["transform {tmp}/in.txt -o {tmp}/out.txt",
+                                  "table --kind character --n 2 -o {tmp}/out.txt",
+                                  "bench --sizes 2 4 --repeats 1 -o {tmp}/out.txt"],
+                         ids=["transform", "table", "bench"])
+def test_a_failed_write_removes_the_file_it_created_and_no_other(
+        tmp_path, capsys, monkeypatch, argv, existed):
+    (tmp_path / "in.txt").write_text("1\n2\n")
+    if existed:  # a path that was there before is never removed
+        (tmp_path / "out.txt").write_text("earlier\n")
+    _disk_full_after_one_chunk(monkeypatch)
+    assert main(argv.replace("{tmp}", str(tmp_path)).split()) == 4
+    assert capsys.readouterr() == ("", DISK_FULL)
+    assert (tmp_path / "out.txt").exists() == existed
+
+
+@pytest.mark.parametrize("whole_files", [0, 2], ids=["x1.csv", "trace.csv"])
+def test_a_failed_solve_removes_the_directories_it_made(
+        tmp_path, capsys, monkeypatch, whole_files):
+    (tmp_path / "earlier").mkdir()
+    _disk_full_after_one_chunk(monkeypatch, whole_files)
+    argv = f"solve --problem beer_system --n 3 --trace --output-dir {tmp_path}/earlier/new/out"
+    assert main(argv.split()) == 4
+    assert capsys.readouterr() == ("", DISK_FULL)
+    assert _tree(tmp_path) == {tmp_path / "earlier": None}
+
+
+def test_a_failed_solve_removes_the_files_it_wrote_over(tmp_path, capsys, monkeypatch):
+    # Unlike -o, a solve leaves none of its files, also one a failed write truncated.
+    (tmp_path / "x1.csv").write_text("earlier\n")
+    _disk_full_after_one_chunk(monkeypatch)
+    assert main(f"solve --problem riccati --output-dir {tmp_path}".split()) == 4
+    assert capsys.readouterr() == ("", DISK_FULL)
+    assert _tree(tmp_path) == {}
 
 
 @pytest.mark.parametrize("nest", NESTS.values(), ids=NESTS)

@@ -17,6 +17,7 @@ from walshode import (
     sign_safe,
 )
 from walshode.hybrid import backend_config
+from walshode.quantum import apply_hadamard_all, measure_exact, measure_sampled, prepare_state
 
 #: The seed of every sampled run below that pins no seed of its own.
 SEED = 12345
@@ -125,9 +126,15 @@ def test_trace_fields_are_consistent():
 
 
 def test_rejects_non_finite_input():
-    for bad in (math.inf, math.nan):
+    # The first non-finite entry is named, also at index 0 and beside a finite sum
+    # that overflows: hybrid_wht runs its finiteness check only once its absolute
+    # sum is not finite, which every one of these inputs makes it.
+    inf, nan = math.inf, math.nan
+    for v, bad in [([1.0, inf, 0.0, inf], inf), ([1.0, nan, 0.0, nan], nan),
+                   ([1.0, -inf, 0.0, 0.0], -inf), ([-inf, 1.0, 0.0, 0.0], -inf),
+                   ([nan, 1.0, inf, 0.0], nan), ([1e308, 1e308, nan, 0.0], nan)]:
         with pytest.raises(ValueError) as info:
-            hybrid_wht([1.0, bad, 0.0, bad])
+            hybrid_wht(v)
         assert str(info.value) == f"input vector must be finite, got {bad}"
 
 
@@ -221,6 +228,33 @@ def test_backend_config_takes_each_setting_where_it_applies():
                           ("hybrid-exact", "seed"), ("hybrid-exact", "shots")]:
         with pytest.raises(ValueError, match=f"^{name} does not apply to backend {backend}$"):
             backend_config(backend, **{name: 1})
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_hybrid_wht_is_its_documented_pipeline(n):
+    # The module docstring's steps, each a public call, give the same bytes.
+    N = 1 << n
+    for seed, key in ((SEED, ()), (7, (2, 5))):
+        v = np.random.default_rng([seed, n]).standard_normal(N)
+        for epsilon in (None, 0.5):
+            abs_sum = np.sum(np.abs(v))
+            shift = (1e-3 * (1.0 + abs_sum) if epsilon is None else epsilon) + abs_sum
+            norm = math.sqrt(shift * shift + np.sum(v[1:] ** 2))
+            shifted = v / norm
+            shifted[0] = shift / norm
+            state = apply_hadamard_all(prepare_state(shifted))
+            offset = (shift - v[0]) / math.sqrt(N)
+            for shots in (None, 10**4):
+                out, trace = hybrid_wht(v, HybridConfig(epsilon, shots, seed, key))
+                p = (measure_exact(state) if shots is None
+                     else measure_sampled(state, shots, seed, key) / shots)
+                assert out.tobytes() == (norm * np.sqrt(p) - offset).tobytes()
+                assert (trace.shift, trace.norm, trace.offset) == (shift, norm, offset)
+                if shots is None:
+                    assert trace.sub_resolution is None
+                else:
+                    flags = np.abs(out) < norm / math.sqrt(shots)
+                    assert trace.sub_resolution.tobytes() == flags.tobytes()
 
 
 def test_sampled_mode_accuracy_and_monotonicity():
