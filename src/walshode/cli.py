@@ -12,8 +12,9 @@ Exit codes, by exception family: 0 success, 2 usage (ValueError,
 ResourceLimitError), 3 numeric/divergence (ArithmeticError,
 DivergenceError), 4 I/O (OSError).  A failed command prints one
 ``walshode: ...`` line to stderr and no report (``FAILURES`` in tests/test_cli.py
-checks every failing command).  A failed ``-o`` write removes the file it created,
-never a path that existed; a failed solve removes its files and new directories.
+checks every failing command).  A failed ``-o`` write leaves the path as it was: a file
+it created is removed, an existing regular file keeps its content.  A failed solve removes
+its files and new directories.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 import time
 from collections.abc import Iterable, Iterator
@@ -89,17 +91,28 @@ _CHUNK_ROWS = 4096
 
 
 def _write_text(path: str | None, chunks: Iterable[str]) -> None:
-    """Write the chunks to path, or stdout if None; a failed write removes the file it created."""
+    """Write the chunks to path, or stdout if None; a failed write leaves path as it was.
+
+    A new path is created with "x" and removed on failure; an existing regular file is
+    replaced by a temporary written beside it; a device, fifo or symlink is written in place.
+    """
     if path is None:
         sys.stdout.writelines(chunks)
         return
-    created = not os.path.lexists(path)
+    mode = os.lstat(path).st_mode if os.path.lexists(path) else None
+    in_place = mode is not None and not stat.S_ISREG(mode)
+    target = path if mode is None or in_place else f"{path}.{os.getpid()}.tmp"
+    opened = False
     try:  # "x": a file that appears meanwhile is refused, never written or removed
-        with open(path, "x" if created else "w", encoding="utf-8") as fh:
+        with open(target, "w" if in_place else "x", encoding="utf-8") as fh:
+            opened = True
             fh.writelines(chunks)
-    except OSError as exc:
-        if created and exc.filename is None:  # the write failed, not the open
-            os.remove(path)
+        if target != path:
+            os.chmod(target, stat.S_IMODE(mode))
+            os.replace(target, path)
+    except BaseException:  # an interrupt too: no partial file or temporary is left
+        if opened and not in_place:
+            os.remove(target)
         raise
 
 

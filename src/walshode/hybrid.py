@@ -124,7 +124,8 @@ def sign_safe(v) -> bool:
     """True iff v[0] strictly exceeds the absolute sum of the remaining entries."""
     a = np.asarray(v, dtype=float)
     _require_vector(a)
-    return bool(a[0] > np.sum(np.abs(a[1:])))
+    with np.errstate(over="ignore"):  # a sum past every float is inf, which v[0] cannot exceed
+        return bool(a[0] > np.sum(np.abs(a[1:])))
 
 
 def hybrid_wht(
@@ -158,7 +159,7 @@ def hybrid_wht(
         abs_sum = float(np.add.reduce(abs_a))
         rest_sq = float(np.add.reduce(np.multiply(abs_a, abs_a, out=abs_a)[1:]))  # |a|^2 = a^2
     if not abs_sum < math.inf:  # any nan or inf entry makes it so, as a finite overflow can
-        _require_finite(a, "input vector")
+        _require_finite(a, "input")
     epsilon = cfg.epsilon if cfg.epsilon is not None else 1e-3 * (1.0 + abs_sum)
     shift = epsilon + abs_sum
     norm_sq = shift * shift + rest_sq

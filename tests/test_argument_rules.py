@@ -1,21 +1,24 @@
-"""Every scalar argument's refused and accepted values, pinned in one place.
+"""Every argument's refused values, scalars, vectors and domains, pinned in one place.
 
-``walsh._require_int`` and ``walsh._require_real`` state the rules; every
+``walsh._require_int`` and ``walsh._require_real`` state the scalar rules; every
 scalar argument of the library goes through one of them, so each bad value
 below raises ValueError with the rule's message (IndexError where an index
 is an integer outside [0, N)), and a numpy integer is taken as its int.
-This file is the one place that pins those values: a new scalar setting
-adds a row to SPECS (and to ACCEPTED if it is an integer), not a test in
-each module it passes through.  What the CLI does with a hybrid setting is
-pinned by ``test_cli.py::test_cli_and_library_agree_on_settings``.  The
-source is also parsed: no other function may test for bool or
-``__index__`` itself.
+``_require_vector`` states the shape and length of a vector, ``_require_finite``
+that its entries are finite, and ``_require_domain`` what a domain is; every
+public name that reaches one of them has rows here, and a vector entry point
+that lets a non-finite entry through is named in PASSES_NON_FINITE.
+This file is the one place that pins those values: a new argument adds rows
+here (and to ACCEPTED if it is an integer), not a test in each module it
+passes through.  What the CLI does with a hybrid setting is pinned by
+``test_cli.py::test_cli_and_library_agree_on_settings``.  The source is also
+parsed: no other function may test for bool or ``__index__`` itself.
 """
 
 import ast
 import math
 import os
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
@@ -27,28 +30,33 @@ from walshode import (
     SampledFunction,
     SolverConfig,
     WalshOrdering,
+    apply_hadamard_all,
     builtin_problem,
     character_eval,
     character_table,
     classical_side_opcount,
     differentiation_matrix,
     discretize,
+    fwht,
     hybrid_wht,
     integrate_sampled,
     integration_matrix,
+    measure_exact,
     measure_sampled,
     ordering_permutation,
     picard_solve,
     prepare_state,
     reconstruct,
     sequency_walsh_recursive,
+    sign_safe,
     time_integration_operator,
     walsh_value,
+    wht_naive,
 )
 from walshode.cli import build_parser, cmd_bench
 from walshode.hybrid import backend_config
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "walshode"
+from call_graph import SRC, public_callers
 
 NAN, INF = math.nan, math.inf
 NAT, SEQ = WalshOrdering.NATURAL, WalshOrdering.SEQUENCY
@@ -64,6 +72,10 @@ VECTOR = np.array([0.5, -0.25, 1.0, 0.0])
 
 def _zero(x, t):
     return 0.0
+
+
+def _unsampled(t):
+    raise AssertionError(f"sampled at t={t}")
 
 
 def _bench(**changes):
@@ -141,7 +153,7 @@ SPECS = [
      "domain end must be a real number", ("0",)),
     ("integrate_sampled-domain", lambda v: integrate_sampled(np.ones(2), (0.0, v)),
      "domain end must be a real number", (True, "1", NAN, None)),
-    ("discretize-domain", lambda v: discretize(np.cos, 1, (v, 1.0)),
+    ("discretize-domain", lambda v: discretize(_unsampled, 1, (v, 1.0)),
      "domain end must be a real number", (True, "0", NAN, None)),
     ("SampledFunction-domain", lambda v: SampledFunction(np.ones(2), (0.0, v)),
      "domain end must be a real number", (True, "1", NAN, None)),
@@ -165,9 +177,75 @@ OWN_BOUNDS = [
                          ("classical_side_opcount", classical_side_opcount),
                          ("bench-sizes", lambda v: _bench(sizes=[v])))
       for size in (1, 3)),
-    ("IVProblem-domain", lambda v: IVProblem(rhs=[_zero], initial=[0.0], domain=(v, 1.0)),
-     -INF, ValueError,
-     "domain must be finite with t_lo < t_hi and a finite width, got (-inf, 1.0)"),
+    # A register has unit norm and squares that sum to a positive finite total.
+    *(("prepare_state", prepare_state, v, ValueError,
+       f"state vector must have unit norm, got {norm}")
+      for v, norm in (([NAN, 0.0, 0.0, 0.0], NAN), ([INF, 0.0, 0.0, 0.0], INF),
+                      ([-INF, 0.0, 0.0, 0.0], INF), ([1.0, 1.0], math.sqrt(2.0)))),
+    *(("measure_exact", measure_exact, [a, 0.0], ValueError,
+       f"squared amplitudes must be finite, got a largest of {largest}")
+      for a, largest in ((NAN, NAN), (INF, INF), (-INF, INF), (1e200, INF))),
+    *(("measure_sampled", lambda v: measure_sampled(v, 10, 1), [a, 0.0, 0.0, 0.0], ValueError,
+       f"squared amplitudes must sum to a positive finite number, got {total!r}")
+      for a, total in ((0.0, 0.0), (NAN, NAN), (INF, INF), (-INF, INF), (1e200, INF))),
+    *((f"OperationalMatrix.apply-{M.kind}", lambda shape, M=M: M.apply(np.ones(shape)), shape,
+       ValueError, f"the {M.kind} matrix takes shape (8,), got shape {shape}")
+      for M in (integration_matrix(8), differentiation_matrix(8))
+      for shape in ((16,), (5,), (2, 8))),
+    ("discretize", lambda v: discretize(lambda t: v, 2), NAN, ValueError,
+     "function returned a non-finite sample at t=0.125"),
+]
+
+
+def _integrate_hybrid(values, domain=(0.0, 1.0)):
+    return integrate_sampled(values, domain, HybridConfig())
+
+
+#: The vector arguments: (entry point, call of the vector, its name in the messages).
+VECTORS = [
+    ("fwht", fwht, "input"),
+    ("wht_naive", wht_naive, "input"),
+    ("hybrid_wht", hybrid_wht, "input"),
+    ("sign_safe", sign_safe, "input"),
+    ("reconstruct", lambda v: reconstruct(v, 0.5), "coefficients"),
+    ("prepare_state", prepare_state, "state vector"),
+    ("apply_hadamard_all", apply_hadamard_all, "state vector"),
+    ("measure_exact", measure_exact, "state vector"),
+    ("measure_sampled", lambda v: measure_sampled(v, 10, 1), "state vector"),
+    ("integrate_sampled-fwht", integrate_sampled, "samples"),
+    ("integrate_sampled-hybrid", _integrate_hybrid, "samples"),
+    ("SampledFunction", SampledFunction, "samples"),
+]
+
+#: Vectors whose first non-finite entry, at index 0 or later, is followed by another.
+NON_FINITE = ([NAN, 1.0, INF, 0.0], [INF, 1.0, 0.0, -INF], [-INF, NAN, 0.0, 1.0],
+              [1.0, NAN, 0.0, NAN], [1.0, 0.0, INF, NAN], [1.0, 0.0, 0.5, -INF])
+
+#: The entry points that refuse a non-finite entry: (entry point, call, its name in the
+#: messages, bad vectors).  hybrid_wht checks only once its absolute sum is not finite,
+#: which a nan beside a finite sum that overflows also makes it.
+FINITE = [
+    ("hybrid_wht", hybrid_wht, "input", (*NON_FINITE, [1e308, 1e308, NAN, 0.0])),
+    ("integrate_sampled-fwht", integrate_sampled, "samples", NON_FINITE),
+    ("integrate_sampled-hybrid", _integrate_hybrid, "samples", NON_FINITE),
+    ("SampledFunction", SampledFunction, "samples", NON_FINITE),
+    ("IVProblem-initial", lambda v: IVProblem(rhs=[_zero] * len(v), initial=v),
+     "initial values", NON_FINITE),
+]
+
+#: The domain arguments: (entry point, call of the domain).  discretize's function fails
+#: if it is called, so its domain is refused before the first sample.
+DOMAINS = [
+    ("IVProblem-domain", lambda d: IVProblem(rhs=[_zero], initial=[0.0], domain=d)),
+    ("SampledFunction-domain", lambda d: SampledFunction(np.ones(2), d)),
+    ("integrate_sampled-fwht-domain", lambda d: integrate_sampled(np.ones(2), d)),
+    ("integrate_sampled-hybrid-domain", lambda d: _integrate_hybrid(np.ones(2), d)),
+    ("discretize-domain", lambda d: discretize(_unsampled, 2, d)),
+]
+BAD_DOMAINS = [
+    *((d, f"domain must be finite with t_lo < t_hi and a finite width, got {d}")
+      for d in ((1.0, 1.0), (1.0, 0.0), (0.0, INF), (-INF, 1.0), (-1e308, 1e308))),
+    ((0.0, NAN), "domain end must be a real number, got nan"),
 ]
 
 CASES = [pytest.param(call, value, ValueError, f"{message}, got {value!r}",
@@ -175,10 +253,24 @@ CASES = [pytest.param(call, value, ValueError, f"{message}, got {value!r}",
          for name, call, message, values in SPECS for value in values]
 CASES += [pytest.param(call, value, exc, message, id=f"{name}-{value!r}")
           for name, call, value, exc, message in OWN_BOUNDS]
+CASES += [pytest.param(call, np.full(shape, 0.5), ValueError,
+                       f"{what} must form a 1-D vector, got shape {shape}",
+                       id=f"{name}-shape{shape}")
+          for name, call, what in VECTORS for shape in ((2, 2), (1, 4), (4, 1), ())]
+CASES += [pytest.param(call, [0.5] * size, ValueError,
+                       f"vector length must be a power of two >= 2, got {size}",
+                       id=f"{name}-size{size}")
+          for name, call, _ in VECTORS for size in (0, 1, 3, 6, 12)]
+CASES += [pytest.param(call, v, ValueError,
+                       f"{what} must be finite, got {next(x for x in v if not math.isfinite(x))}",
+                       id=f"{name}-{v!r}")
+          for name, call, what, vectors in FINITE for v in vectors]
+CASES += [pytest.param(call, domain, ValueError, message, id=f"{name}-{domain!r}")
+          for name, call in DOMAINS for domain, message in BAD_DOMAINS]
 
 
 @pytest.mark.parametrize("call, value, exc, message", CASES)
-def test_every_scalar_argument_follows_one_rule(call, value, exc, message):
+def test_every_argument_follows_its_rule(call, value, exc, message):
     with pytest.raises(Exception) as info:
         call(value)
     assert (type(info.value), str(info.value)) == (exc, message)
@@ -241,6 +333,33 @@ def test_numpy_integer_sizes_are_taken_and_charged_exactly():
     # The byte count is computed on the Python int, so it does not wrap in int64.
     with pytest.raises(ResourceLimitError, match=f"needs {48 * 2**58 + 1024} bytes"):
         integration_matrix(np.int64(2**58))
+
+
+#: Vector entry points that return, without an error or a warning, for a non-finite entry:
+#: (call, why).  One overflow rule (ROADMAP item 8) would decide what each of them does.
+PASSES_NON_FINITE = {
+    "fwht": (fwht, "follows the caller's numpy error state, by design"),
+    "wht_naive": (wht_naive, "the oracle: one product with the sign table"),
+    "apply_hadamard_all": (apply_hadamard_all, "a gate layer, as hardware, takes any amplitudes"),
+    "sign_safe": (sign_safe, "a comparison: nan exceeds no sum, so the answer is False"),
+    "reconstruct": (lambda v: reconstruct(v, 0.3), "one signed sum of the coefficients"),
+    "OperationalMatrix.apply": (integration_matrix(4).apply,
+                                "the product inside integrate_sampled, which checks first"),
+}
+
+
+@pytest.mark.parametrize("name", PASSES_NON_FINITE)
+def test_the_named_entry_points_pass_a_non_finite_entry_through(name):
+    call, _ = PASSES_NON_FINITE[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(np.array([1.0, 0.5, NAN, 0.0]))
+
+
+def test_every_vector_or_domain_argument_is_a_row_or_passes_non_finite():
+    rows = {name.partition("-")[0] for name, *_ in VECTORS + FINITE + DOMAINS}
+    checked = public_callers({"_require_vector", "_require_finite", "_require_domain"})
+    assert checked - rows - set(PASSES_NON_FINITE) == set()
 
 
 def _rule_tests(path):

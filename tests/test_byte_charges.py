@@ -4,10 +4,8 @@
 charges that peak, in closed form, to its module's ``require_bytes`` before it allocates.
 """
 
-import ast
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +13,8 @@ import pytest
 from walshode import calculus, errors, transform, walsh
 from walshode import ResourceLimitError, WalshOrdering
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "walshode"
+from call_graph import public_callers
+
 NAT, SEQ = WalshOrdering.NATURAL, WalshOrdering.SEQUENCY
 SLACK = 1024  # what a peak may pass its charge by: tracemalloc also sees the ndarray objects
 
@@ -97,23 +96,5 @@ def test_the_largest_size_is_the_last_the_cap_admits(monkeypatch, name):
 
 
 def test_every_public_charge_is_a_row_or_named_as_unmeasured():
-    calls = {}  # each function, qualified by its class, -> the names it calls
-
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, f"{child.name}.")
-            elif isinstance(child, ast.FunctionDef):
-                calls[prefix + child.name] = {sub.func.id for sub in ast.walk(child)
-                                              if isinstance(getattr(sub, "func", None), ast.Name)}
-
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), "")
-    helpers = {"require_bytes"}  # and, as found, every private function that charges
-    while True:
-        charging = {name for name, called in calls.items() if called & helpers}
-        private = {name for name in charging if name.startswith("_")}
-        if private <= helpers:
-            break
-        helpers |= private
-    assert charging - helpers == {name.partition("-")[0] for name in ROWS} | set(UNMEASURED)
+    rows = {name.partition("-")[0] for name in ROWS}
+    assert public_callers({"require_bytes"}) == rows | set(UNMEASURED)

@@ -778,7 +778,9 @@ def test_a_failed_write_removes_the_file_it_created_and_no_other(
     _disk_full_after_one_chunk(monkeypatch)
     assert main(argv.replace("{tmp}", str(tmp_path)).split()) == 4
     assert capsys.readouterr() == ("", DISK_FULL)
-    assert (tmp_path / "out.txt").exists() == existed
+    # No temporary is left, and an existing file keeps its old bytes.
+    assert _tree(tmp_path) == {tmp_path / "in.txt": b"1\n2\n",
+                               **({tmp_path / "out.txt": b"earlier\n"} if existed else {})}
 
 
 @pytest.mark.parametrize("whole_files", [0, 2], ids=["x1.csv", "trace.csv"])

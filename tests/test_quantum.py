@@ -50,25 +50,6 @@ def test_prepare_normalized_input_passthrough():
     assert np.allclose(s, v / np.linalg.norm(v), rtol=0, atol=0)
 
 
-def test_prepare_rejects_bad_norm_and_length():
-    with pytest.raises(ValueError):
-        prepare_state([1.0, 1.0])
-    with pytest.raises(ValueError):
-        prepare_state([1.0, 0.0, 0.0])
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_prepare_rejects_non_finite_amplitudes(bad):
-    with pytest.raises(ValueError, match="unit norm"):
-        prepare_state([bad, 0.0, 0.0, 0.0])
-
-
-def test_prepare_rejects_input_that_is_not_one_vector():
-    # Unit norm and a power-of-two size, but a 2x2 block, not a register.
-    with pytest.raises(ValueError, match="state vector must form a 1-D vector"):
-        prepare_state(np.full((2, 2), 0.5))
-
-
 def test_state_qubit_count_is_derived_from_the_amplitudes():
     # A register is its amplitudes: H on all n qubits of the uniform state gives |0...0>.
     for n in (1, 3, 10):
@@ -86,37 +67,9 @@ def test_register_prepared_is_a_fresh_float64_copy():
     assert v[0] == 0.6
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (1, 4), (4, 1), ()])
-def test_every_register_function_refuses_what_is_not_one_vector(shape):
-    # A 2x2 block with a power-of-two size is not a 2-qubit register.
-    a = np.full(shape, 0.5)
-    for fn in (apply_hadamard_all, measure_exact, lambda s: measure_sampled(s, 10, 1)):
-        with pytest.raises(ValueError, match="state vector must form a 1-D vector"):
-            fn(a)
-
-
-@pytest.mark.parametrize("size", [1, 3, 6])
-def test_every_register_function_refuses_a_size_that_is_not_a_qubit_count(size):
-    a = np.full(size, size**-0.5)
-    for fn in (prepare_state, apply_hadamard_all, measure_exact,
-               lambda s: measure_sampled(s, 10, 1)):
-        with pytest.raises(ValueError, match="power of two >= 2"):
-            fn(a)
-
-
 def test_measure_exact_is_float64_on_integer_amplitudes():
     p = measure_exact(np.array([1, 0]))
     assert p.dtype == np.float64 and np.array_equal(p, [1.0, 0.0])
-
-
-@pytest.mark.parametrize("amplitude, largest", [
-    (1e200, "inf"), (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf"),
-], ids=["square-overflows", "nan", "inf", "-inf"])
-def test_measure_exact_refuses_squares_that_are_not_finite(amplitude, largest):
-    # Refused by name, with no numpy warning (the suite turns warnings into errors).
-    message = f"squared amplitudes must be finite, got a largest of {largest}"
-    with pytest.raises(ValueError, match=message):
-        measure_exact(np.array([amplitude, 0.0]))
 
 
 def test_hadamard_on_single_qubit_states():
@@ -266,16 +219,6 @@ def test_measure_sampled_shot_budget_bounded_by_int64_counts():
     assert measure_sampled(s, shots=2**63 - 1, seed=SEED)[0] == 2**63 - 1
     with pytest.raises(ValueError):
         measure_sampled(s, shots=2**63, seed=SEED)
-
-
-@pytest.mark.parametrize("amplitudes", [
-    [0.0, 0.0, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0],
-    [-np.inf, 0.0, 0.0, 0.0], [1e200, 0.0, 0.0, 0.0],
-], ids=["zeros", "nan", "inf", "-inf", "square-overflows"])
-def test_measure_sampled_refuses_amplitudes_without_a_positive_finite_total(amplitudes):
-    # Refused by name, with no numpy warning (the suite turns warnings into errors).
-    with pytest.raises(ValueError, match="squared amplitudes must sum to a positive finite number"):
-        measure_sampled(np.array(amplitudes), 10, 1)
 
 
 def test_unkeyed_measure_sampled_is_the_default_rng_stream():

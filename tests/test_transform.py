@@ -60,25 +60,6 @@ def test_naive_ramp_pinned_pair():
     assert np.allclose(out, 0.5 * np.array([2.0, -0.5, -1.0, 0.0]), rtol=0, atol=1e-15)
 
 
-def test_fwht_matches_naive_oracle():
-    rng = np.random.default_rng(123)
-    for n in range(1, 9):
-        v = rng.standard_normal(1 << n)
-        assert np.max(np.abs(fwht(v) - wht_naive(v))) < 1e-12
-
-
-def test_fwht_random_n64_vs_oracle():
-    rng = np.random.default_rng(64)
-    v = rng.standard_normal(64)
-    assert np.max(np.abs(fwht(v) - wht_naive(v))) < 1e-12
-
-
-def test_fwht_is_involution():
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal(256)
-    assert np.max(np.abs(fwht(fwht(v)) - v)) < 1e-12
-
-
 def test_fwht_cos_pi_t_pinned():
     mids = (2 * np.arange(4) + 1) / 8
     out = fwht(np.cos(np.pi * mids))
@@ -115,14 +96,6 @@ def test_parseval_and_linearity():
         assert abs(np.linalg.norm(fwht(v)) - np.linalg.norm(v)) < 1e-12
         combo = fwht(2.5 * u - 0.3 * v)
         assert np.max(np.abs(combo - (2.5 * fwht(u) - 0.3 * fwht(v)))) < 1e-12
-
-
-def test_rejects_bad_lengths():
-    for bad in ([], [1.0], [1.0, 2.0, 3.0], np.ones(12)):
-        with pytest.raises(ValueError):
-            fwht(bad)
-        with pytest.raises(ValueError):
-            wht_naive(bad)
 
 
 # Odd and even stage counts; up to one block (2^16), transformed and scaled
@@ -275,12 +248,6 @@ def test_fwht_addition_count_is_exact():
         assert count.square_roots == 1
 
 
-def test_fwht_n2_addition_count():
-    count = OpCount()
-    fwht([1.0, 2.0], count)
-    assert count.additions == 2
-
-
 def test_opcount_accumulates_across_calls():
     count = OpCount()
     fwht(np.ones(4), count)
@@ -354,10 +321,3 @@ def test_fwht_leaves_every_input_kind_untouched(kind):
     assert np.array_equal(np.asarray(v), keep)
     assert not np.shares_memory(out, v)
     assert out.tobytes() == _radix2_fwht(keep).tobytes()
-
-
-@pytest.mark.parametrize("fn", [fwht, wht_naive])
-@pytest.mark.parametrize("shape", [(2, 4), (1, 8), (8, 1), ()])
-def test_rejects_input_that_is_not_one_vector(fn, shape):
-    with pytest.raises(ValueError, match="must form a 1-D vector"):
-        fn(np.ones(shape))
