@@ -1,20 +1,17 @@
 """Command-line front end: transforms, matrix dumps, ODE solves, benchmarks.
 
-Vector files hold one decimal value per line; blank lines and lines
-starting with '#' are ignored.  `transform` and `solve` print a JSON run
-report to stdout; `table` and `bench` print CSV to stdout unless -o names
-a file.  Every command is deterministic given its flags: the sampled
-backend needs --seed, as ``hybrid.backend_config`` does for the library.
-Each `solve --rhs` expression is parsed once and evaluated by
-``expr.evaluate`` over the whole grid, once per sweep.
+Vector files hold one decimal value per line; blank lines and lines starting with '#' are
+ignored.  `transform` and `solve` print a JSON run report to stdout; `table` and `bench`
+print CSV to stdout unless -o names a file.  Every command is deterministic given its
+flags: the sampled backend needs --seed, as ``hybrid.backend_config`` does for the
+library.  Each `solve --rhs` expression is parsed once and evaluated by ``expr.evaluate``
+over the whole grid, once per sweep.
 
-Exit codes, by exception family: 0 success, 2 usage (ValueError,
-ResourceLimitError), 3 numeric/divergence (ArithmeticError,
-DivergenceError), 4 I/O (OSError).  A failed command prints one
-``walshode: ...`` line to stderr and no report (``FAILURES`` in tests/test_cli.py
-checks every failing command).  A failed ``-o`` write leaves the path as it was: a file
-it created is removed, an existing regular file keeps its content.  A failed solve removes
-its files and new directories.
+Exit codes, by exception family: 0 success, 2 usage (ValueError, ResourceLimitError),
+3 numeric/divergence (ArithmeticError, DivergenceError), 4 I/O (OSError).  A failed command
+prints one ``walshode: ...`` line to stderr and no report (``FAILURES`` in
+tests/test_cli.py checks every failing command), and leaves every path as it was, except
+that an ``os.replace`` failing in ``_write_files``' final loop leaves the files it replaced.
 """
 
 from __future__ import annotations
@@ -90,28 +87,30 @@ _NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|na
 _CHUNK_ROWS = 4096
 
 
-def _write_text(path: str | None, chunks: Iterable[str]) -> None:
-    """Write the chunks to path, or stdout if None; a failed write leaves path as it was.
-
-    A new path is created with "x" and removed on failure; an existing regular file is
-    replaced by a temporary written beside it; a device, fifo or symlink is written in place.
-    """
-    if path is None:
-        sys.stdout.writelines(chunks)
-        return
-    mode = os.lstat(path).st_mode if os.path.lexists(path) else None
-    in_place = mode is not None and not stat.S_ISREG(mode)
-    target = path if mode is None or in_place else f"{path}.{os.getpid()}.tmp"
-    opened = False
+def _write_files(files: Iterable[tuple[str | None, Iterable[str]]]) -> None:
+    """Write each (path, chunks) pair, None for stdout; a failure leaves every path as it was:
+    a new path is made with "x" and removed, an existing regular file is written to a temporary
+    that replaces it once the last file is whole, a device, fifo or symlink is written in place."""
+    written, staged = [], {}  # files opened with "x" and not yet committed; temporary: target
     try:  # "x": a file that appears meanwhile is refused, never written or removed
-        with open(target, "w" if in_place else "x", encoding="utf-8") as fh:
-            opened = True
-            fh.writelines(chunks)
-        if target != path:
-            os.chmod(target, stat.S_IMODE(mode))
+        for path, chunks in files:
+            if path is None:
+                sys.stdout.writelines(chunks)
+                continue
+            mode = os.lstat(path).st_mode if os.path.lexists(path) else None
+            in_place = mode is not None and not stat.S_ISREG(mode)
+            target = path if mode is None or in_place else f"{path}.{os.getpid()}.tmp"
+            with open(target, "w" if in_place else "x", encoding="utf-8") as fh:
+                written += [] if in_place else [target]
+                fh.writelines(chunks)
+            if target != path:
+                os.chmod(target, stat.S_IMODE(mode))
+                staged[target] = path
+        for target, path in staged.items():
             os.replace(target, path)
+            written.remove(target)
     except BaseException:  # an interrupt too: no partial file or temporary is left
-        if opened and not in_place:
+        for target in written:
             os.remove(target)
         raise
 
@@ -126,13 +125,13 @@ def _rows(columns: list[np.ndarray | list[str]]) -> Iterator[str]:
 
 
 def write_vector(path: str, values: np.ndarray) -> None:
-    _write_text(path, _rows([np.asarray(values, dtype=float)]))
+    _write_files([(path, _rows([np.asarray(values, dtype=float)]))])
 
 
-def _write_csv(path: str | None, header: list[str], blocks: Iterable[list]) -> None:
-    """Write the header, then each block of equal-length columns, one block at a time."""
+def _csv(header: list[str], blocks: Iterable[list]) -> Iterator[str]:
+    """The header, then each block of equal-length columns, one block at a time."""
     chunks = itertools.chain.from_iterable(map(_rows, blocks))
-    _write_text(path, itertools.chain([",".join(header) + "\n"], chunks))
+    return itertools.chain([",".join(header) + "\n"], chunks)
 
 
 def cmd_transform(args) -> int:
@@ -174,8 +173,8 @@ def cmd_table(args) -> int:
     else:
         matrix = differentiation_matrix(N).entries
     # Row by row, each made float: a per-column format is slower, matrix.tolist() boxes N^2 cells.
-    _write_text(args.output, (",".join(map(repr, row.astype(float).tolist())) + "\n"
-                              for row in matrix))
+    _write_files([(args.output, (",".join(map(repr, row.astype(float).tolist())) + "\n"
+                                 for row in matrix))])
     return EXIT_OK
 
 
@@ -209,29 +208,28 @@ def cmd_solve(args) -> int:
     # Analytic references anchor their initial condition at t=0.
     has_reference = known_name is not None and problem.domain[0] == 0.0
     reference = analytic_reference(known_name, t) if has_reference else None
-    outputs = []
-    try:
-        os.makedirs(args.output_dir, exist_ok=True)
-        for i, sf in enumerate(solution, start=1):
-            outputs.append(os.path.join(args.output_dir, f"x{i}.csv"))
+    outputs = [os.path.join(args.output_dir, f"x{i}.csv") for i in range(1, len(solution) + 1)]
+    outputs += [os.path.join(args.output_dir, "trace.csv")] * args.trace
+
+    def files():  # each file's columns are made once the writer reaches it
+        for i, (path, sf) in enumerate(zip(outputs, solution), start=1):
             header, columns = ["t", f"x{i}"], [t_text, sf.values]
             if reference is not None:
                 header += ["analytic", "error"]
                 columns += [reference[i - 1], sf.values - reference[i - 1]]
-            _write_csv(outputs[-1], header, [columns])
-
+            yield path, _csv(header, [columns])
         if args.trace:
-            outputs.append(os.path.join(args.output_dir, "trace.csv"))
             # One block per sweep and variable, so no column spans the whole trace.
             samples = list(map(str, range(t.size)))
-            _write_csv(outputs[-1], ["iteration", "variable", "sample", "t", "value"], (
+            yield outputs[-1], _csv(["iteration", "variable", "sample", "t", "value"], (
                 [[str(k)] * t.size, [f"x{i}"] * t.size, samples, t_text, x]
                 for k, snapshot in enumerate(trace.snapshots, start=1)
                 for i, x in enumerate(snapshot, start=1)))
-    except OSError as exc:  # a failed solve leaves no file it wrote and no directory it made
-        for path in outputs:  # not the one open() refused, nor one _write_text removed
-            if path != exc.filename and os.path.lexists(path):
-                os.remove(path)
+
+    try:
+        os.makedirs(args.output_dir, exist_ok=True)
+        _write_files(files())
+    except BaseException:  # a failed solve also leaves no directory it made
         for directory in created:
             with contextlib.suppress(OSError):  # rmdir takes only an empty directory
                 os.rmdir(directory)
@@ -259,30 +257,23 @@ def cmd_bench(args) -> int:
         require_bytes(16 * N, f"bench input and transform output at N={N}")
         if "naive" in args.backends:
             _require_naive_bytes(n)
-    transforms = {
-        "fast": fwht,
-        "naive": wht_naive,
-        "hybrid": lambda v, count: hybrid_wht(v, None, count),
-    }
+    transforms = {"fast": fwht, "naive": wht_naive,
+                  "hybrid": lambda v, count: hybrid_wht(v, None, count)}
     rows = []
     for N in args.sizes:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(N)
         for backend in args.backends:
-            best = None
+            best = math.inf
             for _ in range(args.repeats):
                 count = OpCount()
                 started = time.perf_counter()
                 transforms[backend](v, count)
-                elapsed = time.perf_counter() - started
-                best = elapsed if best is None else min(best, elapsed)
-            rows.append(
-                (N, backend, count.additions, count.multiplications,
-                 count.square_roots, best)
-            )
-    header = ["N", "backend", "additions", "multiplications", "square_roots",
-              "wall_time_s"]
-    _write_csv(args.output, header, [[np.array(column) for column in zip(*rows)]])
+                best = min(best, time.perf_counter() - started)
+            rows.append((N, backend, count.additions, count.multiplications,
+                         count.square_roots, best))
+    header = ["N", "backend", "additions", "multiplications", "square_roots", "wall_time_s"]
+    _write_files([(args.output, _csv(header, [[np.array(column) for column in zip(*rows)]]))])
     return EXIT_OK
 
 

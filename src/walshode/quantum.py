@@ -1,19 +1,18 @@
 """Desk-scale statevector simulator for one circuit: H on every qubit.
 
-A register of n qubits is its array of 2^n real amplitudes (the
-transforms in this package act on real data, so no phase tracking is
-needed): every function takes it as an array, read as float64, and
-refuses anything but a 1-D vector of power-of-two length; n is read off
-the size.  ``prepare_state`` also requires unit norm.  The Hadamard layer
-fuses the H gates of k <= _GROUP adjacent qubits into one 2^k x 2^k gate,
-one matrix product per group (gate fusion, as in qsim), a deliberately
-different code path from the butterfly in ``transform`` so the two can
-cross-check each other.  ``measure_exact`` returns the Born-rule
-probabilities, ``measure_sampled`` the int64 outcome counts, which come
-from one multinomial draw: O(N) whatever the shots, from the stream of
-``SeedSequence(seed, spawn_key=spawn_key)``; the empty key is ``default_rng(seed)``'s.
-There is no default seed: a sampled run names its own, so two runs share
-noise only when they name the same seed and key.
+A register of n qubits is its array of 2^n real amplitudes (the transforms in this
+package act on real data, so no phase tracking is needed): every function takes it as an
+array, read as float64, and refuses anything but a 1-D vector of power-of-two length; n is
+read off the size.  ``prepare_state`` and the two measurements also refuse a non-finite
+entry, and ``prepare_state`` requires unit norm.  The Hadamard layer fuses the H gates of
+k <= _GROUP adjacent qubits into one 2^k x 2^k gate, one matrix product per group (gate
+fusion, as in qsim), a deliberately different code path from the butterfly in
+``transform`` so the two can cross-check each other.  ``measure_exact`` returns the
+Born-rule probabilities, ``measure_sampled`` the int64 outcome counts, which come from one
+multinomial draw: O(N) whatever the shots, from the stream of ``SeedSequence(seed,
+spawn_key=spawn_key)``; the empty key is ``default_rng(seed)``'s.  There is no default
+seed: a sampled run names its own, so two runs share noise only when they name the same
+seed and key.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from functools import reduce
 
 import numpy as np
 
-from .walsh import _require_int, _require_vector
+from .walsh import _require_finite, _require_int, _require_vector
 
 #: Qubits per fused gate; a group costs 2^k multiply-adds per amplitude.
 _GROUP = 5
@@ -49,6 +48,7 @@ def prepare_state(v) -> np.ndarray:
     _require_vector(a, "state vector")
     norm = math.sqrt(a.dot(a))  # the dot product np.linalg.norm takes the root of
     if not abs(norm - 1.0) <= 1e-9:  # also True for nan
+        _require_finite(a, "state vector")
         raise ValueError(f"state vector must have unit norm, got {norm!r}")
     return a
 
@@ -76,6 +76,7 @@ def measure_exact(state) -> np.ndarray:
     with np.errstate(over="ignore"):  # a square past the float range is inf, refused below
         p = a * a
     if not np.isfinite(p.max()):  # the largest square is nan or inf if any one is
+        _require_finite(a, "state vector")
         raise ValueError(f"squared amplitudes must be finite, got a largest of {float(p.max())}")
     return p
 
@@ -102,6 +103,7 @@ def measure_sampled(state, shots: int, seed: int, spawn_key: tuple[int, ...] = (
         p = a * a
         total = float(np.add.reduce(p))
     if not 0.0 < total < np.inf:  # also True for nan
+        _require_finite(a, "state vector")
         raise ValueError(f"squared amplitudes must sum to a positive finite number, got {total!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
     p /= total  # normalised so roundoff cannot trip numpy's sum(pvals[:-1]) <= 1 check

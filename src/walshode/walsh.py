@@ -140,9 +140,15 @@ def _require_domain(domain: tuple[float, float]) -> tuple[float, float]:
 
 
 def midpoints(N: int, domain: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
-    """The N cell midpoints t_m = t_lo + (t_hi - t_lo)(2m+1)/(2N) of the domain."""
+    """The N cell midpoints t_m = t_lo + (t_hi - t_lo)(2m+1)/(2N) of the domain, made in place."""
     lo, hi = domain
-    return lo + (hi - lo) * ((2.0 * np.arange(N) + 1.0) / (2.0 * N))  # exact fraction: no overflow
+    t = np.arange(N, dtype=float)
+    t *= 2.0
+    t += 1.0
+    t /= 2.0 * N  # an exact fraction first: no overflow
+    t *= hi - lo
+    t += lo
+    return t
 
 
 def character_eval(k: int, x: int, n: int) -> int:
@@ -254,14 +260,15 @@ class SampledFunction:
 def discretize(f, n: int, domain: tuple[float, float] = (0.0, 1.0)) -> SampledFunction:
     """Sample a callable at the N midpoints of the domain, checked before the first call.
 
-    Charged first: midpoints, samples, their checked copy and a mask (25N bytes), plus 2 KiB."""
+    Charged first: samples, then midpoints or their checked copy, and a mask: 17N + 2 KiB."""
     N = _require_qubits(n)
-    require_bytes(25 * N + 2048, f"samples for n={n}")
+    require_bytes(17 * N + 2048, f"samples for n={n}")
     mids = midpoints(N, _require_domain(domain))
     vals = np.fromiter((float(f(t)) for t in mids), float, N)
     if not np.all(np.isfinite(vals)):
         bad = mids[~np.isfinite(vals)][0]
         raise ValueError(f"function returned a non-finite sample at t={bad}")
+    del mids  # before SampledFunction copies the samples
     return SampledFunction(vals, domain)
 
 

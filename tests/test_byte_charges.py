@@ -27,7 +27,7 @@ ROWS = {
         lambda n: (walsh.ordering_permutation, n, SEQ, NAT), lambda n: 24 << n, 25),
     "ordering_permutation-natural-to-sequency": (
         lambda n: (walsh.ordering_permutation, n, NAT, SEQ), lambda n: 8 << n, 27),
-    "discretize": (lambda n: (walsh.discretize, np.cos, n), lambda n: (25 << n) + 2048, 25),
+    "discretize": (lambda n: (walsh.discretize, np.cos, n), lambda n: (17 << n) + 2048, 25),
     "integration_matrix": (lambda n: (calculus.integration_matrix, 1 << n),
                            lambda n: (48 << n) + 1024, 24),
     "differentiation_matrix": (lambda n: (calculus.differentiation_matrix, 1 << n),

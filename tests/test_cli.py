@@ -794,13 +794,57 @@ def test_a_failed_solve_removes_the_directories_it_made(
     assert _tree(tmp_path) == {tmp_path / "earlier": None}
 
 
-def test_a_failed_solve_removes_the_files_it_wrote_over(tmp_path, capsys, monkeypatch):
-    # Unlike -o, a solve leaves none of its files, also one a failed write truncated.
-    (tmp_path / "x1.csv").write_text("earlier\n")
-    _disk_full_after_one_chunk(monkeypatch)
-    assert main(f"solve --problem riccati --output-dir {tmp_path}".split()) == 4
+SOLVE_BEER = "solve --problem beer_system --n 3 --trace --output-dir "
+
+
+@pytest.mark.parametrize("whole_files", [0, 1, 2], ids=["x1.csv", "x2.csv", "trace.csv"])
+def test_a_failed_solve_leaves_the_files_it_would_replace(
+        tmp_path, capsys, monkeypatch, whole_files):
+    # As with -o: every file keeps its old bytes, also those written whole before the failure.
+    for name in ("x1.csv", "x2.csv", "trace.csv"):
+        (tmp_path / name).write_text("earlier\n")
+    given = _tree(tmp_path)
+    _disk_full_after_one_chunk(monkeypatch, whole_files)
+    assert main((SOLVE_BEER + str(tmp_path)).split()) == 4
     assert capsys.readouterr() == ("", DISK_FULL)
-    assert _tree(tmp_path) == {}
+    assert _tree(tmp_path) == given  # and no temporary is left
+
+
+def test_a_replace_failing_in_the_commit_loop_leaves_the_files_replaced_before_it(
+        tmp_path, capsys, monkeypatch):
+    for name in ("x1.csv", "x2.csv", "trace.csv"):
+        (tmp_path / name).write_text("earlier\n")
+    real_replace, calls = os.replace, itertools.count()
+
+    def replace(source, target):
+        if next(calls):  # x1.csv is replaced, x2.csv is not
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        real_replace(source, target)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert main((SOLVE_BEER + str(tmp_path)).split()) == 4
+    assert capsys.readouterr() == ("", f"walshode: i/o error: [Errno {errno.EIO}] "
+                                       f"{os.strerror(errno.EIO)}\n")
+    tree = _tree(tmp_path)
+    assert sorted(path.name for path in tree) == ["trace.csv", "x1.csv", "x2.csv"]
+    assert tree[tmp_path / "x1.csv"].startswith(b"t,x1,analytic,error\n")
+    assert tree[tmp_path / "x2.csv"] == tree[tmp_path / "trace.csv"] == b"earlier\n"
+
+
+def test_a_solve_over_its_earlier_files_writes_what_it_writes_into_an_empty_directory(
+        tmp_path, capsys):
+    (tmp_path / "over").mkdir()
+    for name in ("x1.csv", "x2.csv", "trace.csv"):
+        (tmp_path / "over" / name).write_text("earlier\n")
+    (tmp_path / "over" / "x2.csv").chmod(0o640)
+    for directory in ("empty", "over"):
+        assert main((SOLVE_BEER + str(tmp_path / directory)).split()) == 0
+    assert capsys.readouterr().err == ""
+    written = {directory: {path.name: text for path, text in _tree(tmp_path / directory).items()}
+               for directory in ("empty", "over")}
+    assert sorted(written["over"]) == ["trace.csv", "x1.csv", "x2.csv"]  # no temporary
+    assert written["over"] == written["empty"]
+    assert (tmp_path / "over" / "x2.csv").stat().st_mode & 0o777 == 0o640
 
 
 @pytest.mark.parametrize("nest", NESTS.values(), ids=NESTS)
