@@ -64,8 +64,10 @@ class OperationalMatrix:
     cols: np.ndarray
     values: np.ndarray
 
-    def apply(self, c: np.ndarray) -> np.ndarray:
-        """Operator times ``c`` of shape (N,): one gather, then a scatter-add in a fixed order."""
+    def apply(self, c) -> np.ndarray:
+        """Operator times ``c``, read as float64 of shape (N,), a non-finite entry unchecked:
+        one gather, then a scatter-add in a fixed order."""
+        c = np.asarray(c, dtype=float)
         N = 1 << self.n
         if c.shape != (N,):
             raise ValueError(f"the {self.kind} matrix takes shape {(N,)}, got shape {c.shape}")

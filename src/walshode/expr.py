@@ -8,7 +8,8 @@ Grammar (no implicit multiplication):
     NUMBER  := (digits ('.' digits?)? | '.' digits) ([eE] [+-]? digits)?
 
 Digits, letters and whitespace are ASCII; any other character is a parse
-error at its offset.
+error at its offset.  A NUMBER must be finite in float64: ``1e400`` is a
+parse error at its offset, while ``1e-400`` reads as 0.0.
 
 One table, ``_PREC``, ranks the operators, tightest first: ^, unary -,
 * /, + -.  The parser reads it by precedence climbing (Pratt's top-down
@@ -25,6 +26,7 @@ ExprEvalError naming it, and an overflow gives inf.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -171,7 +173,10 @@ class _Parser:
     def atom(self, depth: int) -> tuple[Expr, int]:
         tok = self.advance()
         if tok.kind == "num":
-            return Num(float(tok.text)), 0
+            value = float(tok.text)
+            if math.isinf(value):
+                raise ExprError(f"not a finite number: {tok.text!r}", tok.pos)
+            return Num(value), 0
         if tok.kind == "ident":
             return self.ident(tok, depth)
         if tok.kind == "op" and tok.text == "(":

@@ -43,10 +43,13 @@ _GATES = tuple(_fused_gate(k) for k in range(_GROUP + 1))
 
 
 def prepare_state(v) -> np.ndarray:
-    """Amplitude-encode a real vector of unit norm (to 1e-9): a fresh float64 register."""
+    """Amplitude-encode a real vector of unit norm (to 1e-9): a fresh float64 register.
+
+    A squared norm past float64's range is inf, refused by that rule without a warning."""
     a = np.array(v, dtype=float)
     _require_vector(a, "state vector")
-    norm = math.sqrt(a.dot(a))  # the dot product np.linalg.norm takes the root of
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(a.dot(a))  # the dot product np.linalg.norm takes the root of
     if not abs(norm - 1.0) <= 1e-9:  # also True for nan
         _require_finite(a, "state vector")
         raise ValueError(f"state vector must have unit norm, got {norm!r}")

@@ -45,7 +45,8 @@ MAGNITUDE_CAP = 1e12
 
 @dataclass
 class IVProblem:
-    """System dx_i/dt = f_i(x_1..x_m, t) with x_i(t_lo) = initial[i].
+    """System dx_i/dt = f_i(x_1..x_m, t) with x_i(t_lo) = initial[i]: mutable, and
+    checked by one rule when built and again when ``picard_solve`` reads it.
 
     Each rhs is a grid callable, written in numpy: it is called once per
     sweep with the whole grid, x of shape (m, N) and t of shape (N,), under
@@ -66,16 +67,19 @@ class IVProblem:
         return len(self.rhs)
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("need at least one right-hand side")
-        if len(self.initial) != self.m:
-            raise ValueError(
-                f"need one initial value per right-hand side (m={self.m}), "
-                f"got {len(self.initial)}"
-            )
-        _require_finite(np.asarray(self.initial, dtype=float), "initial values")
-        _require_domain(self.domain)
-        _require_qubits(self.n)
+        _require_problem(self)
+
+
+def _require_problem(problem: IVProblem) -> int:
+    """Return N = 2^n, or raise unless the problem's fields, as they stand, form a system."""
+    if problem.m < 1:
+        raise ValueError("need at least one right-hand side")
+    if len(problem.initial) != problem.m:
+        raise ValueError(f"need one initial value per right-hand side (m={problem.m}), "
+                         f"got {len(problem.initial)}")
+    _require_finite(np.asarray(problem.initial, dtype=float), "initial values")
+    _require_domain(problem.domain)
+    return _require_qubits(problem.n)
 
 
 @dataclass(frozen=True)
@@ -146,8 +150,8 @@ def _rhs_values(problem: IVProblem, state, t, trace) -> np.ndarray:
 def picard_solve(
     problem: IVProblem, config: SolverConfig
 ) -> tuple[list[SampledFunction], SolutionTrace]:
-    """Run Picard sweeps; returns the final iterates and the full trace."""
-    N = _require_qubits(problem.n)  # a Python int: 1 << np.uint8(8) would wrap to 0
+    """Check the problem as it stands, then run Picard sweeps: the final iterates and the trace."""
+    N = _require_problem(problem)  # a Python int: 1 << np.uint8(8) would wrap to 0
 
     def charge(kept: int) -> None:
         """The kept snapshots, plus three grids: state, derivatives and update."""

@@ -85,6 +85,14 @@ def _bench(**changes):
     return cmd_bench(args)
 
 
+def _solve_changed(**fields):
+    """picard_solve of a problem built valid, then with ``fields`` reassigned."""
+    problem = IVProblem(rhs=[_zero], initial=[0.0])
+    for name, value in fields.items():
+        setattr(problem, name, value)
+    return picard_solve(problem, SolverConfig(n_max=1))
+
+
 def _riccati(n=3, n_max=3):
     solution, _ = picard_solve(builtin_problem("riccati", n=n), SolverConfig(n_max=n_max, tol=0.0))
     return solution[0].values
@@ -110,6 +118,8 @@ SPECS = [
     ("discretize-n", lambda v: discretize(np.cos, v),
      "qubit count must be an integer in [1, 62]", QUBITS),
     ("IVProblem-n", lambda v: IVProblem(rhs=[_zero], initial=[0.0], n=v),
+     "qubit count must be an integer in [1, 62]", QUBITS),
+    ("picard_solve-n", lambda v: _solve_changed(n=v),
      "qubit count must be an integer in [1, 62]", QUBITS),
     *((name, call, f"{what} must be an integer", (*NOT_INT, None)) for name, call, what in INDICES),
     ("sequency_walsh_recursive-j", lambda v: sequency_walsh_recursive(v, 0.3),
@@ -148,9 +158,8 @@ SPECS = [
      "epsilon must be > 0 and finite", (True, "1", NAN, INF, -INF, 0.0, -5e-324)),
     ("IVProblem-domain", lambda v: IVProblem(rhs=[_zero], initial=[0.0], domain=(v, 1.0)),
      "domain end must be a real number", (True, "0", NAN, None)),
-    ("picard_solve-domain", lambda v: picard_solve(
-        IVProblem(rhs=[_zero], initial=[0.0], domain=(v, "1")), SolverConfig(n_max=1)),
-     "domain end must be a real number", ("0",)),
+    ("picard_solve-domain", lambda v: _solve_changed(domain=(v, 1.0)),
+     "domain end must be a real number", (True, "0", NAN, None)),
     ("integrate_sampled-domain", lambda v: integrate_sampled(np.ones(2), (0.0, v)),
      "domain end must be a real number", (True, "1", NAN, None)),
     ("discretize-domain", lambda v: discretize(_unsampled, 1, (v, 1.0)),
@@ -178,8 +187,9 @@ OWN_BOUNDS = [
                          ("bench-sizes", lambda v: _bench(sizes=[v])))
       for size in (1, 3)),
     # A finite register has unit norm and squares that sum to a positive finite total.
-    ("prepare_state", prepare_state, [1.0, 1.0], ValueError,
-     f"state vector must have unit norm, got {math.sqrt(2.0)}"),
+    *(("prepare_state", prepare_state, v, ValueError,
+       f"state vector must have unit norm, got {norm}")
+      for v, norm in (([1.0, 1.0], math.sqrt(2.0)), ([1e200, 0.0], INF))),
     ("measure_exact", measure_exact, [1e200, 0.0], ValueError,
      "squared amplitudes must be finite, got a largest of inf"),
     *(("measure_sampled", lambda v: measure_sampled(v, 10, 1), [a, 0.0, 0.0, 0.0], ValueError,
@@ -191,6 +201,9 @@ OWN_BOUNDS = [
       for shape in ((16,), (5,), (2, 8))),
     ("discretize", lambda v: discretize(lambda t: v, 2), NAN, ValueError,
      "function returned a non-finite sample at t=0.125"),
+    # A problem is checked as it stands when a solve reads it, not only when it is built.
+    ("picard_solve-initial", lambda v: _solve_changed(initial=v), [-0.5, 7.0], ValueError,
+     "need one initial value per right-hand side (m=1), got 2"),
 ]
 
 
@@ -229,6 +242,8 @@ FINITE = [
     ("SampledFunction", SampledFunction, "samples", NON_FINITE),
     ("IVProblem-initial", lambda v: IVProblem(rhs=[_zero] * len(v), initial=v),
      "initial values", NON_FINITE),
+    ("picard_solve-initial", lambda v: _solve_changed(rhs=[_zero] * len(v), initial=v),
+     "initial values", NON_FINITE),
     ("prepare_state", prepare_state, "state vector", NON_FINITE),
     ("measure_exact", measure_exact, "state vector", NON_FINITE),
     ("measure_sampled", lambda v: measure_sampled(v, 10, 1), "state vector", NON_FINITE),
@@ -238,6 +253,7 @@ FINITE = [
 #: if it is called, so its domain is refused before the first sample.
 DOMAINS = [
     ("IVProblem-domain", lambda d: IVProblem(rhs=[_zero], initial=[0.0], domain=d)),
+    ("picard_solve-domain", lambda d: _solve_changed(domain=d)),
     ("SampledFunction-domain", lambda d: SampledFunction(np.ones(2), d)),
     ("integrate_sampled-fwht-domain", lambda d: integrate_sampled(np.ones(2), d)),
     ("integrate_sampled-hybrid-domain", lambda d: _integrate_hybrid(np.ones(2), d)),

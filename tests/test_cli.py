@@ -599,6 +599,9 @@ FAILURES = [
              "walshode: i/o error: [Errno 2] No such file or directory: '{tmp}/no/t.csv'"),
     _failure("solve-parse-error", 2, SOLVE + "--rhs 'x1 +' --init 0",
              "walshode: error: expected a value, got 'end of input' (at offset 4)"),
+    # A literal past float64's range is refused as --init 1e400 is, not solved as inf.
+    _failure("solve-rhs-not-finite", 2, SOLVE + "--rhs 1e400 --init 1",
+             "walshode: error: not a finite number: '1e400' (at offset 0)"),
     *(_failure(f"solve-nested-{name}", 2, SOLVE + f"--rhs={NESTS[name](3000)} --init 1 --nmax 1",
                f"walshode: error: expression nested deeper than 100 levels (at offset {offset})")
       for name, offset in [("parentheses", 100), ("calls", 400), ("unary-minus", 100),

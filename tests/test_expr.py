@@ -105,6 +105,7 @@ def test_precedence_and_grouping_trees(src, tree):
     ("x1)", "unexpected token ')' (at offset 2)"),
     ("2 * * 3", "expected a value, got '*' (at offset 4)"),
     ("sin x1", "expected '(' (at offset 4)"),
+    ("sin(1e309)", "not a finite number: '1e309' (at offset 4)"),
 ])
 def test_parse_error_messages_and_offsets(src, message):
     with pytest.raises(ExprError) as info:
@@ -151,6 +152,9 @@ def test_time_variable_and_numbers():
     assert parse("t", 0) == Var(None)
     assert parse("1.5e-3", 0) == Num(0.0015)
     assert parse(".5", 0) == Num(0.5)
+    # A literal must be finite in float64; one that underflows reads as 0.0.
+    assert parse("1.7976931348623157e308", 0) == Num(1.7976931348623157e308)
+    assert parse("1e-400", 0) == Num(0.0)
 
 
 # ---------------------------------------------------------------------------
