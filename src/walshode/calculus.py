@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_bytes
+from .errors import _overflow_rule, require_bytes
 from .hybrid import HybridConfig, hybrid_wht
 from .transform import fwht
 from .walsh import _require_domain, _require_finite, _require_length, _require_vector
@@ -66,7 +66,8 @@ class OperationalMatrix:
 
     def apply(self, c) -> np.ndarray:
         """Operator times ``c``, read as float64 of shape (N,), a non-finite entry unchecked:
-        one gather, then a scatter-add in a fixed order."""
+        one gather, then a scatter-add in a fixed order.  It follows the caller's numpy error
+        state; the scatter-add sets no overflow flag, but I_N times a finite vector is finite."""
         c = np.asarray(c, dtype=float)
         N = 1 << self.n
         if c.shape != (N,):
@@ -160,9 +161,10 @@ def integrate_sampled(values: np.ndarray, domain: tuple[float, float] = (0.0, 1.
     matrix = integration_matrix(1 << _require_vector(values, "samples"))
     _require_finite(values, "samples")
     lo, hi = _require_domain(domain)
-    if cfg is None:
-        out = fwht(matrix.apply(fwht(values)))
-    else:
-        spectrum, _ = hybrid_wht(values, cfg.child(0))
-        out, _ = hybrid_wht(matrix.apply(spectrum), cfg.child(1))
-    return np.multiply(out, hi - lo, out=out)
+    with _overflow_rule("integrate_sampled"):
+        if cfg is None:
+            out = fwht(matrix.apply(fwht(values)))
+        else:
+            spectrum, _ = hybrid_wht(values, cfg.child(0))
+            out, _ = hybrid_wht(matrix.apply(spectrum), cfg.child(1))
+        return np.multiply(out, hi - lo, out=out)

@@ -1,4 +1,6 @@
-"""Exception types and the allocation cap shared across the package."""
+"""Exception types, the allocation cap and the overflow rule shared across the package."""
+
+import numpy as np
 
 #: The most bytes one call may hold at once: a sized call charges its peak, in
 #: closed form, to require_bytes, which raises ResourceLimitError before it allocates.
@@ -15,6 +17,14 @@ def require_bytes(nbytes: int, what: str) -> None:
         raise ResourceLimitError(
             f"{what} needs {nbytes} bytes, over the cap of {MAX_ALLOC_BYTES}"
         )
+
+
+def _overflow_rule(what: str) -> np.errstate:
+    """The overflow rule (README) as an error state: inside it, whatever the caller's state, an
+    overflow raises FloatingPointError naming ``what`` and an underflow is ignored."""
+    def overflow(kind: str, flag: int) -> None:
+        raise FloatingPointError(f"{what} overflows float64")
+    return np.errstate(over="call", under="ignore", call=overflow)
 
 
 class DivergenceError(RuntimeError):

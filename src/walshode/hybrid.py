@@ -154,32 +154,32 @@ def hybrid_wht(
     a = np.asarray(v, dtype=float)
     N = 1 << _require_vector(a)
 
-    with np.errstate(over="ignore"):  # an overflowing sum makes norm_sq inf, refused below
+    with np.errstate(over="ignore", under="ignore"):  # a sum past float64 is refused below
         abs_a = np.abs(a)
         abs_sum = float(np.add.reduce(abs_a))
         rest_sq = float(np.add.reduce(np.multiply(abs_a, abs_a, out=abs_a)[1:]))  # |a|^2 = a^2
-    if not abs_sum < math.inf:  # any nan or inf entry makes it so, as a finite overflow can
-        _require_finite(a, "input")
-    epsilon = cfg.epsilon if cfg.epsilon is not None else 1e-3 * (1.0 + abs_sum)
-    shift = epsilon + abs_sum
-    norm_sq = shift * shift + rest_sq
-    if not sys.float_info.min <= norm_sq < math.inf:
-        way = "overflows" if norm_sq > 1.0 else "underflows"
-        raise FloatingPointError(
-            f"the shifted vector's squared norm {way} float64 (shift {shift!r})")
-    norm = math.sqrt(norm_sq)
+        if not abs_sum < math.inf:  # any nan or inf entry makes it so, as a finite overflow can
+            _require_finite(a, "input")
+        epsilon = cfg.epsilon if cfg.epsilon is not None else 1e-3 * (1.0 + abs_sum)
+        shift = epsilon + abs_sum
+        norm_sq = shift * shift + rest_sq
+        if not sys.float_info.min <= norm_sq < math.inf:
+            way = "overflows" if norm_sq > 1.0 else "underflows"
+            raise FloatingPointError(
+                f"the shifted vector's squared norm {way} float64 (shift {shift!r})")
+        norm = math.sqrt(norm_sq)
 
-    shifted = a / norm
-    shifted[0] = shift / norm
-    state = apply_hadamard_all(prepare_state(shifted))
-    if cfg.shots is None:
-        p = measure_exact(state)
-    else:
-        p = measure_sampled(state, cfg.shots, cfg.seed, cfg.spawn_key) / cfg.shots
+        shifted = a / norm
+        shifted[0] = shift / norm
+        state = apply_hadamard_all(prepare_state(shifted))
+        if cfg.shots is None:
+            p = measure_exact(state)
+        else:
+            p = measure_sampled(state, cfg.shots, cfg.seed, cfg.spawn_key) / cfg.shots
 
-    offset = (shift - a[0]) / math.sqrt(N)
-    out = np.sqrt(p)
-    np.subtract(np.multiply(out, norm, out=out), offset, out=out)  # norm * sqrt(p) - offset
+        offset = (shift - a[0]) / math.sqrt(N)
+        out = np.sqrt(p)
+        np.subtract(np.multiply(out, norm, out=out), offset, out=out)  # norm * sqrt(p) - offset
     if count is not None:
         side = classical_side_opcount(N)
         count.additions += side.additions

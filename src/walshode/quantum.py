@@ -22,6 +22,7 @@ from functools import reduce
 
 import numpy as np
 
+from .errors import _overflow_rule
 from .walsh import _require_finite, _require_int, _require_vector
 
 #: Qubits per fused gate; a group costs 2^k multiply-adds per amplitude.
@@ -48,7 +49,7 @@ def prepare_state(v) -> np.ndarray:
     A squared norm past float64's range is inf, refused by that rule without a warning."""
     a = np.array(v, dtype=float)
     _require_vector(a, "state vector")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         norm = math.sqrt(a.dot(a))  # the dot product np.linalg.norm takes the root of
     if not abs(norm - 1.0) <= 1e-9:  # also True for nan
         _require_finite(a, "state vector")
@@ -65,10 +66,11 @@ def apply_hadamard_all(state) -> np.ndarray:
     a = np.asarray(state, dtype=float)
     n = _require_vector(a, "state vector")
     k = min(n, _GROUP)
-    a = a.reshape(-1, 1 << k) @ _GATES[k]
-    for q in range(k, n, _GROUP):
-        k = min(_GROUP, n - q)
-        a = _GATES[k] @ a.reshape(-1, 1 << k, 1 << q)
+    with _overflow_rule("apply_hadamard_all"):
+        a = a.reshape(-1, 1 << k) @ _GATES[k]
+        for q in range(k, n, _GROUP):
+            k = min(_GROUP, n - q)
+            a = _GATES[k] @ a.reshape(-1, 1 << k, 1 << q)
     return a.reshape(-1)
 
 
@@ -76,12 +78,9 @@ def measure_exact(state) -> np.ndarray:
     """Born-rule probabilities |amplitude|^2 as float64, without sampling noise; no nan or inf."""
     a = np.asarray(state, dtype=float)
     _require_vector(a, "state vector")
-    with np.errstate(over="ignore"):  # a square past the float range is inf, refused below
-        p = a * a
-    if not np.isfinite(p.max()):  # the largest square is nan or inf if any one is
-        _require_finite(a, "state vector")
-        raise ValueError(f"squared amplitudes must be finite, got a largest of {float(p.max())}")
-    return p
+    _require_finite(a, "state vector")
+    with _overflow_rule("measure_exact"):
+        return a * a
 
 
 def _require_key(spawn_key: tuple[int, ...]) -> None:
@@ -102,12 +101,12 @@ def measure_sampled(state, shots: int, seed: int, spawn_key: tuple[int, ...] = (
     _require_key(spawn_key)
     a = np.asarray(state, dtype=float)
     _require_vector(a, "state vector")
-    with np.errstate(over="ignore"):  # an overflowing square or sum makes the total inf
+    with _overflow_rule("measure_sampled"):
         p = a * a
         total = float(np.add.reduce(p))
-    if not 0.0 < total < np.inf:  # also True for nan
-        _require_finite(a, "state vector")
-        raise ValueError(f"squared amplitudes must sum to a positive finite number, got {total!r}")
+        if not 0.0 < total < np.inf:  # also True for nan
+            _require_finite(a, "state vector")
+            raise ValueError(f"squared amplitudes must sum to a positive number, got {total!r}")
+        p /= total  # normalised so roundoff cannot trip numpy's sum(pvals[:-1]) <= 1 check
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
-    p /= total  # normalised so roundoff cannot trip numpy's sum(pvals[:-1]) <= 1 check
     return rng.multinomial(shots, p)

@@ -18,7 +18,7 @@ Picard iteration is not guaranteed to converge for stiff problems or
 long intervals.  Every numeric failure of a solve raises DivergenceError
 carrying the partial trace, and no numpy warning: an iterate past a
 magnitude cap or not finite, a right-hand side that fails or is not
-finite, or a hybrid integral whose norm overflows.  Before sweep k, its
+finite, or an integral that overflows float64.  Before sweep k, its
 k kept snapshots plus state, derivatives and update, (k + 3) float64
 grids of m x N, are charged against the byte cap.
 """
@@ -74,6 +74,9 @@ def _require_problem(problem: IVProblem) -> int:
     """Return N = 2^n, or raise unless the problem's fields, as they stand, form a system."""
     if problem.m < 1:
         raise ValueError("need at least one right-hand side")
+    for i, f_i in enumerate(problem.rhs):
+        if not callable(f_i):
+            raise ValueError(f"rhs[{i}] must be callable, got {f_i!r}")
     if len(problem.initial) != problem.m:
         raise ValueError(f"need one initial value per right-hand side (m={problem.m}), "
                          f"got {len(problem.initial)}")
@@ -171,12 +174,12 @@ def picard_solve(
 
         # All integrals use the pre-sweep iterates; each draws its own keyed stream.
         new_xs = np.empty_like(xs)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite iterate is refused below
+        with np.errstate(over="ignore"):  # an iterate past float64's range is refused below
             for i in range(problem.m):
                 cfg = None if config.hybrid is None else config.hybrid.child(sweep, i)
                 try:
                     integral = integrate_sampled(derivs[i], problem.domain, cfg)
-                except ArithmeticError as exc:  # the hybrid norm left float64 range
+                except ArithmeticError as exc:  # by the overflow rule, on every backend
                     raise DivergenceError(f"the integral of x{i + 1} failed: {exc}", trace) from exc
                 np.add(initial[i], integral, out=new_xs[i])
 

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_bytes
+from .errors import _overflow_rule, require_bytes
 from .walsh import _require_vector, character_table
 
 
@@ -154,8 +154,9 @@ def wht_naive(v, count: OpCount | None = None) -> np.ndarray:
     N = a.size
     _require_naive_bytes(n)
     table = character_table(n).astype(float)
-    out = table @ a
-    out *= 1.0 / math.sqrt(N)
+    with _overflow_rule("wht_naive"):
+        out = table @ a
+        out *= 1.0 / math.sqrt(N)
     if count is not None:
         count.additions += N * (N - 1)
         count.multiplications += N * N + N
@@ -166,10 +167,10 @@ def wht_naive(v, count: OpCount | None = None) -> np.ndarray:
 def fwht(v, count: OpCount | None = None) -> np.ndarray:
     """Fast transform: butterfly with the scaling fused in.
 
-    ``v`` is only read, never modified or aliased: the result is a fresh
-    array.  Its output is bit-identical to the plain stride-doubling
-    loop (module docstring), and ``count`` gains exactly N*log2(N)
-    additions, N multiplications and one square root.
+    ``v`` is only read, never modified or aliased: the result is a fresh array.  Its output
+    is bit-identical to the plain stride-doubling loop (module docstring), and ``count``
+    gains exactly N*log2(N) additions, N multiplications and one square root.  Outside the
+    overflow rule, it follows the caller's numpy error state, in its worker threads too.
     """
     v = np.asarray(v, dtype=float)
     n = _require_vector(v)

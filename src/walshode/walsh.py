@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import require_bytes
+from .errors import _overflow_rule, require_bytes
 
 
 class WalshOrdering(enum.Enum):
@@ -132,8 +132,12 @@ def _require_vector(a: np.ndarray, what: str = "input") -> int:
 
 
 def _require_domain(domain: tuple[float, float]) -> tuple[float, float]:
-    """Return the domain as floats, or raise unless its ends are real, t_lo < t_hi, width finite."""
-    lo, hi = (_require_real(end, "domain end") for end in domain)
+    """Return the two ends as floats, or raise unless they are real, t_lo < t_hi, width finite."""
+    try:
+        lo, hi = domain
+    except (TypeError, ValueError):  # not iterable, or not two ends
+        raise ValueError(f"domain must be two ends (t_lo, t_hi), got {domain!r}") from None
+    lo, hi = _require_real(lo, "domain end"), _require_real(hi, "domain end")
     if not (lo < hi and math.isfinite(hi - lo)):  # a finite width needs finite ends
         raise ValueError(f"domain must be finite with t_lo < t_hi and a finite width, got {domain}")
     return lo, hi
@@ -286,4 +290,5 @@ def reconstruct(coeffs, t: float) -> float:
     if cell is None:
         return 0.0
     odd = np.bitwise_count(np.arange(N) & cell) & 1
-    return float(coeffs / np.sqrt(N) @ (1 - 2 * odd.astype(np.int8)))  # scaled, then summed
+    with _overflow_rule("reconstruct"):
+        return float(coeffs / np.sqrt(N) @ (1 - 2 * odd.astype(np.int8)))  # scaled, then summed

@@ -567,11 +567,13 @@ FAILURES = [
                f"walshode: numeric failure: {NORM}overflows float64 (shift 1.001e+160)",
                {"in.txt": text})
       for name, text in [("first", "1e160\n1\n0\n0\n"), ("rest", "1\n1e160\n0\n0\n")]),
+    # By the overflow rule: fwht follows the caller's error state, which the command sets.
     *(_failure(f"transform-{backend}{inverse.replace(' --', '-')}-overflow", 3,
                TRANSFORM + f"--backend {backend}{inverse}",
-               f"walshode: numeric failure: the {backend} transform overflows float64",
+               f"walshode: numeric failure: {what} overflows float64",
                {"in.txt": "1e308\n1e308\n"})
-      for backend in ("fast", "naive") for inverse in ("", " --inverse")),
+      for backend, what in (("fast", "the fast transform"), ("naive", "wht_naive"))
+      for inverse in ("", " --inverse")),
     _failure("transform-hybrid-absolute-sum-overflow", 3, TRANSFORM + "--backend hybrid-exact",
              f"walshode: numeric failure: {NORM}overflows float64 (shift inf)",
              {"in.txt": "1e308\n1e308\n"}),
@@ -661,12 +663,13 @@ FAILURES = [
     # An overflow in the expression is inf, which the solver refuses by name.
     _failure("solve-rhs-overflow", 3, SOLVE + "--rhs 'exp(1000*x1)' --init 1",
              "walshode: numeric failure: right-hand side produced a non-finite value"),
-    # exp(709.7) is finite, but its integral overflows.
+    # exp(709.7) is finite, but its integral overflows, on every backend by the overflow rule.
     *(_failure(f"solve-{backend}-integral-overflow", 3,
                SOLVE + f"--rhs 'exp(709.7)' --init 0 --n 4 --nmax 3 --tol 0 --backend {backend}",
-               f"walshode: numeric failure: {message}") for backend, message in [
-        ("classical", "iterate is not finite"),
-        ("hybrid-exact", f"the integral of x1 failed: {NORM}overflows float64 (shift inf)"),
+               f"walshode: numeric failure: the integral of x1 failed: {message}")
+      for backend, message in [
+        ("classical", "integrate_sampled overflows float64"),
+        ("hybrid-exact", f"{NORM}overflows float64 (shift inf)"),
     ]),
     # The midpoints of [0, 1e308] are finite; only the iterate runs away.
     _failure("solve-wide-domain", 3, SOLVE + "--problem riccati --domain 0 1e308",
