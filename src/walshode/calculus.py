@@ -65,14 +65,18 @@ class OperationalMatrix:
     values: np.ndarray
 
     def apply(self, c) -> np.ndarray:
-        """Operator times ``c``, read as float64 of shape (N,), a non-finite entry unchecked:
-        one gather, then a scatter-add in a fixed order.  It follows the caller's numpy error
-        state; the scatter-add sets no overflow flag, but I_N times a finite vector is finite."""
+        """Operator times ``c`` of shape (N,), read as float64, a non-finite entry unchecked: a
+        gather, then a scatter-add in a fixed order under the caller's numpy error state, by
+        ``np.add.at``, which flags an overflow, or for I_N, whose sums cannot, by ``bincount``."""
         c = np.asarray(c, dtype=float)
         N = 1 << self.n
         if c.shape != (N,):
             raise ValueError(f"the {self.kind} matrix takes shape {(N,)}, got shape {c.shape}")
-        return np.bincount(self.rows, weights=self.values * c[self.cols], minlength=N)
+        if self.kind == "integration":
+            return np.bincount(self.rows, weights=self.values * c[self.cols], minlength=N)
+        out = np.zeros(N)
+        np.add.at(out, self.rows, self.values * c[self.cols])  # the same sums, in the same order
+        return out
 
     @property
     def entries(self) -> np.ndarray:

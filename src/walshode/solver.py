@@ -4,23 +4,22 @@ Each sweep rewrites the integral form of the system
 
     x_i = q_i + integral_0^t f_i(x_1, ..., x_m, tau) dtau
 
-with the right-hand sides evaluated at the grid midpoints against the
-*previous* sweep's iterates for every variable (Jacobi-style
-simultaneous update), and the integral taken through the Walsh-domain
-integration matrix.  Iteration stops after ``n_max`` sweeps or when the
-largest componentwise update drops below ``tol``.  A converged classical
-solve is the implicit trapezoidal rule on the midpoint grid, after an
-implicit half-step from t_lo to the first midpoint, because the classical
-integral is (cumsum(f) - f/2) * h (see ``calculus``; on operational
-integration, G. P. Rao, Lecture Notes in Control and Inf. Sci. 55, 1983).
+with the right-hand sides evaluated at the grid midpoints against the *previous*
+sweep's iterates for every variable (Jacobi-style simultaneous update), and the
+integral taken through the Walsh-domain integration matrix.  ``_sweep`` is that one
+step; ``picard_solve`` is the loop around it: check, charge, step, record, stop,
+after ``n_max`` sweeps or when the largest componentwise update drops below ``tol``.
+A converged classical solve is the implicit trapezoidal rule on the midpoint grid,
+after an implicit half-step from t_lo to the first midpoint, because the classical
+integral is (cumsum(f) - f/2) * h (see ``calculus``; on operational integration,
+G. P. Rao, Lecture Notes in Control and Inf. Sci. 55, 1983).
 
-Picard iteration is not guaranteed to converge for stiff problems or
-long intervals.  Every numeric failure of a solve raises DivergenceError
-carrying the partial trace, and no numpy warning: an iterate past a
-magnitude cap or not finite, a right-hand side that fails or is not
-finite, or an integral that overflows float64.  Before sweep k, its
-k kept snapshots plus state, derivatives and update, (k + 3) float64
-grids of m x N, are charged against the byte cap.
+Picard iteration is not guaranteed to converge for stiff problems or long intervals.
+Every numeric failure of a solve raises DivergenceError, and no numpy warning: an
+iterate past a magnitude cap or not finite, a right-hand side that fails or is not
+finite, or an integral that overflows float64; the loop's one ``except`` attaches the
+partial trace to each.  Before sweep k, its k kept snapshots plus state, derivatives
+and update, (k + 3) float64 grids of m x N, are charged against the byte cap.
 """
 
 from __future__ import annotations
@@ -127,27 +126,41 @@ class SolutionTrace:
         return len(self.snapshots)
 
 
-def _rhs_values(problem: IVProblem, state, t, trace) -> np.ndarray:
-    """Every right-hand side on the whole grid, shape (m, N); see IVProblem for a failing call."""
-    derivs = np.empty(state.shape)
+def _sweep(problem: IVProblem, config: SolverConfig, sweep: int, initial, xs, t) -> tuple:
+    """Sweep ``sweep`` from the iterate ``xs``: the new read-only iterate, its residual (largest
+    |update|) and its largest magnitude.  See IVProblem for a failing right-hand side."""
+    derivs = np.empty(xs.shape)
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         for i, f_i in enumerate(problem.rhs):
             try:
-                derivs[i] = f_i(state, t)
+                derivs[i] = f_i(xs, t)
                 if np.isfinite(derivs[i]).all():
                     continue
             except ArithmeticError:
                 pass
             for s in range(t.size):
                 try:
-                    derivs[i, s] = f_i(state[:, s], t[s])
+                    derivs[i, s] = f_i(xs[:, s], t[s])
                 except ArithmeticError as exc:
-                    raise DivergenceError(
-                        f"right-hand side failed at t={t[s]}: {exc}", trace
-                    ) from exc
+                    raise DivergenceError(f"right-hand side failed at t={t[s]}: {exc}") from exc
             if not np.isfinite(derivs[i]).all():
-                raise DivergenceError("right-hand side produced a non-finite value", trace)
-    return derivs
+                raise DivergenceError("right-hand side produced a non-finite value")
+
+    # All integrals use the pre-sweep iterates; each draws its own keyed stream.
+    new_xs = np.empty_like(xs)
+    with np.errstate(over="ignore"):  # an iterate past float64's range fails the magnitude cap
+        for i in range(problem.m):
+            cfg = None if config.hybrid is None else config.hybrid.child(sweep, i)
+            try:
+                integral = integrate_sampled(derivs[i], problem.domain, cfg)
+            except ArithmeticError as exc:  # by the overflow rule, on every backend
+                raise DivergenceError(f"the integral of x{i + 1} failed: {exc}") from exc
+            np.add(initial[i], integral, out=new_xs[i])
+
+    scratch = derivs  # spent once integrated: it takes |update|, then |iterate|
+    residual = float(np.abs(np.subtract(new_xs, xs, out=scratch), out=scratch).max())
+    new_xs.flags.writeable = False
+    return new_xs, residual, float(np.abs(new_xs, out=scratch).max())
 
 
 def picard_solve(
@@ -170,31 +183,18 @@ def picard_solve(
 
     for sweep in range(config.n_max):
         charge(sweep + 1)
-        derivs = _rhs_values(problem, xs, t, trace)
-
-        # All integrals use the pre-sweep iterates; each draws its own keyed stream.
-        new_xs = np.empty_like(xs)
-        with np.errstate(over="ignore"):  # an iterate past float64's range is refused below
-            for i in range(problem.m):
-                cfg = None if config.hybrid is None else config.hybrid.child(sweep, i)
-                try:
-                    integral = integrate_sampled(derivs[i], problem.domain, cfg)
-                except ArithmeticError as exc:  # by the overflow rule, on every backend
-                    raise DivergenceError(f"the integral of x{i + 1} failed: {exc}", trace) from exc
-                np.add(initial[i], integral, out=new_xs[i])
-
-        scratch = derivs  # spent once integrated: it takes |update|, then |iterate|
-        residual = float(np.abs(np.subtract(new_xs, xs, out=scratch), out=scratch).max())
-        xs = new_xs
-        xs.flags.writeable = False
-        trace.snapshots.append(xs)
-        trace.final_residual = residual
-
-        peak = float(np.abs(xs, out=scratch).max())
-        if not peak <= MAGNITUDE_CAP:  # also True for nan
-            what = f"magnitude exceeded {MAGNITUDE_CAP:g}" if peak < math.inf else "is not finite"
-            raise DivergenceError(f"iterate {what}", trace)
-        if residual < config.tol:
+        try:
+            xs, trace.final_residual, peak = _sweep(problem, config, sweep, initial, xs, t)
+            trace.snapshots.append(xs)
+            if not peak <= MAGNITUDE_CAP:  # also True for nan
+                what = (f"magnitude exceeded {MAGNITUDE_CAP:g}" if peak < math.inf
+                        else "is not finite")
+                raise DivergenceError(f"iterate {what}")
+        except DivergenceError as exc:  # the one place a failed solve gets its partial trace
+            if exc.trace is None:  # one from a solve inside a right-hand side keeps its own
+                exc.trace = trace
+            raise
+        if trace.final_residual < config.tol:
             trace.converged = True
             break
 

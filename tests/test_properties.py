@@ -1,15 +1,16 @@
-"""The overflow rule and the transform oracles, as hypothesis properties.
+"""The overflow rule, the transform oracles and the ordering permutation, as hypothesis properties.
 
 The overflow rule (``errors._overflow_rule``; README, "Argument rules"): a public entry point
 given finite float64 input returns a finite result or raises FloatingPointError whose message
 names it, and lets no numpy RuntimeWarning out, whatever the caller's error state.  Two
 preconditions stay ValueErrors (``prepare_state``'s unit norm, ``measure_sampled``'s zero
 total), and ``hybrid_wht`` raises in its own words.  ``fwht`` and ``OperationalMatrix.apply``
-follow the caller's error state instead.  Every vector entry point of
+follow the caller's error state instead, D's sums included.  Every vector entry point of
 ``test_argument_rules.VECTORS``, and ``apply``, is fed finite vectors of 2 to 256 entries over
 the whole float64 range, subnormals and +-1.8e308 included, under each caller error state,
 with warnings as errors.  The calls that broke the rule before it was stated are pinned as
-examples.
+examples.  The natural-to-sequency permutation is checked against the recursive definition at
+one drawn row and cell for n <= 16; criterion 7 checks every row and cell up to n = 6.
 
 The profile is derandomized, with a fixed example count and no example database, so the
 suite draws the same examples on every run; what hypothesis still writes (a cache of the
@@ -28,8 +29,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from walshode import (HybridConfig, fwht, hybrid_wht, integrate_sampled, integration_matrix,
-                      wht_naive)
+from walshode import (HybridConfig, WalshOrdering, character_eval, differentiation_matrix, fwht,
+                      hybrid_wht, integrate_sampled, integration_matrix, ordering_permutation,
+                      sequency_walsh_recursive, wht_naive)
 
 from test_argument_rules import VECTORS
 from trapezoid_march import trapezoid_integral
@@ -144,16 +146,19 @@ def test_a_vector_entry_point_follows_the_overflow_rule(name, v, state):
     assert RESULTS.get(name, lambda v, r: _numbers(r).shape == v.shape)(v, result)
 
 
+@pytest.mark.parametrize("call", [fwht, lambda v: differentiation_matrix(v.size).apply(v)],
+                         ids=["fwht", "differentiation"])
 @given(v=VECTOR, state=STATE)
 @example(v=[1.7e308, 1.7e308], state="warn")
-def test_fwht_and_apply_follow_the_callers_error_state(v, state):
+@example(v=[0.0, 4e306, 0.0, 4e306], state="raise")  # overflows in D's sum, not its products
+def test_fwht_and_apply_follow_the_callers_error_state(call, v, state):
     v = np.array(v)
     with warnings.catch_warnings(), np.errstate(all=state, under="ignore"):
         warnings.simplefilter("error")
         # Each row of I_N sums to less than 1 in absolute value, so its product is finite.
         assert np.isfinite(integration_matrix(v.size).apply(v)).all()
         try:
-            out = fwht(v)
+            out = call(v)
         except (FloatingPointError, RuntimeWarning) as exc:
             assert (type(exc), str(exc)[:21]) == (
                 FloatingPointError if state == "raise" else RuntimeWarning, "overflow encountered ")
@@ -219,3 +224,15 @@ def test_exact_hybrid_wht_equals_fwht_relative_to_its_norm(v):
         assert str(exc).startswith(NORM)
         return
     assert np.max(np.abs(out - fwht(v))) <= 8 * (n + 4) * U * trace.norm
+
+
+@given(point=st.integers(1, 16).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))))
+def test_the_ordering_permutation_takes_sequency_row_k_to_its_natural_row(point):
+    # Natural row perm[k] at cell m is sequency function k at that cell's midpoint, which the
+    # recursive definition evaluates; the inverse permutation maps perm[k] back to k.
+    n, k, m = point
+    perm = ordering_permutation(n, WalshOrdering.NATURAL, WalshOrdering.SEQUENCY)
+    midpoint = (2 * m + 1) / (2 << n)
+    assert character_eval(perm[k], m, n) == sequency_walsh_recursive(k, midpoint)
+    assert ordering_permutation(n, WalshOrdering.SEQUENCY, WalshOrdering.NATURAL)[perm[k]] == k

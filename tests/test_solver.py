@@ -195,43 +195,6 @@ def test_hybrid_sampled_transforms_draw_distinct_seeds(monkeypatch):
     assert np.array_equal(counts, rng.multinomial(1000, p / p.sum()))
 
 
-def test_divergence_cap_raises_with_trace():
-    # dx/dt = x^2 from x(0)=2 blows up inside [0,1]; iterates grow
-    # double-exponentially and must trip the magnitude cap.
-    problem = IVProblem(rhs=[lambda x, t: x[0] ** 2], initial=[2.0], n=2)
-    with pytest.raises(DivergenceError) as info:
-        picard_solve(problem, SolverConfig(n_max=100, tol=0.0))
-    trace = info.value.trace
-    assert trace is not None
-    assert 0 < trace.iterations_run < 100
-    assert len(trace.snapshots) == trace.iterations_run
-
-
-def test_non_finite_rhs_raises_divergence():
-    problem = IVProblem(
-        rhs=[lambda x, t: np.where(t > 0.5, np.nan, 1.0)], initial=[0.0], n=2
-    )
-    with pytest.raises(DivergenceError):
-        picard_solve(problem, SolverConfig(n_max=2))
-
-
-def test_rhs_arithmetic_error_becomes_divergence():
-    # Evaluation failures (here 1/x at x=0) surface as divergence, not as a
-    # raw arithmetic exception or a numpy warning, and still carry the trace.
-    # The point-by-point rerun names the first point; numpy words the cause.
-    problem = IVProblem(
-        rhs=[lambda x, t: 1.0 / x[0]], initial=[0.0], n=2
-    )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(DivergenceError) as info:
-            picard_solve(problem, SolverConfig(n_max=3))
-    assert caught == []
-    assert str(info.value).startswith("right-hand side failed at t=0.125: ")
-    assert info.value.trace is not None
-    assert info.value.trace.iterations_run == 0
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(n_max=0)
@@ -319,21 +282,6 @@ def test_grid_rhs_scalar_result_is_broadcast():
     assert np.array_equal(trace.snapshots[0][0], 0.75 * np.array([1, 3, 5, 7]) / 8)
 
 
-@pytest.mark.parametrize("source, message", [
-    ("1/x1", "right-hand side failed at t=0.125: 1.0 / 0.0 is undefined"),
-    ("log(x1)", "right-hand side failed at t=0.125: log(0.0) is undefined"),
-    ("sqrt(x1-1)", "right-hand side failed at t=0.125: sqrt(-1.0) is undefined"),
-    ("x1*x1*x1", "right-hand side produced a non-finite value"),
-])
-def test_grid_rhs_failure_reports_like_scalar_path(source, message):
-    initial = [1e200] if source == "x1*x1*x1" else [0.0]
-    problem = expression_problem([source], initial, 2)
-    with pytest.raises(DivergenceError) as info:
-        picard_solve(problem, SolverConfig(n_max=3))
-    assert str(info.value) == message
-    assert info.value.trace.iterations_run == 0
-
-
 def test_grid_rhs_failure_reruns_only_that_variable():
     calls = []
 
@@ -378,19 +326,71 @@ def test_solve_is_charged_for_the_sweeps_it_keeps(monkeypatch):
     assert calls == [16, 16, 16]
 
 
-@pytest.mark.parametrize("backend, message", [
-    ("classical", "integrate_sampled overflows float64"),
-    ("hybrid-exact", "the shifted vector's squared norm overflows float64 (shift inf)"),
-], ids=["classical", "hybrid-exact"])
-def test_overflowing_integral_is_divergence_with_trace(backend, message):
-    # Each derivative sample is finite, but 16 of them sum past float64: by the overflow
-    # rule the first sweep's integral fails the same way on every backend.
-    problem = IVProblem(rhs=[lambda x, t: math.exp(709.7)], initial=[0.0], n=4)
-    with pytest.raises(DivergenceError) as info:
-        picard_solve(problem, SolverConfig(n_max=3, tol=0.0, backend=backend))
-    assert str(info.value) == f"the integral of x1 failed: {message}"
-    assert info.value.trace is not None
-    assert info.value.trace.iterations_run == 0
+# ---------------------------------------------------------------------------
+# divergence
+
+
+def _problem(rhs, initial=(0.0,), **fields):
+    return IVProblem(rhs=rhs, initial=list(initial), **fields)
+
+
+_FAILED_AT = "right-hand side failed at t="
+_NON_FINITE = "right-hand side produced a non-finite value"
+_INTEGRAL = "the integral of x{} failed: integrate_sampled overflows float64"
+
+#: Every way a solve diverges, in its first sweep and in a later one: (id, problem, backend,
+#: message, sweeps completed).  A right-hand side raises, where the point-by-point rerun names
+#: the first failing point, or turns non-finite; an expression, as ``solve --rhs`` builds it,
+#: reports as a numpy callable does.  An integral overflows, by the overflow rule on every
+#: backend.  The iterate passes the magnitude cap (dx/dt = x^2 from 2 blows up inside [0, 1])
+#: or float64.
+DIVERGENCES = [
+    ("rhs-raises", _problem([lambda x, t: 1.0 / x[0]]), "classical",
+     _FAILED_AT + "0.125: divide by zero encountered in scalar divide", 0),
+    ("rhs-raises-in-sweep-2", _problem([lambda x, t: np.sqrt(1.0 - x[0])], domain=(0.0, 4.0)),
+     "classical", _FAILED_AT + "1.5: invalid value encountered in sqrt", 1),
+    ("expr-1/x1", expression_problem(["1/x1"], [0.0], 2), "classical",
+     _FAILED_AT + "0.125: 1.0 / 0.0 is undefined", 0),
+    ("expr-log(x1)", expression_problem(["log(x1)"], [0.0], 2), "classical",
+     _FAILED_AT + "0.125: log(0.0) is undefined", 0),
+    ("expr-sqrt(x1-1)", expression_problem(["sqrt(x1-1)"], [0.0], 2), "classical",
+     _FAILED_AT + "0.125: sqrt(-1.0) is undefined", 0),
+    ("rhs-non-finite", _problem([lambda x, t: np.where(t > 0.5, np.nan, 1.0)]), "classical",
+     _NON_FINITE, 0),
+    ("rhs-non-finite-in-sweep-2", _problem([lambda x, t: np.where(x[0] > 0.5, np.nan, 1.0)]),
+     "classical", _NON_FINITE, 1),
+    ("expr-x1*x1*x1", expression_problem(["x1*x1*x1"], [1e200], 2), "classical", _NON_FINITE, 0),
+    # 16 finite samples of e^709.7 sum past float64.
+    ("integral-classical", _problem([lambda x, t: math.exp(709.7)], n=4), "classical",
+     _INTEGRAL.format(1), 0),
+    ("integral-hybrid-exact", _problem([lambda x, t: math.exp(709.7)], n=4), "hybrid-exact",
+     "the integral of x1 failed: the shifted vector's squared norm overflows float64 "
+     "(shift inf)", 0),
+    ("integral-of-x2-in-sweep-2", _problem(
+        [lambda x, t: 1.0, lambda x, t: np.where(x[0] > 0.0, 1.7e308, 1.0)], (0.0, 0.0), n=4),
+     "classical", _INTEGRAL.format(2), 1),
+    ("magnitude-cap", _problem([lambda x, t: x[0] ** 2], (2.0,)), "classical",
+     "iterate magnitude exceeded 1e+12", 7),
+    ("iterate-not-finite", _problem([lambda x, t: 5e307], (1.7e308,), n=1), "classical",
+     "iterate is not finite", 1),
+    # A solve inside a right-hand side that diverges keeps its own trace, not the outer one.
+    ("rhs-solve-diverges", _problem([lambda x, t: picard_solve(
+        _problem([lambda x, t: x[0] ** 2], (2.0,)), SolverConfig(n_max=100, tol=0.0))]),
+     "classical", "iterate magnitude exceeded 1e+12", 7),
+]
+
+
+@pytest.mark.parametrize("problem, backend, message, sweeps",
+                         [row[1:] for row in DIVERGENCES], ids=[row[0] for row in DIVERGENCES])
+def test_a_divergence_carries_the_sweeps_before_it(problem, backend, message, sweeps):
+    # No numpy warning either: under warnings as errors, one would escape as itself.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as info:
+            picard_solve(problem, SolverConfig(n_max=100, tol=0.0, backend=backend))
+    assert str(info.value) == message
+    assert info.value.trace.iterations_run == sweeps
+    assert len(info.value.trace.snapshots) == sweeps
 
 
 # ---------------------------------------------------------------------------
