@@ -66,16 +66,14 @@ class OperationalMatrix:
 
     def apply(self, c) -> np.ndarray:
         """Operator times ``c`` of shape (N,), read as float64, a non-finite entry unchecked: a
-        gather, then a scatter-add in a fixed order under the caller's numpy error state, by
-        ``np.add.at``, which flags an overflow, or for I_N, whose sums cannot, by ``bincount``."""
+        gather, then a scatter-add in a fixed order, ``np.add.at``, under the caller's numpy
+        error state, which an overflow in the products or in the sums follows."""
         c = np.asarray(c, dtype=float)
         N = 1 << self.n
         if c.shape != (N,):
             raise ValueError(f"the {self.kind} matrix takes shape {(N,)}, got shape {c.shape}")
-        if self.kind == "integration":
-            return np.bincount(self.rows, weights=self.values * c[self.cols], minlength=N)
         out = np.zeros(N)
-        np.add.at(out, self.rows, self.values * c[self.cols])  # the same sums, in the same order
+        np.add.at(out, self.rows, self.values * c[self.cols])  # each row's terms in array order
         return out
 
     @property

@@ -103,9 +103,10 @@ def test_apply_matches_dense_product():
 
 
 def test_apply_is_the_one_scatter_add_byte_for_byte():
-    # apply is one gather and one bincount over the public nonzero arrays,
-    # in their order: equal exactly on dyadic inputs with signed zeros,
-    # whose terms cancel exactly, and on normal ones, whose sums round.
+    # The reference is one gather and one bincount over the public nonzero
+    # arrays, in their order; apply (np.add.at) must match it byte for byte:
+    # on dyadic inputs with signed zeros, whose terms cancel exactly, and on
+    # normal ones, whose sums round.
     rng = np.random.default_rng(23)
     dyadic = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
     for n in range(1, 21):

@@ -338,12 +338,20 @@ _FAILED_AT = "right-hand side failed at t="
 _NON_FINITE = "right-hand side produced a non-finite value"
 _INTEGRAL = "the integral of x{} failed: integrate_sampled overflows float64"
 
+
+def _diverges_once_moved(x, t):
+    """dx/dt = 1 from x = 0, until a right-hand side of its own stops the solve, without a trace."""
+    if np.any(x[0] != 0.0):
+        raise DivergenceError("stopped by the right-hand side")
+    return np.ones_like(t)
+
 #: Every way a solve diverges, in its first sweep and in a later one: (id, problem, backend,
 #: message, sweeps completed).  A right-hand side raises, where the point-by-point rerun names
 #: the first failing point, or turns non-finite; an expression, as ``solve --rhs`` builds it,
 #: reports as a numpy callable does.  An integral overflows, by the overflow rule on every
 #: backend.  The iterate passes the magnitude cap (dx/dt = x^2 from 2 blows up inside [0, 1])
-#: or float64.
+#: or float64.  A DivergenceError from inside a right-hand side gets the outer partial trace
+#: unless it carries its own.
 DIVERGENCES = [
     ("rhs-raises", _problem([lambda x, t: 1.0 / x[0]]), "classical",
      _FAILED_AT + "0.125: divide by zero encountered in scalar divide", 0),
@@ -373,6 +381,8 @@ DIVERGENCES = [
      "iterate magnitude exceeded 1e+12", 7),
     ("iterate-not-finite", _problem([lambda x, t: 5e307], (1.7e308,), n=1), "classical",
      "iterate is not finite", 1),
+    ("rhs-raises-divergence-in-sweep-2", _problem([_diverges_once_moved]), "classical",
+     "stopped by the right-hand side", 1),
     # A solve inside a right-hand side that diverges keeps its own trace, not the outer one.
     ("rhs-solve-diverges", _problem([lambda x, t: picard_solve(
         _problem([lambda x, t: x[0] ** 2], (2.0,)), SolverConfig(n_max=100, tol=0.0))]),
