@@ -29,13 +29,11 @@ from .transform import OpCount, fwht, wht_naive
 from .walsh import (
     SampledFunction,
     WalshOrdering,
-    character_eval,
     character_table,
     discretize,
     ordering_permutation,
     reconstruct,
     sequency_walsh_recursive,
-    walsh_value,
 )
 
 __all__ = [
@@ -55,7 +53,6 @@ __all__ = [
     "analytic_reference",
     "apply_hadamard_all",
     "builtin_problem",
-    "character_eval",
     "character_table",
     "classical_side_opcount",
     "differentiation_matrix",
@@ -73,6 +70,5 @@ __all__ = [
     "sequency_walsh_recursive",
     "sign_safe",
     "time_integration_operator",
-    "walsh_value",
     "wht_naive",
 ]

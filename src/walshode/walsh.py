@@ -82,14 +82,6 @@ def _require_qubits(n: int) -> int:
     return 1 << _require_int(n, "qubit count", 1, 62)
 
 
-def _require_index(k: int, N: int, what: str) -> int:
-    """Return k as an int by the integer rule, or raise IndexError outside [0, N)."""
-    k = _require_int(k, what)
-    if not 0 <= k < N:
-        raise IndexError(f"{what}={k} out of range for n={N.bit_length() - 1}")
-    return k
-
-
 def _require_ordering(ordering: WalshOrdering) -> WalshOrdering:
     """Return the ordering, or raise unless it is a WalshOrdering member (not its name)."""
     if not isinstance(ordering, WalshOrdering):
@@ -101,14 +93,6 @@ def _require_finite(a: np.ndarray, what: str) -> None:
     """Raise unless every entry of a is finite, naming the first that is not."""
     if not np.isfinite(a).all():
         raise ValueError(f"{what} must be finite, got {a[~np.isfinite(a)][0]}")
-
-
-def _cell(t: float, N: int) -> int | None:
-    """Index of the cell of [0,1] holding the real t (t = 1 in the last); None outside, as +-inf."""
-    t = _require_real(t, "t")
-    if t < 0.0 or t > 1.0:
-        return None
-    return N - 1 if t >= 1.0 else int(t * N)
 
 
 def _require_power_of_two(size: int) -> int:
@@ -155,14 +139,6 @@ def midpoints(N: int, domain: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
     return t
 
 
-def character_eval(k: int, x: int, n: int) -> int:
-    """chi_k(x) = (-1)^popcount(k AND x) for the group {0,1}^n."""
-    N = _require_qubits(n)
-    k = _require_index(k, N, "character index k")
-    x = _require_index(x, N, "group element x")
-    return -1 if (k & x).bit_count() & 1 else 1
-
-
 def character_table(n: int) -> np.ndarray:
     """Full N x N sign table, row k = chi_k; dtype int8.
 
@@ -170,8 +146,7 @@ def character_table(n: int) -> np.ndarray:
     popcounts (``np.bitwise_count``): N(5N + 4) bytes, plus the broadcast
     AND's buffers for its two operands, 8 * np.getbufsize() bytes.  It
     is refused before allocating, with ResourceLimitError, once that passes
-    errors.MAX_ALLOC_BYTES (from n = 14, far below int32's limit);
-    character_eval gives lazy access beyond that.
+    errors.MAX_ALLOC_BYTES (from n = 14, far below int32's limit).
     """
     N = _require_qubits(n)
     require_bytes(N * (5 * N + 4) + 8 * np.getbufsize(), f"character table for n={n}")
@@ -227,18 +202,6 @@ def ordering_permutation(
     return p
 
 
-def walsh_value(
-    k: int, t: float, n: int, ordering: WalshOrdering = WalshOrdering.NATURAL
-) -> int:
-    """Value of the k-th Walsh function at t; 0 outside [0,1], ValueError for non-real or nan t."""
-    N = _require_qubits(n)
-    k = _require_index(k, N, "function index k")
-    if _require_ordering(ordering) == WalshOrdering.SEQUENCY:
-        k = int(f"{k ^ (k >> 1):0{n}b}"[::-1], 2)  # binary -> Gray -> reversed n bits
-    cell = _cell(t, N)
-    return 0 if cell is None else character_eval(k, cell, n)
-
-
 @dataclass(frozen=True)
 class SampledFunction:
     """Finite real samples of a function at the N = 2^n cell midpoints of a domain."""
@@ -262,14 +225,16 @@ class SampledFunction:
 
 
 def discretize(f, n: int, domain: tuple[float, float] = (0.0, 1.0)) -> SampledFunction:
-    """Sample a callable at the N midpoints of the domain, checked before the first call.
+    """Sample f at the N midpoints of the domain, checked before f is called.
 
-    Charged first: samples, then midpoints or their checked copy, and a mask: 17N + 2 KiB."""
+    f is called once, with the (N,) float64 midpoint grid, and returns N values (a scalar
+    is broadcast), as every right-hand side does: write it in numpy (np.cos, not math.cos).
+    Charged first: midpoints, samples, then their checked copy, and a mask: 17N + 2 KiB."""
     N = _require_qubits(n)
     require_bytes(17 * N + 2048, f"samples for n={n}")
     mids = midpoints(N, _require_domain(domain))
-    vals = np.fromiter((float(f(t)) for t in mids), float, N)
-    if not np.all(np.isfinite(vals)):
+    vals = np.broadcast_to(np.asarray(f(mids), dtype=float), N)
+    if not np.isfinite(vals).all():
         bad = mids[~np.isfinite(vals)][0]
         raise ValueError(f"function returned a non-finite sample at t={bad}")
     del mids  # before SampledFunction copies the samples
@@ -282,13 +247,14 @@ def reconstruct(coeffs, t: float) -> float:
     Piecewise constant on the N cells of [0,1]; 0 outside; ValueError for
     nan or a non-real t.  ``coeffs`` is in natural order: gather a sequency spectrum with
     ordering_permutation(n, SEQUENCY, NATURAL) first.  One signed sum over the
-    character row of t's cell; walsh_value, one term at a time, is its oracle.
+    character row of t's cell; its oracle is sequency_walsh_recursive, term by term.
     """
     coeffs = np.array(coeffs, dtype=float)
     N = 1 << _require_vector(coeffs, "coefficients")
-    cell = _cell(t, N)
-    if cell is None:
+    t = _require_real(t, "t")
+    if not 0.0 <= t <= 1.0:
         return 0.0
+    cell = N - 1 if t == 1.0 else int(t * N)  # t = 1 belongs to the last cell
     odd = np.bitwise_count(np.arange(N) & cell) & 1
     with _overflow_rule("reconstruct"):
         return float(coeffs / np.sqrt(N) @ (1 - 2 * odd.astype(np.int8)))  # scaled, then summed

@@ -10,7 +10,6 @@ samples as displayed through the unchanged pipeline, and separately
 checks the unrounded pipeline against the time-domain oracle.
 """
 
-import math
 import time
 from contextlib import contextmanager
 
@@ -133,14 +132,14 @@ def test_criterion_04a_ramp_transform():
 
 def test_criterion_04b_cosine_transform():
     with criterion("criterion 4b: transform of sampled cos(pi t) within 5e-3"):
-        f = discretize(lambda t: math.cos(math.pi * t), 2)
+        f = discretize(lambda t: np.cos(np.pi * t), 2)
         out = fwht(f.values)
         assert np.max(np.abs(out - 0.5 * np.array([0, 1.0824, 2.6131, 0]))) < 5e-3
 
 
 def test_criterion_04c_cosine_integral_time_domain():
     with criterion("criterion 4c: integral of sampled cos within 5e-3"):
-        f = discretize(math.cos, 2)
+        f = discretize(np.cos, 2)
         out = integrate_sampled(f.values, f.domain)
         assert np.max(np.abs(out - [0.125, 0.366, 0.585, 0.767])) < 5e-3
 
@@ -156,7 +155,7 @@ def test_criterion_04d_cosine_integral_coefficients():
     # checked against the independent time-domain operator instead.
     with criterion("criterion 4d: integral coefficients within 5e-4"):
         display = np.array([0.459, -0.105, -0.214, -0.015])
-        samples = discretize(math.cos, 2)
+        samples = discretize(np.cos, 2)
         shown = np.round(samples.values, 3)
         coords = fwht(integrate_sampled(shown, samples.domain)) / 2.0
         assert np.max(np.abs(coords - display)) <= 5e-4

@@ -2,8 +2,8 @@
 
 ``walsh._require_int`` and ``walsh._require_real`` state the scalar rules; every
 scalar argument of the library goes through one of them, so each bad value
-below raises ValueError with the rule's message (IndexError where an index
-is an integer outside [0, N)), and a numpy integer is taken as its int.
+below raises ValueError with the rule's message, and a numpy integer is taken as its int.
+An ordering, a solver backend and a builtin problem's name are refused here too.
 ``_require_vector`` states the shape and length of a vector, ``_require_finite``
 that its entries are finite, and ``_require_domain`` what a domain is; every
 public name that reaches one of them has rows here, and a vector entry point
@@ -30,9 +30,9 @@ from walshode import (
     SampledFunction,
     SolverConfig,
     WalshOrdering,
+    analytic_reference,
     apply_hadamard_all,
     builtin_problem,
-    character_eval,
     character_table,
     classical_side_opcount,
     differentiation_matrix,
@@ -50,11 +50,11 @@ from walshode import (
     sequency_walsh_recursive,
     sign_safe,
     time_integration_operator,
-    walsh_value,
     wht_naive,
 )
 from walshode.cli import build_parser, cmd_bench
 from walshode.hybrid import backend_config
+from walshode.solver import _BACKENDS
 
 from call_graph import SRC, public_callers
 
@@ -64,6 +64,8 @@ NAT, SEQ = WalshOrdering.NATURAL, WalshOrdering.SEQUENCY
 NOT_INT = (True, 1.5, 2.0, "1", NAN, INF, -INF)
 #: A qubit count: not an integer, None, or outside [1, 62].
 QUBITS = (*NOT_INT, None, 0, 63)
+#: Not a WalshOrdering: its members' names, None, and what an enum's value or a flag might be.
+NOT_ORDERING = ("natural", "sequency", None, 0, True)
 #: The same for a vector length, whose float is a power of two.
 NOT_LENGTH = (True, 2.0, "2", NAN, INF, -INF)
 STATE = prepare_state([0.6, 0.8])
@@ -98,30 +100,21 @@ def _riccati(n=3, n_max=3):
     return solution[0].values
 
 
-#: The index arguments: (entry point, call of the index, its name in the messages).
-INDICES = [
-    ("character_eval-k", lambda v: character_eval(v, 0, 2), "character index k"),
-    ("character_eval-x", lambda v: character_eval(0, v, 2), "group element x"),
-    ("walsh_value-k", lambda v: walsh_value(v, 0.3, 2), "function index k"),
-    ("walsh_value-k-sequency", lambda v: walsh_value(v, 0.3, 2, SEQ), "function index k"),
-]
-
 #: (entry point, call of the bad value, the message before ", got ...", bad values).
 SPECS = [
-    ("character_eval-n", lambda v: character_eval(0, 0, v),
-     "qubit count must be an integer in [1, 62]", QUBITS),
     ("character_table-n", character_table, "qubit count must be an integer in [1, 62]", QUBITS),
     ("ordering_permutation-n", lambda v: ordering_permutation(v, NAT, SEQ),
      "qubit count must be an integer in [1, 62]", QUBITS),
-    ("walsh_value-n", lambda v: walsh_value(0, 0.5, v),
-     "qubit count must be an integer in [1, 62]", QUBITS),
+    ("ordering_permutation-source", lambda v: ordering_permutation(2, v, SEQ),
+     "ordering must be a WalshOrdering", NOT_ORDERING),
+    ("ordering_permutation-target", lambda v: ordering_permutation(2, NAT, v),
+     "ordering must be a WalshOrdering", NOT_ORDERING),
     ("discretize-n", lambda v: discretize(np.cos, v),
      "qubit count must be an integer in [1, 62]", QUBITS),
     ("IVProblem-n", lambda v: IVProblem(rhs=[_zero], initial=[0.0], n=v),
      "qubit count must be an integer in [1, 62]", QUBITS),
     ("picard_solve-n", lambda v: _solve_changed(n=v),
      "qubit count must be an integer in [1, 62]", QUBITS),
-    *((name, call, f"{what} must be an integer", (*NOT_INT, None)) for name, call, what in INDICES),
     ("sequency_walsh_recursive-j", lambda v: sequency_walsh_recursive(v, 0.3),
      "function index must be an integer >= 0", (*NOT_INT, None, -1)),
     ("HybridConfig-shots", lambda v: HybridConfig(shots=v, seed=0),
@@ -140,6 +133,8 @@ SPECS = [
      "spawn_key entry must be an integer >= 0", (*NOT_INT, -1)),
     ("SolverConfig-n_max", lambda v: SolverConfig(n_max=v),
      "n_max must be an integer >= 1", (*NOT_INT, 0)),
+    ("SolverConfig-backend", lambda v: SolverConfig(n_max=1, backend=v),
+     f"backend must be one of {_BACKENDS}", ("fast", "Classical", "hybrid", None, 0)),
     ("bench-repeats", lambda v: _bench(repeats=v),
      "--repeats must be an integer >= 1", (*NOT_INT, 0)),
     ("integration_matrix", integration_matrix, "vector length must be an integer", NOT_LENGTH),
@@ -168,17 +163,12 @@ SPECS = [
      "domain end must be a real number", (True, "1", NAN, None)),
     ("sequency_walsh_recursive-x", lambda v: sequency_walsh_recursive(3, v),
      "x must be a real number", (True, None, "a", NAN)),
-    ("walsh_value-t", lambda v: walsh_value(1, v, 2),
-     "t must be a real number", (True, None, "a", NAN)),
     ("reconstruct-t", lambda v: reconstruct([1.0, 2.0], v),
      "t must be a real number", (True, None, "a", NAN)),
 ]
 
 #: Bounds that are not the rule's own: (entry point, call, bad value, exception, message).
 OWN_BOUNDS = [
-    # walsh_value checks k against N before a sequency k is converted: INDICES[3] adds nothing.
-    *((name, call, k, IndexError, f"{what}={k} out of range for n=2")
-      for name, call, what in INDICES[:3] for k in (-1, 4)),
     *((name, call, size, ValueError, f"vector length must be a power of two >= 2, got {size}")
       for name, call in (("integration_matrix", integration_matrix),
                          ("differentiation_matrix", differentiation_matrix),
@@ -197,8 +187,15 @@ OWN_BOUNDS = [
        ValueError, f"the {M.kind} matrix takes shape (8,), got shape {shape}")
       for M in (integration_matrix(8), differentiation_matrix(8))
       for shape in ((16,), (5,), (2, 8))),
-    ("discretize", lambda v: discretize(lambda t: v, 2), NAN, ValueError,
-     "function returned a non-finite sample at t=0.125"),
+    # The first non-finite sample is named by its midpoint, whether f returns a scalar or N.
+    *(("discretize", lambda v: discretize(lambda t: v, 2), v, ValueError,
+       "function returned a non-finite sample at t=0.125") for v in (NAN, INF, -INF)),
+    *(("discretize-later", lambda v: discretize(lambda t: np.where(t < 0.5, 1.0, v), 2), v,
+       ValueError, "function returned a non-finite sample at t=0.625") for v in (NAN, INF, -INF)),
+    *((name, call, v, ValueError, f"unknown builtin problem {v!r}")
+      for name, call in (("builtin_problem", builtin_problem),
+                         ("analytic_reference", lambda v: analytic_reference(v, 0.5)))
+      for v in ("Riccati", "beer", "", None)),
     # A problem is checked as it stands when a solve reads it, not only when it is built.
     ("picard_solve-initial", lambda v: _solve_changed(initial=v), [-0.5, 7.0], ValueError,
      "need one initial value per right-hand side (m=1), got 2"),
@@ -299,16 +296,10 @@ def test_every_argument_follows_its_rule(call, value, exc, message):
 #: (entry point, call, a numpy integer it takes as its int).  np.uint8 where
 #: a count shifted or multiplied in uint8 would wrap: 1 << np.uint8(8) is 0.
 ACCEPTED = [
-    ("character_eval-n", lambda v: character_eval(1, 1, v), np.uint8(8)),
     ("character_table-n", character_table, np.uint8(8)),
     ("ordering_permutation-n", lambda v: ordering_permutation(v, NAT, SEQ), np.uint8(8)),
-    ("walsh_value-n", lambda v: walsh_value(5, 0.9, v, SEQ), np.uint8(8)),
     ("discretize-n", lambda v: discretize(np.cos, v).values, np.uint8(8)),
     ("IVProblem-n", lambda v: _riccati(n=v), np.uint8(8)),
-    ("character_eval-k", lambda v: character_eval(v, 1, 1), np.int64(1)),
-    ("character_eval-x", lambda v: character_eval(1, v, 1), np.int64(1)),
-    ("walsh_value-k", lambda v: walsh_value(v, 0.9, 3), np.int64(5)),
-    ("walsh_value-k-sequency", lambda v: walsh_value(v, 0.9, 3, SEQ), np.int64(5)),
     ("sequency_walsh_recursive-j", lambda v: sequency_walsh_recursive(v, 0.1), np.int64(6)),
     ("HybridConfig-shots", lambda v: hybrid_wht(VECTOR, HybridConfig(shots=v, seed=3))[0],
      np.int64(5)),
@@ -342,7 +333,7 @@ def test_a_numpy_integer_is_taken_as_its_int(call, value):
 def test_an_infinite_t_falls_outside_the_interval():
     # An int past float64's range counts as an inf of its sign, not as an OverflowError.
     for t in (INF, -INF, 10**400, -10**400):
-        assert walsh_value(1, t, 2) == sequency_walsh_recursive(3, t) == 0
+        assert sequency_walsh_recursive(3, t) == 0
         assert reconstruct([1.0, 2.0], t) == 0.0
     with pytest.raises(ValueError) as info:
         SolverConfig(n_max=1, tol=10**400)

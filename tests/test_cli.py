@@ -1,10 +1,12 @@
 """Command-line behavior: file formats, reports, exit codes, determinism."""
 
 import errno
+import importlib
 import itertools
 import json
 import math
 import os
+import re
 import shlex
 import tracemalloc
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import walshode
 from walshode import (
     OperationalMatrix,
     SolverConfig,
@@ -897,3 +900,33 @@ def test_readme_library_quick_start_runs(tmp_path, monkeypatch):
     assert "picard_solve" in source
     monkeypatch.chdir(tmp_path)
     exec(compile(source, "README.md", "exec"), {})
+
+
+def readme_module_names():
+    """{module: the backticked names before the first full stop of its README paragraph}."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    items = re.findall(r"^- \[`walshode\.(\w+)`\]\([^)]*\): (.*?)(?=^- |^$)", readme, re.M | re.S)
+    return {module: [name for name in re.findall(r"`([^`]+)`", re.split(r"\.\s", text)[0])
+                     if name.isidentifier()]
+            for module, text in items}
+
+
+#: The modules whose README paragraph opens with their public names; the cli paragraph,
+#: last, names a command instead.
+README_MODULES = ["walsh", "transform", "quantum", "hybrid", "calculus", "solver", "expr",
+                  "errors"]
+
+
+def test_readme_module_paragraphs_name_the_public_surface():
+    lists = readme_module_names()
+    assert list(lists) == [*README_MODULES, "cli"]
+    named = {name for module in README_MODULES for name in lists[module]}
+    assert set(walshode.__all__) - named == set()
+
+
+@pytest.mark.parametrize("module", README_MODULES)
+def test_every_name_a_readme_paragraph_lists_is_in_its_module(module):
+    names = readme_module_names()[module]
+    assert names
+    assert [name for name in names
+            if not hasattr(importlib.import_module(f"walshode.{module}"), name)] == []

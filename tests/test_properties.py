@@ -29,8 +29,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from walshode import (HybridConfig, WalshOrdering, character_eval, differentiation_matrix, fwht,
-                      hybrid_wht, integrate_sampled, integration_matrix, ordering_permutation,
+from walshode import (HybridConfig, WalshOrdering, differentiation_matrix, fwht, hybrid_wht,
+                      integrate_sampled, integration_matrix, ordering_permutation, reconstruct,
                       sequency_walsh_recursive, wht_naive)
 
 from test_argument_rules import VECTORS
@@ -229,10 +229,14 @@ def test_exact_hybrid_wht_equals_fwht_relative_to_its_norm(v):
 @given(point=st.integers(1, 16).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))))
 def test_the_ordering_permutation_takes_sequency_row_k_to_its_natural_row(point):
-    # Natural row perm[k] at cell m is sequency function k at that cell's midpoint, which the
-    # recursive definition evaluates; the inverse permutation maps perm[k] back to k.
+    # Natural row perm[k] at cell m, the synthesis of its unit vector, is sequency function k
+    # at that cell's midpoint, which the recursive definition evaluates; both carry the
+    # 1/sqrt(N) of the transform.  The inverse permutation maps perm[k] back to k.
     n, k, m = point
+    N = 1 << n
     perm = ordering_permutation(n, WalshOrdering.NATURAL, WalshOrdering.SEQUENCY)
-    midpoint = (2 * m + 1) / (2 << n)
-    assert character_eval(perm[k], m, n) == sequency_walsh_recursive(k, midpoint)
+    midpoint = (2 * m + 1) / (2 * N)
+    unit = np.zeros(N)
+    unit[perm[k]] = 1.0
+    assert reconstruct(unit, midpoint) == sequency_walsh_recursive(k, midpoint) / np.sqrt(N)
     assert ordering_permutation(n, WalshOrdering.SEQUENCY, WalshOrdering.NATURAL)[perm[k]] == k

@@ -8,14 +8,12 @@ import pytest
 from walshode import walsh
 from walshode import (
     WalshOrdering,
-    character_eval,
     character_table,
     discretize,
     fwht,
     ordering_permutation,
     reconstruct,
     sequency_walsh_recursive,
-    walsh_value,
 )
 
 NAT = WalshOrdering.NATURAL
@@ -27,14 +25,7 @@ def sign_changes(row):
 
 
 # ---------------------------------------------------------------------------
-# character_eval / character_table
-
-
-def test_character_eval_pinned_values():
-    assert character_eval(1, 1, 1) == -1
-    assert character_eval(3, 3, 2) == 1
-    for x in range(8):
-        assert character_eval(0, x, 3) == 1
+# character_table
 
 
 def test_character_table_n1_n2():
@@ -62,15 +53,6 @@ def test_character_table_is_kronecker_power():
         for _ in range(n):
             expected = np.kron(expected, base)
         assert np.array_equal(character_table(n), expected)
-
-
-def test_character_table_matches_lazy_eval():
-    for n in (1, 2, 3):
-        table = character_table(n)
-        N = 1 << n
-        for k in range(N):
-            for x in range(N):
-                assert table[k, x] == character_eval(k, x, n)
 
 
 def test_closure_under_pointwise_product():
@@ -139,13 +121,6 @@ def test_ordering_permutation_refuses_names_for_orderings():
     assert str(info.value) == "ordering must be a WalshOrdering, got 'sequency'"
 
 
-@pytest.mark.parametrize("ordering", ["sequency", "natural", None])
-def test_walsh_value_refuses_names_for_orderings(ordering):
-    with pytest.raises(ValueError) as info:
-        walsh_value(1, 0.3, 2, ordering)
-    assert str(info.value) == f"ordering must be a WalshOrdering, got {ordering!r}"
-
-
 def test_sequency_symmetry_about_half():
     # Even sequency index: symmetric about 1/2; odd: antisymmetric.
     for n in range(1, 7):
@@ -161,46 +136,11 @@ def test_sequency_symmetry_about_half():
 
 
 # ---------------------------------------------------------------------------
-# walsh_value
-
-
-def test_walsh_value_pinned():
-    assert walsh_value(0, 0.3, 2) == 1
-    assert walsh_value(2, 0.6, 2) == -1
-    # Sequency index 5 at t=0.9 equals the recursive oracle there (-1).
-    assert sequency_walsh_recursive(5, 0.9) == -1
-    assert walsh_value(5, 0.9, 3, SEQ) == -1
-
-
-def test_walsh_value_outside_interval_is_zero():
-    assert walsh_value(1, -0.1, 2) == 0
-    assert walsh_value(1, 1.1, 2) == 0
-    assert walsh_value(1, float("inf"), 2) == 0
-    assert walsh_value(1, float("-inf"), 2) == 0
-
-
-def test_walsh_value_endpoint_uses_last_cell():
-    for n in (1, 2, 3):
-        N = 1 << n
-        for k in range(N):
-            assert walsh_value(k, 1.0, n) == character_eval(k, N - 1, n)
-
-
-def test_walsh_value_agrees_with_recursive_oracle_at_midpoints():
-    for n in range(1, 7):
-        N = 1 << n
-        mids = (2.0 * np.arange(N) + 1.0) / (2.0 * N)
-        for k in range(N):
-            for x in mids:
-                assert walsh_value(k, x, n, SEQ) == sequency_walsh_recursive(k, x)
-
-
-# ---------------------------------------------------------------------------
 # discretize / reconstruct
 
 
 def test_discretize_cos_pi_t():
-    sf = discretize(lambda t: math.cos(math.pi * t), 2)
+    sf = discretize(lambda t: np.cos(np.pi * t), 2)
     expected = [
         math.cos(math.pi / 8),
         math.cos(3 * math.pi / 8),
@@ -226,6 +166,29 @@ def test_discretize_custom_domain_midpoints():
     assert np.array_equal(sf.midpoints, [2.5, 3.5])
 
 
+@pytest.mark.parametrize("n", [1, 3, 10])
+@pytest.mark.parametrize("domain", [(0.0, 1.0), (-1.0, 2.0)])
+def test_discretize_calls_f_once_on_the_midpoint_grid(n, domain):
+    calls = []
+
+    def f(t):
+        calls.append(t.copy())
+        return np.sin(t)
+
+    sf = discretize(f, n, domain=domain)
+    [t] = calls
+    assert t.dtype == np.float64
+    assert np.array_equal(t, walsh.midpoints(1 << n, domain))
+    assert np.array_equal(sf.values, np.sin(t))
+
+
+@pytest.mark.parametrize("value", [2.5, np.float64(-0.75), np.array(3.0), np.array([1.25])])
+def test_discretize_broadcasts_a_scalar_result(value):
+    sf = discretize(lambda t: value, 2)
+    assert sf.values.shape == (4,)
+    assert np.array_equal(sf.values, np.full(4, np.ravel(value)[0]))
+
+
 def test_midpoints_of_a_wide_domain_do_not_overflow():
     # (t_hi - t_lo)(2m+1) passes the largest float though every midpoint is finite.
     t = walsh.midpoints(4, (0.0, 1e308))
@@ -233,7 +196,7 @@ def test_midpoints_of_a_wide_domain_do_not_overflow():
 
 
 def test_reconstruct_roundtrip_with_transform():
-    sf = discretize(lambda t: math.cos(math.pi * t), 2)
+    sf = discretize(lambda t: np.cos(np.pi * t), 2)
     assert abs(reconstruct(fwht(sf.values), 0.1) - math.cos(math.pi / 8)) < 1e-12
 
 
@@ -248,31 +211,54 @@ def test_reconstruct_scales_before_it_sums():
 
 
 def test_reconstruct_pinned_combination():
+    # t = 0.3 is in cell 1, where W_1 = -1 and W_2 = 1: 0.25 * (-1.08 + 2.61).
     coeffs = 0.5 * np.array([0.0, 1.08, 2.61, 0.0])
-    w1 = walsh_value(1, 0.3, 2)
-    w2 = walsh_value(2, 0.3, 2)
-    expected = 0.25 * (1.08 * w1 + 2.61 * w2)
-    assert abs(reconstruct(coeffs, 0.3) - expected) < 1e-15
+    assert abs(reconstruct(coeffs, 0.3) - 0.3825) < 1e-15
 
 
-def walsh_value_sum(coeffs, t, n, ordering):
-    """The term-by-term synthesis: one walsh_value call per coefficient."""
-    total = 0.0
-    for k in range(coeffs.size):
-        total += coeffs[k] * walsh_value(k, t, n, ordering)
-    return total / math.sqrt(coeffs.size)
+@pytest.mark.parametrize("t", [-0.1, 1.1, -5e-324, 1.0 + 2**-52, -1e300, 1e300])
+def test_reconstruct_is_zero_outside_the_interval(t):
+    assert reconstruct(np.array([1.5, -0.25, 2.0, 0.75]), t) == 0.0
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_reconstruct_reads_the_last_cell_at_one(n):
+    N = 1 << n
+    coeffs = np.random.default_rng([11, n]).standard_normal(N)
+    assert reconstruct(coeffs, 1.0) == reconstruct(coeffs, 1.0 - 0.5 / N) != 0.0
+
+
+def recursive_sum(sequency, t):
+    """The term-by-term synthesis of a sequency spectrum by the recursive definition."""
+    scale = math.sqrt(sequency.size)
+    return sum(c * (sequency_walsh_recursive(s, t) / scale) for s, c in enumerate(sequency))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("ordering", [NAT, SEQ])
-def test_reconstruct_matches_walsh_value_oracle(ordering):
+def test_reconstruct_matches_the_recursive_oracle(ordering, n):
     # reconstruct takes natural order: a sequency spectrum is gathered first.
-    rng = np.random.default_rng(2024)
-    for n in range(1, 9):
-        coeffs = rng.standard_normal(1 << n)
-        natural = coeffs[ordering_permutation(n, ordering, NAT)]
-        points = [0.0, 1.0, -0.25, 1.5, float("inf"), float("-inf"), *rng.random(8)]
-        for t in points:
-            assert abs(reconstruct(natural, t) - walsh_value_sum(coeffs, t, n, ordering)) <= 1e-14
+    rng = np.random.default_rng([2024, n])
+    coeffs = rng.standard_normal(1 << n)
+    natural = coeffs[ordering_permutation(n, ordering, NAT)]
+    sequency = coeffs[ordering_permutation(n, ordering, SEQ)]
+    points = [0.0, 1.0, -0.25, 1.5, float("inf"), float("-inf"), *rng.random(8)]
+    for t in points:
+        assert abs(reconstruct(natural, t) - recursive_sum(sequency, t)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_sign_of_a_unit_synthesis_is_the_recursive_function(n):
+    # walsh_value's replacement: np.sign(reconstruct(e_k, t)) is natural function k at t;
+    # gathered through ordering_permutation, it is sequency function s at every midpoint.
+    N = 1 << n
+    perm = ordering_permutation(n, NAT, SEQ)  # perm[s]: the natural row of sequency s
+    for s in range(N):
+        unit = np.zeros(N)
+        unit[perm[s]] = 1.0
+        for m in range(N):
+            t = (2 * m + 1) / (2 * N)
+            assert np.sign(reconstruct(unit, t)) == sequency_walsh_recursive(s, t)
 
 
 def test_spectral_roundtrip_reproduces_samples():
